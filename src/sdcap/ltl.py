@@ -9,14 +9,24 @@ Traces are finite. By default an offset past the last step reads the final
 state, which is absorbing once every vehicle has halted; strict mode
 instead drops out-of-range offsets (making G vacuous and F unwitnessable
 there).
+
+A trace is stored as columns (numpy arrays, one value per step), and a
+formula is evaluated bottom-up over the whole trace: each subformula
+becomes one boolean array, and G/F windows are counted from prefix sums,
+so a formula costs O(|f| * N) on an N-step trace whatever its window
+widths.
 """
 
 import csv
 import io
 import math
+import warnings
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import EvaluationError, FormulaError, InvalidInputError
 from .params import require_finite
@@ -105,40 +115,137 @@ class VehicleState:
             raise InvalidInputError(f"velocity must be >= 0, got {self.velocity}")
 
 
-@dataclass(frozen=True)
+# Trace columns, in VehicleState field order, with their dtypes.
+_COLUMNS = (
+    ("position", np.float64),
+    ("velocity", np.float64),
+    ("ber", np.bool_),
+    ("collided", np.bool_),
+    ("responsible", np.bool_),
+)
+
+
 class Trace:
-    """Uniformly sampled state sequence of one vehicle."""
+    """Uniformly sampled state sequence of one vehicle, stored as columns.
 
-    vehicle_id: str
-    steps: tuple[VehicleState, ...]
-    dt: float
+    `position` and `velocity` are float64 arrays, `ber`, `collided` and
+    `responsible` bool arrays; all are read-only and have one entry per
+    step. `steps` is a read-only sequence of VehicleState values built on
+    demand. The trace is validated once, on construction: non-empty, finite
+    positions and velocities, velocities >= 0, a collided flag that never
+    turns off again, and a finite positive dt.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if not self.steps:
+    __slots__ = ("vehicle_id", "dt") + tuple(name for name, _ in _COLUMNS)
+
+    def __init__(self, vehicle_id: str, steps: Iterable[VehicleState], dt: float):
+        states = tuple(steps)
+        self._set(
+            vehicle_id,
+            dt,
+            [s.position for s in states],
+            [s.velocity for s in states],
+            [s.ber_active for s in states],
+            [s.collided for s in states],
+            [s.responsible for s in states],
+        )
+
+    @classmethod
+    def from_columns(
+        cls, vehicle_id: str, dt: float, *, position, velocity, ber, collided, responsible
+    ) -> "Trace":
+        """Build a trace from per-step columns (copied)."""
+        trace = cls.__new__(cls)
+        trace._set(vehicle_id, dt, position, velocity, ber, collided, responsible)
+        return trace
+
+    def _set(self, vehicle_id, dt, *columns):
+        self.vehicle_id = vehicle_id
+        self.dt = dt
+        for (name, dtype), values in zip(_COLUMNS, columns):
+            column = np.array(values, dtype=dtype)
+            column.setflags(write=False)
+            setattr(self, name, column)
+        if self.position.ndim != 1 or any(
+            getattr(self, name).shape != self.position.shape for name, _ in _COLUMNS
+        ):
+            raise InvalidInputError(f"trace {vehicle_id}: columns must be 1-D and equally long")
+        if not len(self.position):
             raise InvalidInputError("Trace.steps must be non-empty")
-        if not (isinstance(self.dt, (int, float)) and self.dt > 0 and math.isfinite(self.dt)):
-            raise InvalidInputError(f"Trace.dt must be a finite positive number, got {self.dt}")
+        if not (isinstance(dt, (int, float)) and dt > 0 and math.isfinite(dt)):
+            raise InvalidInputError(f"Trace.dt must be a finite positive number, got {dt}")
+        bad = np.flatnonzero(
+            ~(np.isfinite(self.position) & np.isfinite(self.velocity) & (self.velocity >= 0))
+        )
+        if bad.size:
+            k = bad[0]
+            raise InvalidInputError(
+                f"trace {vehicle_id}: step {k}: position and velocity must be finite "
+                f"and velocity >= 0, got {self.position[k]}, {self.velocity[k]}"
+            )
         # A collision is permanent within the horizon.
-        for earlier, later in zip(self.steps, self.steps[1:]):
-            if earlier.collided and not later.collided:
-                raise InvalidInputError(
-                    f"trace {self.vehicle_id}: collided flag must be monotone"
-                )
+        if np.any(self.collided[:-1] & ~self.collided[1:]):
+            raise InvalidInputError(f"trace {vehicle_id}: collided flag must be monotone")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name, _ in _COLUMNS)
+
+    @property
+    def steps(self) -> "TraceSteps":
+        return TraceSteps(self)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.position)
 
     @property
     def last_index(self) -> int:
-        return len(self.steps) - 1
+        return len(self) - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.vehicle_id == other.vehicle_id
+            and self.dt == other.dt
+            and all(map(np.array_equal, self._columns(), other._columns()))
+        )
+
+    def __repr__(self) -> str:
+        return f"Trace(vehicle_id={self.vehicle_id!r}, steps={len(self)}, dt={self.dt!r})"
 
 
-ATOMS: dict[str, Callable[[VehicleState], bool]] = {
-    "BER": lambda s: s.ber_active,
-    "C": lambda s: s.collided,
-    "Y": lambda s: s.responsible,
-}
+def _states(columns: Iterable[np.ndarray]) -> Iterator[VehicleState]:
+    return (VehicleState(*row) for row in zip(*(c.tolist() for c in columns)))
+
+
+class TraceSteps(SequenceABC):
+    """The steps of a Trace as VehicleState values, built on demand.
+
+    `len` costs O(1); an index gives one VehicleState and a slice a tuple
+    of them.
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(self, index):
+        columns = self._trace._columns()
+        if isinstance(index, slice):
+            return tuple(_states(c[index] for c in columns))
+        k = range(len(self))[index]
+        return VehicleState(*(c[k].item() for c in columns))
+
+    def __iter__(self) -> Iterator[VehicleState]:
+        return _states(self._trace._columns())
+
+
+# Atom name -> the Trace column holding its value at each step.
+ATOMS: dict[str, str] = {"BER": "ber", "C": "collided", "Y": "responsible"}
 
 
 class BoundaryMode(Enum):
@@ -155,38 +262,82 @@ def evaluate(
     """Evaluate a formula on a trace at step index i."""
     if not (0 <= i < len(trace)):
         raise EvaluationError(f"index {i} outside trace of length {len(trace)}")
-    return _eval(trace, i, formula, boundary)
+    return bool(_truth(trace, formula, boundary)[i])
 
 
-def _eval(trace: Trace, i: int, f: Formula, boundary: BoundaryMode) -> bool:
+def _children(f: Formula) -> tuple:
+    if isinstance(f, Atom):
+        return ()
+    if isinstance(f, (Not, Globally, Finally)):
+        return (f.child,)
+    if isinstance(f, (And, Or, Implies)):
+        return (f.left, f.right)
+    raise EvaluationError(f"unknown formula node {f!r}")
+
+
+def _truth(trace: Trace, formula: Formula, boundary: BoundaryMode) -> np.ndarray:
+    """The formula's truth value at every step of the trace.
+
+    Children are evaluated before their parent from an explicit stack, so
+    no formula is too deep to evaluate; a subformula shared by several
+    parents is evaluated once.
+    """
+    values: dict[int, np.ndarray] = {}
+    pending = [formula]
+    while pending:
+        f = pending[-1]
+        if id(f) in values:
+            pending.pop()
+            continue
+        children = _children(f)
+        unevaluated = [c for c in children if id(c) not in values]
+        if unevaluated:
+            pending.extend(unevaluated)
+            continue
+        pending.pop()
+        values[id(f)] = _combine(trace, f, [values[id(c)] for c in children], boundary)
+    return values[id(formula)]
+
+
+def _combine(trace: Trace, f: Formula, args: list, boundary: BoundaryMode) -> np.ndarray:
     if isinstance(f, Atom):
         try:
-            predicate = ATOMS[f.name]
+            return getattr(trace, ATOMS[f.name])
         except KeyError:
             raise EvaluationError(
                 f"unknown atom {f.name!r}; registered atoms: {sorted(ATOMS)}"
             ) from None
-        return predicate(trace.steps[i])
     if isinstance(f, Not):
-        return not _eval(trace, i, f.child, boundary)
+        return ~args[0]
     if isinstance(f, And):
-        return _eval(trace, i, f.left, boundary) and _eval(trace, i, f.right, boundary)
+        return args[0] & args[1]
     if isinstance(f, Or):
-        return _eval(trace, i, f.left, boundary) or _eval(trace, i, f.right, boundary)
+        return args[0] | args[1]
     if isinstance(f, Implies):
-        return (not _eval(trace, i, f.left, boundary)) or _eval(
-            trace, i, f.right, boundary
-        )
-    if isinstance(f, (Globally, Finally)):
-        last = trace.last_index
-        if boundary is BoundaryMode.ABSORBING:
-            indices = [min(j, last) for j in range(i + f.lo, i + f.hi + 1)]
+        return ~args[0] | args[1]
+    return _window(args[0], f.lo, f.hi, boundary, every=isinstance(f, Globally))
+
+
+def _window(x: np.ndarray, lo: int, hi: int, boundary: BoundaryMode, every: bool) -> np.ndarray:
+    """G[lo,hi] x (every=True) or F[lo,hi] x at every step, from counts of
+    true values over each window clipped to the trace."""
+    n = len(x)
+    # Offsets at or beyond n all fall past the last step: clipping them
+    # keeps the arithmetic small for any window width.
+    lo, hi = min(lo, n), min(hi, n)
+    steps = np.arange(n)
+    start = np.minimum(steps + lo, n)
+    end = np.minimum(steps + hi + 1, n)
+    counts = np.concatenate(([0], np.cumsum(x, dtype=np.intp)))
+    inside = counts[end] - counts[start]
+    verdict = inside == end - start if every else inside > 0
+    if boundary is BoundaryMode.ABSORBING:
+        # Windows reaching past the end also read the final state.
+        if every:
+            verdict[n - hi:] &= x[-1]
         else:
-            indices = list(range(i + f.lo, min(i + f.hi, last) + 1))
-        if isinstance(f, Globally):
-            return all(_eval(trace, j, f.child, boundary) for j in indices)
-        return any(_eval(trace, j, f.child, boundary) for j in indices)
-    raise EvaluationError(f"unknown formula node {f!r}")
+            verdict[n - hi:] |= x[-1]
+    return verdict
 
 
 def safety_formula(horizon: int) -> Formula:
@@ -212,16 +363,20 @@ def _check_common_horizon(traces: Sequence[Trace]):
             )
 
 
+def safety_verdicts(traces: Sequence[Trace]) -> list[bool]:
+    """vehicle_safe of every trace, once the traces share dt and horizon."""
+    _check_common_horizon(traces)
+    return [vehicle_safe(t) for t in traces]
+
+
 def road_safe(traces: Sequence[Trace]) -> bool:
     """True iff every vehicle on the road is in the safe state."""
-    _check_common_horizon(traces)
-    return all(vehicle_safe(t) for t in traces)
+    return all(safety_verdicts(traces))
 
 
 def sdt(traces: Sequence[Trace]) -> int:
     """Safe-driving throughput: the number of vehicles in the safe state."""
-    _check_common_horizon(traces)
-    return sum(1 for t in traces if vehicle_safe(t))
+    return sum(safety_verdicts(traces))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +389,12 @@ def sdt(traces: Sequence[Trace]) -> int:
 #             | ('G' | 'F') '[' int ',' int ']' unary
 #             | atom
 #             | '(' formula ')'
+#
+# Each '!', temporal operator, parenthesis and '->' right side nests one
+# level; the parser recurses once per level, so it refuses formulas nested
+# deeper than MAX_NESTING instead of exhausting the interpreter stack.
 
+MAX_NESTING = 100
 
 _SYMBOLS = ("->", "(", ")", "[", "]", ",", "!", "&", "|")
 
@@ -277,6 +437,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -296,6 +457,20 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def nested(self, parse) -> Formula:
+        """Run parse() one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            tok = self.peek()
+            where = f"position {tok[2]}" if tok else "the end"
+            raise FormulaError(
+                f"formula nests deeper than {MAX_NESTING} levels at {where}"
+            )
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     def parse(self) -> Formula:
         f = self.formula()
         tok = self.peek()
@@ -308,7 +483,7 @@ class _Parser:
         tok = self.peek()
         if tok and tok[:2] == ("sym", "->"):
             self.take()
-            return Implies(left, self.formula())
+            return Implies(left, self.nested(self.formula))
         return left
 
     def disjunction(self) -> Formula:
@@ -337,7 +512,7 @@ class _Parser:
             raise FormulaError(f"unexpected end of formula {self.text!r}")
         if tok[:2] == ("sym", "!"):
             self.take()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok[0] == "name" and tok[1] in ("G", "F"):
             op = self.take()[1]
             self.take("sym", "[")
@@ -345,13 +520,13 @@ class _Parser:
             self.take("sym", ",")
             hi = int(self.take("int")[1])
             self.take("sym", "]")
-            child = self.unary()
+            child = self.nested(self.unary)
             return Globally(lo, hi, child) if op == "G" else Finally(lo, hi, child)
         if tok[0] == "name":
             return Atom(self.take()[1])
         if tok[:2] == ("sym", "("):
             self.take()
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.take("sym", ")")
             return inner
         raise FormulaError(f"unexpected token {tok[1]!r} at position {tok[2]}")
@@ -380,6 +555,19 @@ TRACE_CSV_COLUMNS = (
     "responsible",
 )
 
+# One parsed CSV row, fields in TRACE_CSV_COLUMNS order.
+_ROW_DTYPE = np.dtype(
+    [
+        ("t", np.float64),
+        ("vehicle_id", object),
+        ("position", np.float64),
+        ("velocity", np.float64),
+        ("ber", np.int64),
+        ("collided", np.int64),
+        ("responsible", np.int64),
+    ]
+)
+
 
 def write_traces_csv(
     traces: Sequence[Trace],
@@ -391,20 +579,13 @@ def write_traces_csv(
         columns.append("info_source")
     stream.write(",".join(columns) + "\n")
     for trace in traces:
-        source = (info_sources or {}).get(trace.vehicle_id, "")
-        for k, state in enumerate(trace.steps):
-            row = [
-                repr(k * trace.dt),
-                trace.vehicle_id,
-                repr(state.position),
-                repr(state.velocity),
-                str(int(state.ber_active)),
-                str(int(state.collided)),
-                str(int(state.responsible)),
-            ]
-            if info_sources:
-                row.append(source)
-            stream.write(",".join(row) + "\n")
+        vid = trace.vehicle_id
+        end = f",{info_sources.get(vid, '')}\n" if info_sources else "\n"
+        times = (np.arange(len(trace)) * trace.dt).tolist()
+        stream.writelines(
+            f"{t!r},{vid},{p!r},{v!r},{b:d},{c:d},{r:d}{end}"
+            for t, p, v, b, c, r in zip(times, *(c.tolist() for c in trace._columns()))
+        )
 
 
 def traces_to_csv(traces: Sequence[Trace], info_sources=None) -> str:
@@ -413,44 +594,117 @@ def traces_to_csv(traces: Sequence[Trace], info_sources=None) -> str:
     return buffer.getvalue()
 
 
-def read_traces_csv(stream: Iterable[str]) -> list[Trace]:
-    """Parse the trace CSV back into traces; extra columns are ignored."""
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
+class _CountedLines:
+    """Iterator over a stream's lines that counts the lines handed out."""
+
+    def __init__(self, stream):
+        self._lines = iter(stream)
+        self.count = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        line = next(self._lines)
+        self.count += 1
+        return line
+
+
+def _load_rows(lines, usecols, max_rows=None) -> np.ndarray:
+    with warnings.catch_warnings():
+        # No data rows (or blank lines not counted towards max_rows).
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(
+            lines,
+            dtype=_ROW_DTYPE,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            usecols=usecols,
+            ndmin=1,
+            max_rows=max_rows,
+        )
+
+
+def _line_of_row(stream, usecols, row: int) -> int:
+    """File line number of data row `row` (0-based), found by re-reading."""
+    stream.seek(0)
+    stream.readline()
+    lines = _CountedLines(stream)
+    _load_rows(lines, usecols, max_rows=row + 1)
+    return 1 + lines.count
+
+
+def read_traces_csv(stream) -> list[Trace]:
+    """Parse a trace CSV from a seekable text stream (an open file or a
+    StringIO) into one trace per vehicle, in order of first appearance.
+
+    Columns are found by header name; extra columns are ignored. Each
+    vehicle's rows are sorted by t (stably) and must be uniformly sampled.
+    Numbers are decimal literals, flags integers (0 is false). Raises
+    InvalidInputError naming the line of a malformed row, or the vehicle
+    whose samples are bad.
+    """
+    header = stream.readline()
+    if not header:
         raise InvalidInputError("empty trace CSV")
-    missing = [c for c in TRACE_CSV_COLUMNS if c not in reader.fieldnames]
+    fieldnames = next(csv.reader([header]))
+    index = {name: k for k, name in enumerate(fieldnames)}
+    missing = [c for c in TRACE_CSV_COLUMNS if c not in index]
     if missing:
         raise InvalidInputError(f"trace CSV missing columns: {missing}")
-    per_vehicle: dict[str, list[tuple[float, VehicleState]]] = {}
-    order: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            vid = row["vehicle_id"]
-            t = float(row["t"])
-            state = VehicleState(
-                position=float(row["position_m"]),
-                velocity=float(row["velocity_mps"]),
-                ber_active=bool(int(row["ber"])),
-                collided=bool(int(row["collided"])),
-                responsible=bool(int(row["responsible"])),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"trace CSV line {lineno}: {exc}") from exc
-        if vid not in per_vehicle:
-            per_vehicle[vid] = []
-            order.append(vid)
-        per_vehicle[vid].append((t, state))
+    usecols = [index[c] for c in TRACE_CSV_COLUMNS]
+
+    lines = _CountedLines(stream)
+    try:
+        rows = _load_rows(lines, usecols)
+    except ValueError as exc:
+        reason = str(exc).split(" at row ")[0]
+        raise InvalidInputError(f"trace CSV line {1 + lines.count}: {reason}") from None
+    t, position, velocity = rows["t"], rows["position"], rows["velocity"]
+    bad = np.flatnonzero(
+        ~(np.isfinite(t) & np.isfinite(position) & np.isfinite(velocity) & (velocity >= 0))
+    )
+    if bad.size:
+        k = bad[0]
+        raise InvalidInputError(
+            f"trace CSV line {_line_of_row(stream, usecols, k)}: t, position_m and "
+            f"velocity_mps must be finite and velocity_mps >= 0, got "
+            f"{t[k]}, {position[k]}, {velocity[k]}"
+        )
+
+    ids: dict[str, int] = {}
+    codes = np.fromiter(
+        (ids.setdefault(vid, len(ids)) for vid in rows["vehicle_id"]),
+        dtype=np.intp,
+        count=len(rows),
+    )
+    order = np.lexsort((t, codes))
+    t = t[order]
+    columns = {
+        "position": position[order],
+        "velocity": velocity[order],
+        "ber": rows["ber"][order] != 0,
+        "collided": rows["collided"][order] != 0,
+        "responsible": rows["responsible"][order] != 0,
+    }
+    del rows, position, velocity
 
     traces = []
-    for vid in order:
-        rows = sorted(per_vehicle[vid], key=lambda pair: pair[0])
-        if len(rows) < 2:
+    start = 0
+    for vid, end in zip(ids, np.cumsum(np.bincount(codes, minlength=len(ids))).tolist()):
+        times = t[start:end]
+        if len(times) < 2:
             raise InvalidInputError(f"trace {vid}: need at least two samples")
-        dt = rows[1][0] - rows[0][0]
+        dt = float(times[1] - times[0])
         if dt <= 0:
             raise InvalidInputError(f"trace {vid}: non-increasing timestamps")
-        for (t0, _), (t1, _) in zip(rows, rows[1:]):
-            if abs((t1 - t0) - dt) > 1e-9 * max(1.0, abs(dt)):
-                raise InvalidInputError(f"trace {vid}: non-uniform sampling step")
-        traces.append(Trace(vid, tuple(state for _, state in rows), dt))
+        if np.any(np.abs(np.diff(times) - dt) > 1e-9 * max(1.0, abs(dt))):
+            raise InvalidInputError(f"trace {vid}: non-uniform sampling step")
+        traces.append(
+            Trace.from_columns(
+                vid, dt, **{name: c[start:end] for name, c in columns.items()}
+            )
+        )
+        start = end
     return traces

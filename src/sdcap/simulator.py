@@ -20,10 +20,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .capacity import RoadSpec
 from .errors import ConfigError, InvalidParameterError, SdcapError
 from .kinematics import safe_longitudinal_distance
-from .ltl import Trace, VehicleState, road_safe, sdt, vehicle_safe
+# perfbench reads simulator.vehicle_safe, so the name stays importable here.
+from .ltl import Trace, safety_verdicts, vehicle_safe  # noqa: F401
 from .params import KMH_TO_MPS, VehicleParams, require_finite
 from .perception import DeviationSet, Regime, corrected_params
 from .protocol import (
@@ -404,28 +407,33 @@ def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
     traces = []
     for lane_idx, lane in enumerate(lanes):
         for idx, veh in enumerate(lane):
-            steps = []
-            for k in range(len(veh.positions)):
-                t = k * dt
-                steps.append(
-                    VehicleState(
-                        position=veh.positions[k],
-                        velocity=veh.velocities[k],
-                        ber_active=veh.onset is not None and t >= veh.onset - _EPS,
-                        collided=veh.collision_time is not None
-                        and t >= veh.collision_time - _EPS,
-                        responsible=False,
-                    )
+            # Step k's grid time k * dt: the same double in numpy as in Python.
+            times = np.arange(len(veh.positions)) * dt
+            traces.append(
+                Trace.from_columns(
+                    vehicle_id(lane_idx, idx),
+                    dt,
+                    position=veh.positions,
+                    velocity=veh.velocities,
+                    ber=_since(times, veh.onset),
+                    collided=_since(times, veh.collision_time),
+                    responsible=np.zeros(len(times), dtype=bool),
                 )
-            traces.append(Trace(vehicle_id(lane_idx, idx), tuple(steps), dt))
+            )
     return assign_responsibility(traces, cfg)
 
 
-def _first_true(trace: Trace, predicate) -> Optional[int]:
-    for k, state in enumerate(trace.steps):
-        if predicate(state):
-            return k
-    return None
+def _since(times: np.ndarray, event: Optional[float]) -> np.ndarray:
+    """Per-step flag: the event (if any) has happened by this grid time."""
+    if event is None:
+        return np.zeros(len(times), dtype=bool)
+    return times >= event - _EPS
+
+
+def _first(flags: np.ndarray) -> Optional[int]:
+    """Index of the first set flag, or None."""
+    k = int(np.argmax(flags))
+    return k if flags[k] else None
 
 
 def _trace_map(traces: Sequence[Trace], cfg: ScenarioConfig) -> dict[tuple[int, int], Trace]:
@@ -450,10 +458,10 @@ def rear_end_pairs(
         for idx in range(1, len(lane)):
             rear = grid[(lane_idx, idx)]
             front = grid[(lane_idx, idx - 1)]
-            k = _first_true(rear, lambda s: s.collided)
+            k = _first(rear.collided)
             if k is None:
                 continue
-            gap = front.steps[k].position - rear.steps[k].position
+            gap = front.position[k] - rear.position[k]
             if abs(gap - lane[idx].params.length) <= 1e-6:
                 pairs.append((lane_idx, idx, k))
     return pairs
@@ -476,14 +484,14 @@ def assign_responsibility(
     for lane_idx, rear_idx, hit_step in rear_end_pairs(traces, cfg):
         rear = grid[(lane_idx, rear_idx)]
         front = grid[(lane_idx, rear_idx - 1)]
-        cause_step = _first_true(front, lambda s: s.ber_active or s.collided)
+        cause_step = _first(front.ber | front.collided)
         if cause_step is None:
             continue
         rear_params = cfg.lanes[lane_idx][rear_idx].params
         front_params = cfg.lanes[lane_idx][rear_idx - 1].params
         resolution, eta = resolutions[(lane_idx, rear_idx)]
-        v_rear = rear.steps[cause_step].velocity
-        v_front = front.steps[cause_step].velocity
+        v_rear = float(rear.velocity[cause_step])
+        v_front = float(front.velocity[cause_step])
         if cfg.mode == "cbv" and resolution.source is InfoSource.RESPONSE:
             threshold = corrected_safe_distance(
                 rear_params.with_speed(v_rear),
@@ -497,12 +505,10 @@ def assign_responsibility(
                 front_params.with_speed(v_front),
                 resolution.effective_tau,
             )
-        gap_at_cause = (
-            front.steps[cause_step].position - rear.steps[cause_step].position
-        )
+        gap_at_cause = float(front.position[cause_step] - rear.position[cause_step])
         spaced_too_close = gap_at_cause < threshold - 1e-9
 
-        onset_step = _first_true(rear, lambda s: s.ber_active)
+        onset_step = _first(rear.ber)
         late_braking = (
             onset_step is None
             or onset_step * rear.dt
@@ -517,18 +523,17 @@ def assign_responsibility(
         if trace.vehicle_id not in blamed:
             out.append(trace)
             continue
-        start = blamed[trace.vehicle_id]
-        steps = tuple(
-            VehicleState(
-                position=s.position,
-                velocity=s.velocity,
-                ber_active=s.ber_active,
-                collided=s.collided,
-                responsible=(k >= start),
+        out.append(
+            Trace.from_columns(
+                trace.vehicle_id,
+                trace.dt,
+                position=trace.position,
+                velocity=trace.velocity,
+                ber=trace.ber,
+                collided=trace.collided,
+                responsible=np.arange(len(trace)) >= blamed[trace.vehicle_id],
             )
-            for k, s in enumerate(trace.steps)
         )
-        out.append(Trace(trace.vehicle_id, steps, trace.dt))
     return out
 
 
@@ -548,6 +553,7 @@ def info_source_labels(cfg: ScenarioConfig) -> dict[str, str]:
 
 def scenario_summary(traces: Sequence[Trace], cfg: ScenarioConfig) -> dict:
     """Collision, throughput and spacing summary of a finished run."""
+    verdicts = safety_verdicts(traces)
     grid = _trace_map(traces, cfg)
     collisions = []
     min_gaps = {}
@@ -555,11 +561,9 @@ def scenario_summary(traces: Sequence[Trace], cfg: ScenarioConfig) -> dict:
         for idx in range(1, len(lane)):
             rear = grid[(lane_idx, idx)]
             front = grid[(lane_idx, idx - 1)]
-            gaps = [
-                f.position - r.position
-                for f, r in zip(front.steps, rear.steps)
-            ]
-            min_gaps[f"{front.vehicle_id}->{rear.vehicle_id}"] = min(gaps)
+            min_gaps[f"{front.vehicle_id}->{rear.vehicle_id}"] = float(
+                np.min(front.position - rear.position)
+            )
     for lane_idx, rear_idx, hit_step in rear_end_pairs(traces, cfg):
         collisions.append(
             {
@@ -569,20 +573,18 @@ def scenario_summary(traces: Sequence[Trace], cfg: ScenarioConfig) -> dict:
                 "time_s": hit_step * cfg.dt,
             }
         )
-    responsible = sorted(
-        t.vehicle_id for t in traces if any(s.responsible for s in t.steps)
-    )
+    responsible = sorted(t.vehicle_id for t in traces if t.responsible.any())
     fleet = cfg.lanes[0][0].params if cfg.lanes[0] else None
     return {
         "mode": cfg.mode,
         "omega": cfg.vehicle_count,
-        "sdt": sdt(list(traces)),
-        "road_safe": road_safe(list(traces)),
+        "sdt": sum(verdicts),
+        "road_safe": all(verdicts),
         "collisions": collisions,
         "responsible": responsible,
         "min_gaps_m": min_gaps,
         "unsafe_vehicles": sorted(
-            t.vehicle_id for t in traces if not vehicle_safe(t)
+            t.vehicle_id for t, safe in zip(traces, verdicts) if not safe
         ),
         "info_sources": info_source_labels(cfg),
         "parameters": {

@@ -1,5 +1,6 @@
 """Shared fixtures and independent reference implementations for the tests."""
 
+import csv
 import random
 
 import pytest
@@ -11,12 +12,14 @@ from sdcap import (
     Finally,
     Globally,
     Implies,
+    InvalidInputError,
     Not,
     Or,
     Trace,
     VehicleParams,
     VehicleState,
 )
+from sdcap.ltl import TRACE_CSV_COLUMNS
 
 # The reference operating point used across the suite: 100 km/h quoted as
 # 27.78 m/s, ABS-grade braking, mid-range acceleration, 0.5 s response.
@@ -133,3 +136,57 @@ def random_trace(rng: random.Random, max_len: int = 20, vehicle_id: str = "t") -
             )
         )
     return Trace(vehicle_id, tuple(steps), 0.1)
+
+
+# ---------------------------------------------------------------------------
+# Reference trace-CSV reader: one csv.DictReader row and one VehicleState at
+# a time. It is the reader the library used before it parsed the columns
+# with numpy, with two fixes the columnar reader also makes: a row missing
+# its vehicle_id field is rejected (it was grouped under the id None), and
+# a non-finite t is rejected (a nan timestamp passed the sampling check).
+
+
+def reference_read_traces_csv(stream):
+    reader = csv.DictReader(stream)
+    if reader.fieldnames is None:
+        raise InvalidInputError("empty trace CSV")
+    missing = [c for c in TRACE_CSV_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise InvalidInputError(f"trace CSV missing columns: {missing}")
+    per_vehicle = {}
+    order = []
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            vid = row["vehicle_id"]
+            if vid is None:
+                raise ValueError("missing vehicle_id")
+            t = float(row["t"])
+            if t != t or abs(t) == float("inf"):
+                raise ValueError(f"t must be finite, got {t}")
+            state = VehicleState(
+                position=float(row["position_m"]),
+                velocity=float(row["velocity_mps"]),
+                ber_active=bool(int(row["ber"])),
+                collided=bool(int(row["collided"])),
+                responsible=bool(int(row["responsible"])),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"trace CSV line {lineno}: {exc}") from exc
+        if vid not in per_vehicle:
+            per_vehicle[vid] = []
+            order.append(vid)
+        per_vehicle[vid].append((t, state))
+
+    traces = []
+    for vid in order:
+        rows = sorted(per_vehicle[vid], key=lambda pair: pair[0])
+        if len(rows) < 2:
+            raise InvalidInputError(f"trace {vid}: need at least two samples")
+        dt = rows[1][0] - rows[0][0]
+        if dt <= 0:
+            raise InvalidInputError(f"trace {vid}: non-increasing timestamps")
+        for (t0, _), (t1, _) in zip(rows, rows[1:]):
+            if abs((t1 - t0) - dt) > 1e-9 * max(1.0, abs(dt)):
+                raise InvalidInputError(f"trace {vid}: non-uniform sampling step")
+        traces.append(Trace(vid, tuple(state for _, state in rows), dt))
+    return traces

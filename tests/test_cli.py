@@ -219,3 +219,19 @@ def test_monitor_unknown_vehicle_exits_two(capsys, tmp_path):
     )
     assert code == 2
     assert "ghost" in err
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["!" * 3000 + "BER", "(" * 3000 + "BER" + ")" * 3000, "BER -> " * 3000 + "BER"],
+)
+def test_monitor_deeply_nested_formula_exits_two(capsys, tmp_path, formula):
+    cfg = write_config(tmp_path)
+    trace_path = tmp_path / "traces.csv"
+    run_cli(capsys, "simulate", "--config", str(cfg), "--trace-out", str(trace_path))
+    code, out, err = run_cli(
+        capsys, "monitor", "--trace", str(trace_path), "--formula", formula
+    )
+    assert code == 2
+    assert out == ""
+    assert "nests deeper than" in err

@@ -2,10 +2,16 @@
 
 import io
 import random
+import time
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcap import (
+    And,
     Atom,
     BoundaryMode,
     EvaluationError,
@@ -15,6 +21,7 @@ from sdcap import (
     Implies,
     InvalidInputError,
     Not,
+    Or,
     Trace,
     VehicleState,
     evaluate,
@@ -25,7 +32,13 @@ from sdcap import (
     vehicle_safe,
     write_traces_csv,
 )
-from conftest import random_formula, random_trace, reference_evaluate
+from sdcap.ltl import MAX_NESTING, TRACE_CSV_COLUMNS
+from conftest import (
+    random_formula,
+    random_trace,
+    reference_evaluate,
+    reference_read_traces_csv,
+)
 
 
 def make_trace(flags, vehicle_id="t", dt=0.1):
@@ -255,3 +268,301 @@ def test_malformed_formulas_rejected(bad):
 def test_parser_reports_positions():
     with pytest.raises(FormulaError, match="position"):
         parse_formula("BER @@ C")
+
+
+def test_deeply_nested_formula_is_refused_by_the_parser():
+    for text in ("!" * 3000 + "BER", "(" * 3000 + "BER" + ")" * 3000,
+                 "BER -> " * 3000 + "BER", "G[0,1] " * 3000 + "BER"):
+        with pytest.raises(FormulaError, match="nests deeper"):
+            parse_formula(text)
+
+
+def test_nesting_limit_is_exact():
+    at_limit = "!" * MAX_NESTING + "BER"
+    formula = parse_formula(at_limit)
+    trace = make_trace([(True, False, False)] * 3)
+    assert evaluate(trace, 0, formula) == reference_evaluate(trace, 0, formula)
+    with pytest.raises(FormulaError):
+        parse_formula("!" + at_limit)
+
+
+def test_long_flat_chains_parse_and_evaluate():
+    # '&' and '|' chains build left-deep trees without nesting the parser;
+    # the evaluator walks any depth without recursing.
+    trace = make_trace([(True, False, False), (True, False, True)])
+    assert evaluate(trace, 0, parse_formula(" & ".join(["BER"] * 5000))) is True
+    assert evaluate(trace, 1, parse_formula(" | ".join(["C"] * 5000 + ["Y"]))) is True
+    deep = Atom("BER")
+    for _ in range(5000):
+        deep = Not(Not(deep))
+    assert evaluate(trace, 0, deep) is True
+
+
+def test_unknown_atom_rejected_in_a_short_circuited_branch():
+    trace = make_trace([(True, False, False)] * 2)
+    with pytest.raises(EvaluationError, match="SPEEDING"):
+        evaluate(trace, 0, parse_formula("BER | SPEEDING"))
+
+
+@pytest.mark.parametrize("boundary", list(BoundaryMode))
+def test_astronomical_window_is_clipped_to_the_trace(boundary):
+    trace = make_trace([(k >= 4, k >= 7, False) for k in range(10)])
+    texts = ("G[0,99999999999999999999] BER", "F[99999999999999999999,"
+             "99999999999999999999] C", "F[3,99999999999999999999] !BER")
+    started = time.process_time()
+    verdicts = [[evaluate(trace, i, parse_formula(text), boundary) for i in range(10)]
+                for text in texts]
+    assert time.process_time() - started < 0.5
+    clipped = [Globally(0, 20, Atom("BER")), Finally(20, 20, Atom("C")),
+               Finally(3, 20, Not(Atom("BER")))]
+    assert verdicts == [[reference_evaluate(trace, i, f, boundary) for i in range(10)]
+                        for f in clipped]
+
+
+# ---------------------------------------------------------------------------
+# Columnar traces
+
+
+def columnar(n, seed, switch=0.05, vehicle_id="t"):
+    """An n-step trace whose flags hold for runs of about 1/switch steps."""
+    rng = np.random.default_rng(seed)
+
+    def runs():
+        return (np.cumsum(rng.random(n) < switch) + rng.integers(2)) % 2 == 1
+
+    return Trace.from_columns(
+        vehicle_id, 0.1,
+        position=rng.uniform(-100.0, 100.0, n),
+        velocity=rng.uniform(0.0, 30.0, n),
+        ber=runs(),
+        collided=np.arange(n) >= rng.integers(0, n + 3),
+        responsible=runs(),
+    )
+
+
+def test_steps_view_builds_states_on_demand():
+    trace = columnar(50, 1)
+    states = list(trace.steps)
+    assert len(trace.steps) == len(trace) == 50 and trace.last_index == 49
+    assert trace.steps[0] == states[0] and trace.steps[-1] == states[-1]
+    assert trace.steps[10:20] == tuple(states[10:20])
+    assert trace.steps[::-7] == tuple(states[::-7])
+    assert isinstance(trace.steps[3].position, float)
+    assert isinstance(trace.steps[3].ber_active, bool)
+    assert Trace("t", trace.steps, 0.1) == trace
+    assert Trace("t", trace.steps[:49], 0.1) != trace
+    with pytest.raises(IndexError):
+        trace.steps[50]
+
+
+def test_trace_columns_are_read_only_copies():
+    position = np.zeros(3)
+    trace = Trace.from_columns("t", 0.1, position=position, velocity=[1.0] * 3,
+                               ber=[0, 1, 1], collided=[False] * 3,
+                               responsible=[False] * 3)
+    position[0] = 5.0
+    assert trace.position[0] == 0.0
+    with pytest.raises(ValueError):
+        trace.position[0] = 1.0
+    assert trace.ber.dtype == bool and trace.ber.tolist() == [False, True, True]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"position": [0.0, float("nan"), 0.0]},
+        {"velocity": [1.0, float("inf"), 1.0]},
+        {"velocity": [1.0, -0.5, 1.0]},
+        {"collided": [True, False, False]},
+        {"ber": [False, False]},
+        {name: [] for name in ("position", "velocity", "ber", "collided", "responsible")},
+        {"dt": float("nan")},
+        {"dt": 0.0},
+    ],
+)
+def test_trace_rejects_invalid_columns(changes):
+    columns = dict(dt=0.1, position=[0.0] * 3, velocity=[1.0] * 3, ber=[False] * 3,
+                   collided=[False] * 3, responsible=[False] * 3)
+    with pytest.raises(InvalidInputError):
+        Trace.from_columns("t", **dict(columns, **changes))
+
+
+@st.composite
+def wide_formulas(draw, n):
+    """Boolean combinations of temporal operators whose windows may start
+    past the end and be twice the trace long, over narrow-window children.
+    Only the outer operators are wide, so the reference stays affordable."""
+
+    def narrow(depth):
+        if depth == 0 or draw(st.booleans()):
+            return Atom(draw(st.sampled_from(("BER", "C", "Y"))))
+        kind = draw(st.sampled_from(("not", "and", "implies", "G", "F")))
+        if kind == "not":
+            return Not(narrow(depth - 1))
+        if kind == "and":
+            return And(narrow(depth - 1), narrow(depth - 1))
+        if kind == "implies":
+            return Implies(narrow(depth - 1), narrow(depth - 1))
+        lo = draw(st.integers(0, 3))
+        hi = lo + draw(st.integers(0, 3))
+        op = Globally if kind == "G" else Finally
+        return op(lo, hi, Atom(draw(st.sampled_from(("BER", "C", "Y")))))
+
+    def wide():
+        lo = draw(st.one_of(st.integers(0, 10), st.integers(0, n + 10)))
+        hi = lo + draw(st.one_of(st.integers(0, 10), st.integers(n // 2, 2 * n)))
+        op = draw(st.sampled_from((Globally, Finally)))
+        return op(lo, hi, narrow(1))
+
+    left = wide()
+    combine = draw(st.sampled_from(("none", "not", "or", "implies")))
+    if combine == "not":
+        return Not(left)
+    if combine == "or":
+        return Or(left, wide())
+    if combine == "implies":
+        return Implies(narrow(2), left)
+    return left
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(100, 2000), seed=st.integers(0, 2**32 - 1),
+       switch=st.sampled_from((0.002, 0.02, 0.2)),
+       boundary=st.sampled_from(list(BoundaryMode)))
+def test_long_traces_and_wide_windows_match_reference(data, n, seed, switch, boundary):
+    trace = columnar(n, seed, switch)
+    formula = data.draw(wide_formulas(n))
+    # The reference only reads trace.steps; give it a materialised tuple.
+    materialised = SimpleNamespace(steps=tuple(trace.steps))
+    # Check where some window edge crosses the end of the trace, and at
+    # both ends and one random step.
+    indices = {0, n - 1, data.draw(st.integers(0, n - 1))}
+    pending = [formula]
+    while pending:
+        f = pending.pop()
+        pending.extend(getattr(f, name) for name in ("child", "left", "right") if hasattr(f, name))
+        if isinstance(f, (Globally, Finally)):
+            indices.update(i for edge in (f.lo, f.hi) for i in (n - edge - 1, n - edge)
+                           if 0 <= i < n)
+    for i in sorted(indices):
+        assert evaluate(trace, i, formula, boundary) == reference_evaluate(
+            materialised, i, formula, boundary
+        ), (i, formula)
+
+
+# ---------------------------------------------------------------------------
+# Trace CSV reader against the reference reader
+
+
+@st.composite
+def trace_csvs(draw):
+    """(CSV text, is_valid): 1-3 vehicles written in a shuffled column order
+    with extra columns, randomly quoted fields, interleaved vehicles and
+    unsorted timestamps; invalid texts carry one malformation."""
+    extras = draw(st.lists(st.sampled_from(("info_source", "lane", "note")),
+                           unique=True, max_size=2))
+    header = draw(st.permutations(list(TRACE_CSV_COLUMNS) + extras))
+    floats = st.floats(-1e3, 1e3, allow_nan=False)
+    rows = []
+    for v in range(draw(st.integers(1, 3))):
+        vid = draw(st.sampled_from((f"v{v}", f"car,{v}", f"l{v}v0")))
+        n = draw(st.integers(2, 12))
+        dt = draw(st.sampled_from((0.1, 0.001, 0.5, 2.0)))
+        t0 = draw(st.sampled_from((0.0, 1.0, 123.456)))
+        hit = draw(st.integers(0, n + 1))
+        for k in range(n):
+            rows.append({
+                "t": repr(t0 + k * dt),
+                "vehicle_id": vid,
+                "position_m": repr(draw(floats)),
+                "velocity_mps": repr(draw(st.floats(0.0, 40.0))),
+                "ber": draw(st.sampled_from(("0", "1"))),
+                "collided": "1" if k >= hit else "0",
+                "responsible": draw(st.sampled_from(("0", "1", " 1", "2"))),
+                "info_source": "response",
+                "lane": str(v),
+                "note": "x",
+                "dt": dt,
+            })
+    rows = draw(st.permutations(rows))
+
+    valid = draw(st.booleans())
+    if not valid:
+        kind = draw(st.sampled_from((
+            "flag", "nonfinite", "negative", "short", "nonuniform",
+            "duplicate_t", "single", "missing_column", "collided",
+        )))
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        same = sorted((r for r in rows if r["vehicle_id"] == row["vehicle_id"]),
+                      key=lambda r: float(r["t"]))
+        if kind == "flag":
+            row[draw(st.sampled_from(("ber", "collided", "responsible")))] = \
+                draw(st.sampled_from(("1.0", "x", "", "nan")))
+        elif kind == "nonfinite":
+            row[draw(st.sampled_from(("t", "position_m", "velocity_mps")))] = \
+                draw(st.sampled_from(("nan", "inf", "-inf", "1e999")))
+        elif kind == "negative":
+            row["velocity_mps"] = "-0.5"
+        elif kind == "short":
+            row["short"] = True
+        elif kind == "nonuniform":
+            late = float(same[-1]["t"]) + 1.5 * row["dt"]
+            rows.append(dict(same[-1], t=repr(late)))
+        elif kind == "duplicate_t":
+            rows.append(dict(row))
+        elif kind == "single":
+            rows.append(dict(row, vehicle_id="lonely"))
+        elif kind == "missing_column":
+            header.remove(draw(st.sampled_from(TRACE_CSV_COLUMNS)))
+        elif kind == "collided":
+            same[0]["collided"] = "1"
+            same[-1]["collided"] = "0"
+
+    def field(value):
+        if "," in value or draw(st.booleans()):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    lines = [",".join(header)]
+    for row in rows:
+        values = [field(row[name]) for name in header]
+        if row.get("short"):
+            # Cut at least the last required field, and keep at least one.
+            last_required = max(header.index(c) for c in TRACE_CSV_COLUMNS)
+            values = values[:draw(st.integers(1, last_required))]
+        lines.append(",".join(values))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + newline, valid
+
+
+def _read_outcome(reader, text):
+    try:
+        return reader(io.StringIO(text, newline=""))
+    except InvalidInputError:
+        return "invalid"
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_csvs())
+def test_reader_matches_reference_reader(case):
+    text, valid = case
+    got = _read_outcome(read_traces_csv, text)
+    assert got == _read_outcome(reference_read_traces_csv, text)
+    assert (got != "invalid") == valid, text
+
+
+def test_reader_names_the_bad_line():
+    header = ",".join(TRACE_CSV_COLUMNS) + "\n"
+    rows = [f"{k * 0.1!r},a,{k}.0,1.0,0,0,0\n" for k in range(5)]
+    # Line 1 is the header, line 4 a blank line the reader skips.
+    for bad_row in ("0.5,a,1.0,1.0,x,0,0\n", "0.5,a,nan,1.0,0,0,0\n",
+                    "0.5,a,1.0,-1.0,0,0,0\n", "0.5,a,1.0\n"):
+        text = header + "".join(rows[:2]) + "\n" + bad_row + "".join(rows[2:])
+        with pytest.raises(InvalidInputError, match="line 5"):
+            read_traces_csv(io.StringIO(text))
+
+
+def test_reader_rejects_empty_input_and_returns_no_traces_for_a_bare_header():
+    with pytest.raises(InvalidInputError, match="empty"):
+        read_traces_csv(io.StringIO(""))
+    assert read_traces_csv(io.StringIO(",".join(TRACE_CSV_COLUMNS) + "\n")) == []

@@ -6,11 +6,13 @@ from sdcap import (
     BrakeTrigger,
     ConfigError,
     DeviationSet,
+    InvalidInputError,
     InvalidParameterError,
     LatencyModel,
     RoadSpec,
     ScenarioConfig,
     SpawnSpec,
+    Trace,
     VehicleParams,
     corrected_safe_distance,
     road_safe,
@@ -314,3 +316,26 @@ def test_summary_parameter_echo():
     assert summary["parameters"]["max_brake_mps2"] == 9.0
     assert summary["parameters"]["rng_seed"] == 0
     assert summary["info_sources"]["l0v1"] == "perception"
+
+
+def test_summary_evaluates_the_safety_formula_once_per_vehicle(monkeypatch):
+    import sdcap.ltl
+
+    cfg = single_lane([0.9 * D_SAFE, D_SAFE])
+    traces = run_scenario(cfg)
+    calls = []
+    original = sdcap.ltl.vehicle_safe
+    monkeypatch.setattr(sdcap.ltl, "vehicle_safe",
+                        lambda trace: calls.append(trace.vehicle_id) or original(trace))
+    summary = scenario_summary(traces, cfg)
+    assert sorted(calls) == ["l0v0", "l0v1", "l0v2"]
+    assert summary["sdt"] == 2 and summary["road_safe"] is False
+    assert summary["unsafe_vehicles"] == ["l0v1"]
+
+
+def test_summary_rejects_traces_of_different_horizons():
+    cfg = single_lane([D_SAFE])
+    lead, rear = run_scenario(cfg)
+    short = Trace(rear.vehicle_id, rear.steps[:-1], rear.dt)
+    with pytest.raises(InvalidInputError, match="horizon"):
+        scenario_summary([lead, short], cfg)
