@@ -25,7 +25,6 @@ from .params import KMH_TO_MPS, VehicleParams
 from .perception import DeviationSet, Regime
 from .protocol import LATENCY_PRESETS, corrected_safe_distance
 from .simulator import (
-    info_source_labels,
     run_scenario,
     scenario_from_file,
     scenario_summary,
@@ -195,7 +194,7 @@ def cmd_simulate(args) -> int:
     summary = scenario_summary(traces, cfg)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8", newline="") as handle:
-            write_traces_csv(traces, handle, info_source_labels(cfg))
+            write_traces_csv(traces, handle, summary["info_sources"])
     if args.summary_out:
         with open(args.summary_out, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)

@@ -396,9 +396,6 @@ def sdt(traces: Sequence[Trace]) -> int:
 
 MAX_NESTING = 100
 
-_SYMBOLS = ("->", "(", ")", "[", "]", ",", "!", "&", "|")
-
-
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
@@ -569,6 +566,13 @@ _ROW_DTYPE = np.dtype(
 )
 
 
+def _csv_field(text: str) -> str:
+    """A CSV field: quoted, inner quotes doubled, if it holds ',' or '"'."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_traces_csv(
     traces: Sequence[Trace],
     stream,
@@ -579,8 +583,9 @@ def write_traces_csv(
         columns.append("info_source")
     stream.write(",".join(columns) + "\n")
     for trace in traces:
-        vid = trace.vehicle_id
-        end = f",{info_sources.get(vid, '')}\n" if info_sources else "\n"
+        vid = _csv_field(trace.vehicle_id)
+        source = info_sources.get(trace.vehicle_id, "") if info_sources else None
+        end = "\n" if source is None else f",{_csv_field(source)}\n"
         times = (np.arange(len(trace)) * trace.dt).tolist()
         stream.writelines(
             f"{t!r},{vid},{p!r},{v!r},{b:d},{c:d},{r:d}{end}"

@@ -124,9 +124,6 @@ class DeviationSet:
         )
 
 
-UNIT_DEVIATIONS = DeviationSet()
-
-
 def corrected_params(conservative: VehicleParams, dev: DeviationSet) -> VehicleParams:
     """Actual vehicle parameters implied by conservative estimates and ratios.
 

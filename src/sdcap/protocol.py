@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from .errors import InvalidParameterError
-from .kinematics import safe_longitudinal_distance
 from .params import VehicleParams, require_finite
 from .perception import (
     DeviationSet,
@@ -169,9 +168,3 @@ def corrected_safe_distance(
         ),
     )
 
-
-def baseline_safe_distance(
-    rear: VehicleParams, front_conservative: VehicleParams, tau: float
-) -> float:
-    """Perception-only safe gap for the same pair (convenience re-export)."""
-    return safe_longitudinal_distance(rear, front_conservative, tau)

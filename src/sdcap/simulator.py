@@ -104,7 +104,7 @@ class ScenarioConfig:
             raise InvalidParameterError(f"mode must be 'pbv' or 'cbv', got {self.mode!r}")
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise InvalidParameterError(f"dt must be > 0, got {self.dt}")
-        if self.request_timeout < 0:
+        if require_finite("request_timeout", self.request_timeout) < 0:
             raise InvalidParameterError("request_timeout must be >= 0")
         if len(self.lanes) != self.road.lanes:
             raise InvalidParameterError(
@@ -327,8 +327,9 @@ def _scan_collisions(lane: list[_VehicleRT], t: float) -> list[int]:
 def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
     """Execute the scenario and return fully annotated traces.
 
-    Deterministic for a fixed config and seed. Responsibility flags are
-    assigned before returning.
+    Deterministic for a fixed config and seed. Blame is decided from the
+    contacts the run detected, and each trace is built with its
+    responsibility flags set.
     """
     resolutions = link_resolutions(cfg)
     lanes: list[list[_VehicleRT]] = []
@@ -382,6 +383,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
             veh.positions.append(veh.x)
             veh.velocities.append(veh.v)
 
+    contacts: list[tuple[int, int, int]] = []  # (lane, rear index, step)
     extra_steps = 0
     step = 0
     while True:
@@ -389,10 +391,12 @@ def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
         if step > max_steps + 2:
             raise SdcapError("simulation failed to reach a halt state")
         t0, t1 = (step - 1) * dt, step * dt
-        for lane in lanes:
+        for lane_idx, lane in enumerate(lanes):
             for veh in lane:
                 _advance(veh, t0, t1, cfg.speed_cap)
-            if _scan_collisions(lane, t1):
+            hits = _scan_collisions(lane, t1)
+            if hits:
+                contacts.extend((lane_idx, rear, step) for rear in hits)
                 _reschedule(lane)
         for lane in lanes:
             for veh in lane:
@@ -404,11 +408,13 @@ def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
         if t1 >= current_max_onset and all(v.v == 0.0 for v in affected):
             extra_steps = 1  # one trailing step past the halt
 
+    steps = np.arange(step + 1)
+    # Step k's grid time k * dt: the same double in numpy as in Python.
+    times = steps * dt
+    blamed = assign_responsibility(lanes, contacts, resolutions, cfg, times)
     traces = []
     for lane_idx, lane in enumerate(lanes):
         for idx, veh in enumerate(lane):
-            # Step k's grid time k * dt: the same double in numpy as in Python.
-            times = np.arange(len(veh.positions)) * dt
             traces.append(
                 Trace.from_columns(
                     vehicle_id(lane_idx, idx),
@@ -417,10 +423,11 @@ def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
                     velocity=veh.velocities,
                     ber=_since(times, veh.onset),
                     collided=_since(times, veh.collision_time),
-                    responsible=np.zeros(len(times), dtype=bool),
+                    # Flagged from the contact step; never if not blamed.
+                    responsible=steps >= blamed.get((lane_idx, idx), len(steps)),
                 )
             )
-    return assign_responsibility(traces, cfg)
+    return traces
 
 
 def _since(times: np.ndarray, event: Optional[float]) -> np.ndarray:
@@ -468,73 +475,56 @@ def rear_end_pairs(
 
 
 def assign_responsibility(
-    traces: Sequence[Trace], cfg: ScenarioConfig
-) -> list[Trace]:
-    """Set responsibility flags for rear-end collisions.
+    lanes: Sequence[Sequence[_VehicleRT]],
+    contacts: Sequence[tuple[int, int, int]],
+    resolutions: dict[tuple[int, int], tuple[FrontInfoResolution, float]],
+    cfg: ScenarioConfig,
+    times: np.ndarray,
+) -> dict[tuple[int, int], int]:
+    """Decide blame for a run's rear-end contacts (lane, rear index, step).
 
     The rear vehicle of a contact is responsible iff (a) its gap at the
     moment its predecessor's sudden stop began was below the safe distance
     applicable to its information mode, or (b) it failed to start braking
     within its effective response time of that moment. The front vehicle is
-    never blamed for braking. Without collisions every flag stays False.
+    never blamed for braking. Returns {(lane, index): contact step} for the
+    blamed vehicles; without collisions it is empty.
     """
-    grid = _trace_map(traces, cfg)
-    resolutions = link_resolutions(cfg)
-    blamed: dict[str, int] = {}
-    for lane_idx, rear_idx, hit_step in rear_end_pairs(traces, cfg):
-        rear = grid[(lane_idx, rear_idx)]
-        front = grid[(lane_idx, rear_idx - 1)]
-        cause_step = _first(front.ber | front.collided)
+    blamed = {}
+    for lane_idx, rear_idx, hit_step in contacts:
+        rear = lanes[lane_idx][rear_idx]
+        front = lanes[lane_idx][rear_idx - 1]
+        cause_step = _first(_since(times, front.sudden_stop_time()))
         if cause_step is None:
             continue
-        rear_params = cfg.lanes[lane_idx][rear_idx].params
-        front_params = cfg.lanes[lane_idx][rear_idx - 1].params
         resolution, eta = resolutions[(lane_idx, rear_idx)]
-        v_rear = float(rear.velocity[cause_step])
-        v_front = float(front.velocity[cause_step])
+        v_rear = rear.velocities[cause_step]
+        v_front = front.velocities[cause_step]
         if cfg.mode == "cbv" and resolution.source is InfoSource.RESPONSE:
             threshold = corrected_safe_distance(
-                rear_params.with_speed(v_rear),
-                front_params.with_speed(v_front),
+                rear.params.with_speed(v_rear),
+                front.params.with_speed(v_front),
                 cfg.dev,
                 eta,
             )
         else:
             threshold = safe_longitudinal_distance(
-                rear_params.with_speed(v_rear),
-                front_params.with_speed(v_front),
+                rear.params.with_speed(v_rear),
+                front.params.with_speed(v_front),
                 resolution.effective_tau,
             )
-        gap_at_cause = float(front.position[cause_step] - rear.position[cause_step])
+        gap_at_cause = front.positions[cause_step] - rear.positions[cause_step]
         spaced_too_close = gap_at_cause < threshold - 1e-9
 
-        onset_step = _first(rear.ber)
+        onset_step = _first(_since(times, rear.onset))
         late_braking = (
             onset_step is None
-            or onset_step * rear.dt
-            > cause_step * rear.dt + resolution.effective_tau + rear.dt + 1e-9
+            or onset_step * cfg.dt
+            > cause_step * cfg.dt + resolution.effective_tau + cfg.dt + 1e-9
         )
         if spaced_too_close or late_braking:
-            vid = rear.vehicle_id
-            blamed[vid] = min(blamed.get(vid, hit_step), hit_step)
-
-    out = []
-    for trace in traces:
-        if trace.vehicle_id not in blamed:
-            out.append(trace)
-            continue
-        out.append(
-            Trace.from_columns(
-                trace.vehicle_id,
-                trace.dt,
-                position=trace.position,
-                velocity=trace.velocity,
-                ber=trace.ber,
-                collided=trace.collided,
-                responsible=np.arange(len(trace)) >= blamed[trace.vehicle_id],
-            )
-        )
-    return out
+            blamed[(lane_idx, rear_idx)] = hit_step
+    return blamed
 
 
 def info_source_labels(cfg: ScenarioConfig) -> dict[str, str]:
@@ -622,6 +612,19 @@ def _parse_floats(value: str, lineno: int, expect: int) -> list[float]:
         raise ConfigError(f"line {lineno}: {exc}") from exc
 
 
+def _integer(value: float, lineno: int, what: str) -> int:
+    """A count or index read as a float: refused unless integral."""
+    if not value.is_integer():
+        raise ConfigError(f"line {lineno}: {what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_target(value: str, lineno: int) -> tuple[int, int, float]:
+    """The 'lane, vehicle index, number' of a trigger or ber_delay line."""
+    lane, idx, number = _parse_floats(value, lineno, 3)
+    return _integer(lane, lineno, "lane"), _integer(idx, lineno, "vehicle index"), number
+
+
 def _parse_latency(value: str, lineno: int) -> LatencyModel:
     value = value.strip()
     if value.lower() in LATENCY_PRESETS:
@@ -655,11 +658,9 @@ def scenario_from_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "trigger":
-            lane, idx, time = _parse_floats(value, lineno, 3)
-            triggers.append(BrakeTrigger(int(lane), int(idx), time))
+            triggers.append(BrakeTrigger(*_parse_target(value, lineno)))
         elif key == "ber_delay":
-            lane, idx, delay = _parse_floats(value, lineno, 3)
-            delays.append((int(lane), int(idx), delay))
+            delays.append(_parse_target(value, lineno))
         elif key.startswith("lane.") and key.endswith(".gaps"):
             middle = key[len("lane."):-len(".gaps")]
             try:
@@ -691,9 +692,14 @@ def scenario_from_text(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"line {scalar_lines[key]}: {exc}") from exc
 
+    def get_int(key: str, default: int) -> int:
+        if key not in scalars:
+            return default
+        return _integer(get_float(key), scalar_lines[key], key)
+
     road = RoadSpec(
         length_km=get_float("road.length_km", 10.0),
-        lanes=int(get_float("road.lanes", 2.0)),
+        lanes=get_int("road.lanes", 2),
         min_speed_kmh=get_float("road.min_speed_kmh", 100.0),
     )
     if "vehicle.speed_kmh" in scalars and "vehicle.speed" in scalars:
@@ -753,7 +759,7 @@ def scenario_from_text(text: str) -> ScenarioConfig:
             dev=dev,
             latency=latency,
             dt=get_float("dt", 1e-3),
-            rng_seed=int(get_float("seed", 0.0)),
+            rng_seed=get_int("seed", 0),
             request_timeout=get_float("timeout", DEFAULT_REQUEST_TIMEOUT),
             speed_cap=get_float("speed_cap") if "speed_cap" in scalars else None,
         )

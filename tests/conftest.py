@@ -3,6 +3,7 @@
 import csv
 import random
 
+import numpy as np
 import pytest
 
 from sdcap import (
@@ -12,14 +13,18 @@ from sdcap import (
     Finally,
     Globally,
     Implies,
+    InfoSource,
     InvalidInputError,
     Not,
     Or,
     Trace,
     VehicleParams,
     VehicleState,
+    corrected_safe_distance,
+    safe_longitudinal_distance,
 )
 from sdcap.ltl import TRACE_CSV_COLUMNS
+from sdcap.simulator import link_resolutions, rear_end_pairs, vehicle_id
 
 # The reference operating point used across the suite: 100 km/h quoted as
 # 27.78 m/s, ABS-grade braking, mid-range acceleration, 0.5 s response.
@@ -190,3 +195,71 @@ def reference_read_traces_csv(stream):
                 raise InvalidInputError(f"trace {vid}: non-uniform sampling step")
         traces.append(Trace(vid, tuple(state for _, state in rows), dt))
     return traces
+
+
+# ---------------------------------------------------------------------------
+# Reference blame: the rule applied after the run, to finished traces. It is
+# the blame step the library used before the simulator decided blame at
+# contact time: contacts, cause steps and onset steps are re-derived from
+# the trace columns, and the latencies are drawn again from the seed.
+
+
+def reference_assign_responsibility(traces, cfg):
+    """Traces with the responsibility flags of the RSS-style blame rule."""
+    by_id = {t.vehicle_id: t for t in traces}
+    resolutions = link_resolutions(cfg)
+    blamed = {}
+    for lane_idx, rear_idx, hit_step in rear_end_pairs(traces, cfg):
+        rear = by_id[vehicle_id(lane_idx, rear_idx)]
+        front = by_id[vehicle_id(lane_idx, rear_idx - 1)]
+        stops = np.flatnonzero(front.ber | front.collided)
+        if not stops.size:
+            continue
+        cause_step = int(stops[0])
+        rear_params = cfg.lanes[lane_idx][rear_idx].params
+        front_params = cfg.lanes[lane_idx][rear_idx - 1].params
+        resolution, eta = resolutions[(lane_idx, rear_idx)]
+        v_rear = float(rear.velocity[cause_step])
+        v_front = float(front.velocity[cause_step])
+        if cfg.mode == "cbv" and resolution.source is InfoSource.RESPONSE:
+            threshold = corrected_safe_distance(
+                rear_params.with_speed(v_rear),
+                front_params.with_speed(v_front),
+                cfg.dev,
+                eta,
+            )
+        else:
+            threshold = safe_longitudinal_distance(
+                rear_params.with_speed(v_rear),
+                front_params.with_speed(v_front),
+                resolution.effective_tau,
+            )
+        gap_at_cause = float(front.position[cause_step] - rear.position[cause_step])
+        spaced_too_close = gap_at_cause < threshold - 1e-9
+
+        onsets = np.flatnonzero(rear.ber)
+        late_braking = (
+            not onsets.size
+            or onsets[0] * rear.dt
+            > cause_step * rear.dt + resolution.effective_tau + rear.dt + 1e-9
+        )
+        if spaced_too_close or late_braking:
+            vid = rear.vehicle_id
+            blamed[vid] = min(blamed.get(vid, hit_step), hit_step)
+
+    return [
+        Trace.from_columns(
+            t.vehicle_id,
+            t.dt,
+            position=t.position,
+            velocity=t.velocity,
+            ber=t.ber,
+            collided=t.collided,
+            responsible=(
+                np.arange(len(t)) >= blamed[t.vehicle_id]
+                if t.vehicle_id in blamed
+                else np.zeros(len(t), dtype=bool)
+            ),
+        )
+        for t in traces
+    ]

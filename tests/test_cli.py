@@ -178,6 +178,15 @@ def test_simulate_bad_config_exits_two(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_simulate_non_integral_seed_exits_two(capsys, tmp_path):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("seed = 3", "seed = 3.9"), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 4: seed must be an integer" in err
+
+
 def test_monitor_satisfied_and_violated(capsys, tmp_path):
     cfg = write_config(tmp_path, gap_scale_lane1=0.9)
     trace_path = tmp_path / "traces.csv"

@@ -1,5 +1,6 @@
 """Bounded temporal-logic evaluation, safety predicates, parsing, trace CSV."""
 
+import csv
 import io
 import random
 import time
@@ -32,7 +33,7 @@ from sdcap import (
     vehicle_safe,
     write_traces_csv,
 )
-from sdcap.ltl import MAX_NESTING, TRACE_CSV_COLUMNS
+from sdcap.ltl import MAX_NESTING, TRACE_CSV_COLUMNS, traces_to_csv
 from conftest import (
     random_formula,
     random_trace,
@@ -213,6 +214,18 @@ def test_trace_csv_with_provenance_column_round_trips():
     header = text.getvalue().splitlines()[0]
     assert header.endswith("info_source")
     assert read_traces_csv(io.StringIO(text.getvalue())) == traces
+
+
+def test_trace_csv_quotes_fields_holding_commas_or_quotes():
+    rng = random.Random(15)
+    traces = [random_trace(rng, vehicle_id=vid) for vid in ("car,1", 'a"b', "plain")]
+    sources = {"car,1": "x,y", 'a"b': 'say "hi"', "plain": "none"}
+    text = traces_to_csv(traces, sources)
+    assert '\n0.0,"car,1",' in text and '\n0.0,"a""b",' in text
+    assert "\n0.0,plain," in text
+    assert read_traces_csv(io.StringIO(text)) == traces
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert {row["vehicle_id"]: row["info_source"] for row in rows} == sources
 
 
 def test_trace_csv_missing_column_rejected():

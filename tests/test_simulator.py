@@ -1,6 +1,9 @@
 """Sudden-brake scenario execution: collisions, blame, determinism, config files."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcap import (
     BrakeTrigger,
@@ -24,7 +27,7 @@ from sdcap import (
 )
 from sdcap.ltl import traces_to_csv
 from sdcap.simulator import info_source_labels, link_resolutions
-from conftest import REFERENCE
+from conftest import REFERENCE, reference_assign_responsibility
 
 D_SAFE = safe_longitudinal_distance(REFERENCE, REFERENCE, 0.5)
 
@@ -222,6 +225,56 @@ def test_triggered_mid_chain_leaves_vehicles_ahead_cruising():
     assert summary["road_safe"] is True
 
 
+@st.composite
+def blame_scenarios(draw):
+    """Small random roads: 1-2 lanes of 2-6 cars at 0.7-1.3 x the PBV gap,
+    random triggers and braking delays, PBV or CBV with a latency range that
+    straddles the request timeout, and a coarse step."""
+    delay = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    lanes = []
+    for _ in range(draw(st.integers(1, 2))):
+        column = [SpawnSpec(REFERENCE, None, draw(delay))]
+        for _ in range(draw(st.integers(1, 5))):
+            gap = draw(st.floats(0.7, 1.3)) * D_SAFE
+            column.append(SpawnSpec(REFERENCE, gap, draw(delay)))
+        lanes.append(tuple(column))
+    triggers = []
+    for _ in range(draw(st.integers(1, 3))):
+        lane = draw(st.integers(0, len(lanes) - 1))
+        index = draw(st.integers(0, len(lanes[lane]) - 1))
+        triggers.append(BrakeTrigger(lane, index, draw(st.floats(0.0, 1.0))))
+    return ScenarioConfig(
+        road=RoadSpec(10.0, len(lanes), 100.0),
+        lanes=tuple(lanes),
+        triggers=tuple(triggers),
+        mode=draw(st.sampled_from(("pbv", "cbv"))),
+        dev=DeviationSet(0.96, 1.03, 0.97, 0.95),
+        latency=LatencyModel.uniform(0.05, 0.15),
+        dt=draw(st.floats(0.005, 0.02)),
+        rng_seed=draw(st.integers(0, 2**31)),
+        request_timeout=0.1,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(blame_scenarios())
+def test_blame_at_contact_time_matches_the_trace_scan_reference(cfg):
+    traces = run_scenario(cfg)
+    cleared = [
+        Trace.from_columns(
+            t.vehicle_id,
+            t.dt,
+            position=t.position,
+            velocity=t.velocity,
+            ber=t.ber,
+            collided=t.collided,
+            responsible=np.zeros(len(t), dtype=bool),
+        )
+        for t in traces
+    ]
+    assert traces == reference_assign_responsibility(cleared, cfg)
+
+
 def test_config_validation_errors():
     with pytest.raises(InvalidParameterError):
         single_lane([4.0])  # spawn gap below a body length
@@ -290,6 +343,30 @@ def test_scenario_config_file_round_trip():
 def test_config_file_errors_carry_line_diagnostics(mutation, message):
     with pytest.raises(ConfigError, match=message):
         scenario_from_text(CONFIG_TEXT + mutation + "\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("seed = 11", "seed = 3.9", "seed must be an integer"),
+        ("road.lanes = 2", "road.lanes = 2.7", "road.lanes must be an integer"),
+        ("trigger = 1, 0, 0.0", "trigger = 0.9, 0, 0", "lane must be an integer"),
+        ("trigger = 1, 0, 0.0", "trigger = 1, 0.5, 0", "vehicle index must be"),
+        (None, "ber_delay = 0.5, 1, 0.3", "lane must be an integer"),
+        (None, "ber_delay = 0, 1.6, 0.3", "vehicle index must be"),
+    ],
+)
+def test_config_file_refuses_non_integral_counts_and_indices(old, new, message):
+    text = CONFIG_TEXT.replace(old, new) if old else CONFIG_TEXT + new + "\n"
+    lineno = text.splitlines().index(new) + 1
+    with pytest.raises(ConfigError, match=f"line {lineno}: {message}"):
+        scenario_from_text(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_config_file_refuses_non_finite_timeout(value):
+    with pytest.raises(ConfigError, match="request_timeout must be finite"):
+        scenario_from_text(CONFIG_TEXT + f"timeout = {value}\n")
 
 
 def test_config_file_missing_required_key():
