@@ -8,16 +8,42 @@ rate through the response window (the worst case the spacing formulas plan
 for) before braking to a halt. Colliding vehicles stop instantly at contact
 and stay frozen.
 
-Integration is stepwise with piecewise-exact kinematics inside each step
-(phase switches and halts are resolved at their exact times, states are
-sampled on the dt grid). This keeps scenarios spawned exactly at the
-computed safe distance collision-free instead of flipping on integration
-noise.
+States are sampled on the dt grid: sample k is the state at k * dt. The
+kinematics inside a step are piecewise exact (phase switches and halts are
+resolved at their exact times), which keeps scenarios spawned exactly at
+the computed safe distance collision-free instead of flipping on
+integration noise.
+
+The engine works along the time axis, one vehicle at a time. A vehicle's
+steps fall into runs with one phase each (cruise, accelerate, brake, stand
+still, or frozen after a contact). The samples of a run are one
+np.add.accumulate over the per-step increments, formed in the same
+operation order as the scalar step `_advance`. An accumulate is a
+sequential left fold, so every sample is the double that stepping the
+vehicle one dt at a time gives, and fixed-seed trace files stay byte for
+byte the same. Only a few steps per vehicle go through `_advance`: those
+with a phase switch strictly inside, the step that reaches the speed cap
+and the step that comes to a halt.
+
+Each lane is computed to the episode's step bound; the first step where a
+rear vehicle is closer to its front than a body length is found over the
+whole lane at once. That step is applied as a collision scan (freeze both
+vehicles, snap the rear to contact, reschedule the followers), the
+vehicles it changed are recomputed from there, as far as the search for
+the next contact reaches, and the search repeats. A collision is recorded
+at the grid step that detects it: its time is that step's time, not the
+exact contact time between two samples. The run ends one step after every
+braking vehicle stands still.
+
+The cost is O(vehicles x steps) numpy work, with Python only at the
+switch, cap, halt and contact steps. A run holds its columns for the
+whole step bound, so a scenario of more than MAX_VEHICLE_STEPS
+vehicle-steps (about 1 GB) is refused before it starts.
 """
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +67,12 @@ from .protocol import (
 )
 
 _EPS = 1e-9
+
+# The most vehicle-steps (step bound x vehicles) one run may hold. A run
+# holds about 40 bytes per vehicle-step at its peak (its float64 position
+# and velocity columns and the traces built from them), so this is about
+# 1 GB. run_scenario refuses a larger scenario before it allocates.
+MAX_VEHICLE_STEPS = 25_000_000
 
 
 @dataclass(frozen=True)
@@ -203,8 +235,6 @@ class _VehicleRT:
         "collision_time",
         "cause",
         "onset",
-        "positions",
-        "velocities",
     )
 
     def __init__(self, spawn: SpawnSpec, x: float, tau_eff: Optional[float]):
@@ -218,8 +248,6 @@ class _VehicleRT:
         self.collision_time: Optional[float] = None
         self.cause: Optional[float] = None
         self.onset: Optional[float] = None
-        self.positions: list[float] = []
-        self.velocities: list[float] = []
 
     def sudden_stop_time(self) -> Optional[float]:
         """When this vehicle's behavior becomes a sudden-stop event for its
@@ -324,13 +352,203 @@ def _scan_collisions(lane: list[_VehicleRT], t: float) -> list[int]:
     return hits
 
 
-def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
-    """Execute the scenario and return fully annotated traces.
+# ---------------------------------------------------------------------------
+# Trajectories along the time axis. Sample k is the state at t = k * dt, and
+# step k runs from (k - 1) * dt to k * dt. The helpers below fill samples
+# lo + 1 .. hi of one vehicle's position row x and velocity row v from sample
+# lo, forming the increments of `_advance` in its operation order and summing
+# them with np.add.accumulate (see the module docstring).
 
-    Deterministic for a fixed config and seed. Blame is decided from the
-    contacts the run detected, and each trace is built with its
-    responsibility flags set.
+
+def _step(veh: _VehicleRT, x, v, k: int, dt: float, speed_cap: Optional[float]):
+    """Step k through the scalar `_advance`."""
+    veh.x, veh.v = float(x[k - 1]), float(v[k - 1])
+    _advance(veh, (k - 1) * dt, k * dt, speed_cap)
+    x[k], v[k] = veh.x, veh.v
+
+
+def _coast(x, v, lo: int, hi: int, spans):
+    """Constant speed: x += v * span."""
+    v[lo + 1:hi + 1] = v[lo]
+    np.multiply(v[lo], spans[lo + 1:hi + 1], out=x[lo + 1:hi + 1])
+    np.add.accumulate(x[lo:hi + 1], out=x[lo:hi + 1])
+
+
+def _accelerate(veh, x, v, lo: int, hi: int, spans, dt: float, speed_cap):
+    """Full acceleration up to the speed cap, then constant speed."""
+    accel = veh.params.max_accel
+    np.multiply(accel, spans[lo + 1:hi + 1], out=v[lo + 1:hi + 1])
+    np.add.accumulate(v[lo:hi + 1], out=v[lo:hi + 1])
+    last = hi  # the last sample of plain acceleration
+    if speed_cap is not None and accel > 0:
+        before = v[lo:hi]
+        capped = (before >= speed_cap) | ((speed_cap - before) / accel < spans[lo + 1:hi + 1])
+        first = _first(capped, lo)
+        last = hi if first is None else first
+    span = spans[lo + 1:last + 1]
+    x[lo + 1:last + 1] = v[lo:last] * span + 0.5 * accel * span * span
+    np.add.accumulate(x[lo:last + 1], out=x[lo:last + 1])
+    if last < hi:
+        if v[last] < speed_cap:
+            _step(veh, x, v, last + 1, dt, speed_cap)  # reaches the cap
+            last += 1
+        _coast(x, v, last, hi, spans)
+
+
+def _brake(veh, x, v, lo: int, hi: int, spans, dt: float):
+    """Full braking to a halt, then standing still."""
+    brake = veh.params.max_brake
+    np.multiply(brake, spans[lo + 1:hi + 1], out=v[lo + 1:hi + 1])
+    np.subtract.accumulate(v[lo:hi + 1], out=v[lo:hi + 1])
+    before = v[lo:hi]
+    halts = _first((before <= 0) | (before / brake <= spans[lo + 1:hi + 1]), lo)
+    last = hi if halts is None else halts  # the last sample of plain braking
+    span = spans[lo + 1:last + 1]
+    x[lo + 1:last + 1] = v[lo:last] * span - 0.5 * brake * span * span
+    np.add.accumulate(x[lo:last + 1], out=x[lo:last + 1])
+    if last < hi:
+        _step(veh, x, v, last + 1, dt, None)  # comes to a halt
+        x[last + 2:hi + 1] = x[last + 1]
+        v[last + 2:hi + 1] = 0.0
+
+
+def _trajectory(veh: _VehicleRT, x, v, k: int, end: int, times, spans, dt: float, speed_cap):
+    """Fill x[k + 1:end + 1] and v[k + 1:end + 1] from sample k under the
+    vehicle's current schedule (cause, onset, frozen).
+
+    The steps between two phase switches form one run. A step with a
+    switch strictly inside it goes through `_advance`.
     """
+    if veh.frozen:
+        x[k + 1:end + 1] = x[k]
+        v[k + 1:end + 1] = v[k]
+        return
+    while k < end:
+        phase = _phase_at(veh, times[k])
+        stop, straddled = end, None
+        ahead = [b for b in (veh.cause, veh.onset) if b is not None and b > times[k]]
+        if ahead:
+            switch = min(ahead)
+            j = int(np.searchsorted(times, switch, side="right"))  # first step ending past it
+            if j <= end:
+                stop = j - 1
+                if times[stop] < switch:
+                    straddled = j
+        if stop > k:
+            if phase == _CRUISE:
+                _coast(x, v, k, stop, spans)
+            elif phase == _ACCEL:
+                _accelerate(veh, x, v, k, stop, spans, dt, speed_cap)
+            else:
+                _brake(veh, x, v, k, stop, spans, dt)
+        k = stop
+        if straddled is not None:
+            _step(veh, x, v, straddled, dt, speed_cap)
+            k = straddled
+
+
+# Steps searched for the next contact after one, doubled while none is found.
+_CONTACT_WINDOW = 128
+
+
+class _Lane:
+    """One lane's samples on the step grid, settled contact by contact.
+
+    `position` and `velocity` ([vehicle, sample]) hold each vehicle's
+    trajectory under its current schedule up to sample `valid[vehicle]`.
+    Samples up to `settled` are final: the contacts before them have been
+    applied. A contact often reschedules every follower, so after one the
+    changed vehicles are recomputed only as far as the search for the next
+    contact reaches, which keeps a lane of many contacts from costing
+    vehicles x steps per contact.
+    """
+
+    def __init__(self, vehicles, first_affected, times, spans, cfg: ScenarioConfig):
+        self.vehicles = vehicles
+        self.affected = [] if first_affected is None else vehicles[first_affected:]
+        self.times, self.spans = times, spans
+        self.dt, self.speed_cap = cfg.dt, cfg.speed_cap
+        self.horizon = len(times) - 1
+        self.position = np.empty((len(vehicles), len(times)))
+        self.velocity = np.empty_like(self.position)
+        for i, veh in enumerate(vehicles):
+            self.position[i, 0], self.velocity[i, 0] = veh.x, veh.v
+        self.valid = [0] * len(vehicles)
+        self._extend(self.horizon)
+        self.settled = 0
+        self.contacts: list[tuple[int, int]] = []  # (rear index, step)
+        self.halt: Optional[int] = None  # first step passing the halt test
+        self.next_contact = self._find_contact(self.horizon)
+
+    def _extend(self, end: int):
+        """Compute every vehicle's samples up to `end`."""
+        for i, veh in enumerate(self.vehicles):
+            if self.valid[i] < end:
+                _trajectory(veh, self.position[i], self.velocity[i], self.valid[i], end,
+                            self.times, self.spans, self.dt, self.speed_cap)
+                self.valid[i] = end
+
+    def _find_contact(self, window: int) -> Optional[int]:
+        """First step past `settled` where a moving rear is closer to its
+        front than a body length (the `_scan_collisions` test). Every
+        vehicle is computed up to that step, or to the horizon if none."""
+        lo = self.settled + 1
+        rears = self.vehicles[1:]
+        live = np.array([not veh.frozen for veh in rears], dtype=bool)[:, None]
+        contact = np.array([veh.params.length for veh in rears])[:, None] - _EPS
+        while lo <= self.horizon:
+            hi = min(self.horizon, self.settled + window)
+            self._extend(hi)
+            gaps = self.position[:-1, lo:hi + 1] - self.position[1:, lo:hi + 1]
+            hit = _first(((gaps < contact) & live).any(axis=0), lo)
+            if hit is not None:
+                return hit
+            lo, window = hi + 1, 2 * window
+        return None
+
+    def _first_halt(self, lo: int, hi: int) -> Optional[int]:
+        """First step in [lo, hi) at which every affected vehicle of the
+        lane stands still and has passed its brake onset."""
+        first = len(self.vehicles) - len(self.affected)
+        onset = max((veh.onset for veh in self.affected), default=-math.inf)
+        still = (self.velocity[first:, lo:hi] == 0.0).all(axis=0)
+        return _first(still & (self.times[lo:hi] >= onset), lo)
+
+    def _apply_contact(self, step: int):
+        """Step `step`'s collision scan and rescheduling; the vehicles it
+        changed are to be recomputed from there."""
+        for i, veh in enumerate(self.vehicles):
+            veh.x, veh.v = float(self.position[i, step]), float(self.velocity[i, step])
+        before = [(veh.cause, veh.onset, veh.frozen) for veh in self.vehicles]
+        hits = _scan_collisions(self.vehicles, step * self.dt)
+        self.contacts.extend((rear, step) for rear in hits)
+        _reschedule(self.vehicles)
+        for i, veh in enumerate(self.vehicles):
+            if (veh.cause, veh.onset, veh.frozen) != before[i]:
+                self.position[i, step], self.velocity[i, step] = veh.x, veh.v
+                self.valid[i] = step
+        self.settled = step
+        self.next_contact = self._find_contact(_CONTACT_WINDOW)
+
+    def settle(self, until: Optional[int] = None):
+        """Apply the lane's contacts in step order: those up to step
+        `until`, or without it, those before the lane first passes its halt
+        test (no contact can change that verdict after it)."""
+        while True:
+            nxt = self.next_contact
+            if self.halt is None:
+                end = self.horizon + 1 if nxt is None else nxt
+                self.halt = self._first_halt(max(self.settled, 1), end)
+            if nxt is None or (self.halt is not None if until is None else nxt > until):
+                return
+            self._apply_contact(nxt)
+
+
+def _start_run(cfg: ScenarioConfig):
+    """A run's initial state: the link resolutions, the vehicles of each
+    lane with their first schedule, the index of each lane's first braking
+    vehicle (None in a lane without a trigger), and a generous bound on the
+    number of steps the episode takes."""
     resolutions = link_resolutions(cfg)
     lanes: list[list[_VehicleRT]] = []
     for lane_idx, lane_spec in enumerate(cfg.lanes):
@@ -352,14 +570,15 @@ def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
     for lane in lanes:
         _reschedule(lane)
 
+    first_affected: list[Optional[int]] = []
     affected: list[_VehicleRT] = []
     for lane_idx, lane in enumerate(lanes):
         triggered = [t.index for t in cfg.triggers if t.lane == lane_idx]
+        first_affected.append(min(triggered) if triggered else None)
         if triggered:
             affected.extend(lane[min(triggered):])
 
     max_onset = max(v.onset for v in affected)
-    dt = cfg.dt
     # Generous upper bound on how long the episode can take.
     peak_speed = max(
         v.params.speed + (0.0 if v.tau_eff is None else v.tau_eff + v.ber_delay)
@@ -372,55 +591,78 @@ def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
         int(
             math.ceil(
                 (max_onset + peak_speed / min(v.params.max_brake for v in affected))
-                / dt
+                / cfg.dt
             )
         )
         + 16
     )
+    return resolutions, lanes, first_affected, max_steps
 
-    for lane in lanes:
-        for veh in lane:
-            veh.positions.append(veh.x)
-            veh.velocities.append(veh.v)
 
+def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
+    """Execute the scenario and return fully annotated traces.
+
+    Deterministic for a fixed config and seed. Each lane's trajectories are
+    computed to the step bound, and its contacts are then applied one at a
+    time, each at the first step it occurs. The run ends one step after
+    every affected vehicle has passed its brake onset and stands still.
+    Blame is decided from the contacts the run detected, and each trace is
+    built with its responsibility flags set. A run whose step bound times
+    its vehicle count exceeds MAX_VEHICLE_STEPS is refused before any
+    column is allocated.
+    """
+    resolutions, lanes, first_affected, max_steps = _start_run(cfg)
+    horizon = max_steps + 2  # the last step the episode may take
+    if horizon * cfg.vehicle_count > MAX_VEHICLE_STEPS:
+        raise SdcapError(
+            f"scenario too large: up to {horizon} steps x {cfg.vehicle_count} "
+            f"vehicles exceeds the cap of {MAX_VEHICLE_STEPS} vehicle-steps; "
+            "use a coarser dt or fewer vehicles"
+        )
+    times = np.arange(horizon + 1) * cfg.dt
+    spans = np.diff(times, prepend=0.0)
+    runs = [
+        _Lane(lane, first, times, spans, cfg) for lane, first in zip(lanes, first_affected)
+    ]
+    for run in runs:
+        run.settle()
+    halts = [run.halt for run in runs]
+    if None in halts or max(halts) >= horizon:
+        raise SdcapError("simulation failed to reach a halt state")
+    last = max(halts) + 1  # one trailing step past the halt
     contacts: list[tuple[int, int, int]] = []  # (lane, rear index, step)
-    extra_steps = 0
-    step = 0
-    while True:
-        step += 1
-        if step > max_steps + 2:
-            raise SdcapError("simulation failed to reach a halt state")
-        t0, t1 = (step - 1) * dt, step * dt
-        for lane_idx, lane in enumerate(lanes):
-            for veh in lane:
-                _advance(veh, t0, t1, cfg.speed_cap)
-            hits = _scan_collisions(lane, t1)
-            if hits:
-                contacts.extend((lane_idx, rear, step) for rear in hits)
-                _reschedule(lane)
-        for lane in lanes:
-            for veh in lane:
-                veh.positions.append(veh.x)
-                veh.velocities.append(veh.v)
-        if extra_steps:
-            break
-        current_max_onset = max(v.onset for v in affected)
-        if t1 >= current_max_onset and all(v.v == 0.0 for v in affected):
-            extra_steps = 1  # one trailing step past the halt
+    for lane_idx, run in enumerate(runs):
+        run.settle(until=last)
+        contacts.extend((lane_idx, rear, step) for rear, step in run.contacts)
+    return _traces(
+        cfg,
+        lanes,
+        [run.position[:, :last + 1] for run in runs],
+        [run.velocity[:, :last + 1] for run in runs],
+        contacts,
+        resolutions,
+        last,
+    )
 
-    steps = np.arange(step + 1)
+
+def _traces(cfg, lanes, positions, velocities, contacts, resolutions, last) -> list[Trace]:
+    """The run's traces, from its samples 0..last (positions[lane][vehicle,
+    step]) and the contacts it detected, with blame decided."""
+    steps = np.arange(last + 1)
     # Step k's grid time k * dt: the same double in numpy as in Python.
-    times = steps * dt
-    blamed = assign_responsibility(lanes, contacts, resolutions, cfg, times)
+    times = steps * cfg.dt
+    blamed = assign_responsibility(
+        lanes, positions, velocities, contacts, resolutions, cfg, times
+    )
     traces = []
     for lane_idx, lane in enumerate(lanes):
         for idx, veh in enumerate(lane):
             traces.append(
                 Trace.from_columns(
                     vehicle_id(lane_idx, idx),
-                    dt,
-                    position=veh.positions,
-                    velocity=veh.velocities,
+                    cfg.dt,
+                    position=positions[lane_idx][idx],
+                    velocity=velocities[lane_idx][idx],
                     ber=_since(times, veh.onset),
                     collided=_since(times, veh.collision_time),
                     # Flagged from the contact step; never if not blamed.
@@ -437,10 +679,12 @@ def _since(times: np.ndarray, event: Optional[float]) -> np.ndarray:
     return times >= event - _EPS
 
 
-def _first(flags: np.ndarray) -> Optional[int]:
-    """Index of the first set flag, or None."""
+def _first(flags: np.ndarray, offset: int = 0) -> Optional[int]:
+    """offset plus the index of the first set flag, or None."""
+    if not len(flags):
+        return None
     k = int(np.argmax(flags))
-    return k if flags[k] else None
+    return offset + k if flags[k] else None
 
 
 def _trace_map(traces: Sequence[Trace], cfg: ScenarioConfig) -> dict[tuple[int, int], Trace]:
@@ -476,6 +720,8 @@ def rear_end_pairs(
 
 def assign_responsibility(
     lanes: Sequence[Sequence[_VehicleRT]],
+    positions: Sequence[np.ndarray],
+    velocities: Sequence[np.ndarray],
     contacts: Sequence[tuple[int, int, int]],
     resolutions: dict[tuple[int, int], tuple[FrontInfoResolution, float]],
     cfg: ScenarioConfig,
@@ -487,7 +733,8 @@ def assign_responsibility(
     moment its predecessor's sudden stop began was below the safe distance
     applicable to its information mode, or (b) it failed to start braking
     within its effective response time of that moment. The front vehicle is
-    never blamed for braking. Returns {(lane, index): contact step} for the
+    never blamed for braking. positions[lane] and velocities[lane] hold the
+    run's samples as [vehicle, step]. Returns {(lane, index): contact step} for the
     blamed vehicles; without collisions it is empty.
     """
     blamed = {}
@@ -498,8 +745,8 @@ def assign_responsibility(
         if cause_step is None:
             continue
         resolution, eta = resolutions[(lane_idx, rear_idx)]
-        v_rear = rear.velocities[cause_step]
-        v_front = front.velocities[cause_step]
+        v_rear = float(velocities[lane_idx][rear_idx, cause_step])
+        v_front = float(velocities[lane_idx][rear_idx - 1, cause_step])
         if cfg.mode == "cbv" and resolution.source is InfoSource.RESPONSE:
             threshold = corrected_safe_distance(
                 rear.params.with_speed(v_rear),
@@ -513,7 +760,8 @@ def assign_responsibility(
                 front.params.with_speed(v_front),
                 resolution.effective_tau,
             )
-        gap_at_cause = front.positions[cause_step] - rear.positions[cause_step]
+        position = positions[lane_idx]
+        gap_at_cause = float(position[rear_idx - 1, cause_step] - position[rear_idx, cause_step])
         spaced_too_close = gap_at_cause < threshold - 1e-9
 
         onset_step = _first(_since(times, rear.onset))
@@ -612,6 +860,22 @@ def _parse_floats(value: str, lineno: int, expect: int) -> list[float]:
         raise ConfigError(f"line {lineno}: {exc}") from exc
 
 
+class _AtLine:
+    """Context in which a value refused while the config is built raises a
+    ConfigError naming the line the value came from."""
+
+    def __init__(self, lineno: int):
+        self.lineno = lineno
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, SdcapError) and not isinstance(exc, ConfigError):
+            raise ConfigError(f"line {self.lineno}: {exc}") from exc
+        return False
+
+
 def _integer(value: float, lineno: int, what: str) -> int:
     """A count or index read as a float: refused unless integral."""
     if not value.is_integer():
@@ -648,7 +912,7 @@ def scenario_from_text(text: str) -> ScenarioConfig:
     scalar_lines: dict[str, int] = {}
     lane_gaps: dict[int, tuple[list[float], int]] = {}
     triggers: list[BrakeTrigger] = []
-    delays: list[tuple[int, int, float]] = []
+    delays: dict[tuple[int, int], tuple[float, int]] = {}  # target: (delay, line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -658,9 +922,11 @@ def scenario_from_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "trigger":
-            triggers.append(BrakeTrigger(*_parse_target(value, lineno)))
+            with _AtLine(lineno):
+                triggers.append(BrakeTrigger(*_parse_target(value, lineno)))
         elif key == "ber_delay":
-            delays.append(_parse_target(value, lineno))
+            lane, idx, delay = _parse_target(value, lineno)
+            delays[(lane, idx)] = (delay, lineno)
         elif key.startswith("lane.") and key.endswith(".gaps"):
             middle = key[len("lane."):-len(".gaps")]
             try:
@@ -733,38 +999,51 @@ def scenario_from_text(text: str) -> ScenarioConfig:
         else LatencyModel.constant(0.0)
     )
 
-    delay_map = {(lane, idx): delay for lane, idx, delay in delays}
     lanes = []
     for lane_no in range(road.lanes):
         if lane_no not in lane_gaps:
             raise ConfigError(f"missing key 'lane.{lane_no}.gaps'")
-        gaps, _ = lane_gaps[lane_no]
-        column = [SpawnSpec(params, None, delay_map.get((lane_no, 0), 0.0))]
-        for i, gap in enumerate(gaps, start=1):
-            column.append(SpawnSpec(params, gap, delay_map.get((lane_no, i), 0.0)))
-        lanes.append(tuple(column))
+        gaps, gaps_line = lane_gaps[lane_no]
+        with _AtLine(gaps_line):
+            lanes.append([SpawnSpec(params, gap) for gap in [None, *gaps]])
     unknown_lanes = set(lane_gaps) - set(range(road.lanes))
     if unknown_lanes:
         raise ConfigError(f"lane keys outside road.lanes: {sorted(unknown_lanes)}")
-    for lane_no, idx, _ in delays:
+    for (lane_no, idx), (delay, delay_line) in delays.items():
         if not (0 <= lane_no < road.lanes) or not (0 <= idx < len(lanes[lane_no])):
-            raise ConfigError(f"ber_delay target ({lane_no}, {idx}) out of range")
+            raise ConfigError(
+                f"line {delay_line}: ber_delay target ({lane_no}, {idx}) out of range"
+            )
+        with _AtLine(delay_line):
+            gap = lanes[lane_no][idx].gap_to_predecessor
+            lanes[lane_no][idx] = SpawnSpec(params, gap, delay)
 
+    fields = dict(
+        road=road,
+        lanes=tuple(map(tuple, lanes)),
+        triggers=tuple(triggers),
+        dev=dev,
+        latency=latency,
+        rng_seed=get_int("seed", 0),
+    )
+    # The settings ScenarioConfig checks: field name -> (config key, value).
+    settings = {"mode": ("mode", mode)}
+    for key, name in (("dt", "dt"), ("timeout", "request_timeout"), ("speed_cap", "speed_cap")):
+        if key in scalars:
+            settings[name] = (key, get_float(key))
     try:
-        return ScenarioConfig(
-            road=road,
-            lanes=tuple(lanes),
-            triggers=tuple(triggers),
-            mode=mode,
-            dev=dev,
-            latency=latency,
-            dt=get_float("dt", 1e-3),
-            rng_seed=get_int("seed", 0),
-            request_timeout=get_float("timeout", DEFAULT_REQUEST_TIMEOUT),
-            speed_cap=get_float("speed_cap") if "speed_cap" in scalars else None,
-        )
+        return ScenarioConfig(**fields, **{name: value for name, (_, value) in settings.items()})
+    except SdcapError as exc:
+        refused = exc
+    # Apply the settings one at a time, so that the refused one names its line.
+    try:
+        cfg = ScenarioConfig(**fields)
     except SdcapError as exc:
         raise ConfigError(str(exc)) from exc
+    for name, (key, value) in settings.items():
+        with _AtLine(scalar_lines[key]):
+            cfg = replace(cfg, **{name: value})
+    raise ConfigError(str(refused)) from refused
 
 
 def scenario_from_file(path) -> ScenarioConfig:

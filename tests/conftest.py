@@ -24,7 +24,17 @@ from sdcap import (
     safe_longitudinal_distance,
 )
 from sdcap.ltl import TRACE_CSV_COLUMNS
-from sdcap.simulator import link_resolutions, rear_end_pairs, vehicle_id
+from sdcap.errors import SdcapError
+from sdcap.simulator import (
+    _advance,
+    _reschedule,
+    _scan_collisions,
+    _start_run,
+    _traces,
+    link_resolutions,
+    rear_end_pairs,
+    vehicle_id,
+)
 
 # The reference operating point used across the suite: 100 km/h quoted as
 # 27.78 m/s, ABS-grade braking, mid-range acceleration, 0.5 s response.
@@ -263,3 +273,55 @@ def reference_assign_responsibility(traces, cfg):
         )
         for t in traces
     ]
+
+
+# ---------------------------------------------------------------------------
+# Reference simulator: the stepping loop run_scenario used before it computed
+# trajectories along the time axis. Every step advances every vehicle with
+# the scalar `_advance`, scans each lane for contacts and reschedules a lane
+# that has one; the run ends one step after every affected vehicle has
+# passed its onset and stands still.
+
+
+def reference_run_scenario(cfg):
+    resolutions, lanes, first_affected, max_steps = _start_run(cfg)
+    affected = [
+        veh
+        for lane, first in zip(lanes, first_affected)
+        if first is not None
+        for veh in lane[first:]
+    ]
+    positions = [[[veh.x] for veh in lane] for lane in lanes]
+    velocities = [[[veh.v] for veh in lane] for lane in lanes]
+    dt = cfg.dt
+    contacts = []  # (lane, rear index, step)
+    extra_steps = 0
+    step = 0
+    while True:
+        step += 1
+        if step > max_steps + 2:
+            raise SdcapError("simulation failed to reach a halt state")
+        t0, t1 = (step - 1) * dt, step * dt
+        for lane_idx, lane in enumerate(lanes):
+            for veh in lane:
+                _advance(veh, t0, t1, cfg.speed_cap)
+            hits = _scan_collisions(lane, t1)
+            if hits:
+                contacts.extend((lane_idx, rear, step) for rear in hits)
+                _reschedule(lane)
+        for lane_idx, lane in enumerate(lanes):
+            for idx, veh in enumerate(lane):
+                positions[lane_idx][idx].append(veh.x)
+                velocities[lane_idx][idx].append(veh.v)
+        if extra_steps:
+            break
+        current_max_onset = max(v.onset for v in affected)
+        if t1 >= current_max_onset and all(v.v == 0.0 for v in affected):
+            extra_steps = 1  # one trailing step past the halt
+
+    def columns(samples):
+        return [np.array(lane, dtype=float).reshape(len(lane), step + 1) for lane in samples]
+
+    return _traces(
+        cfg, lanes, columns(positions), columns(velocities), contacts, resolutions, step
+    )

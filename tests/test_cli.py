@@ -187,6 +187,40 @@ def test_simulate_non_integral_seed_exits_two(capsys, tmp_path):
     assert "line 4: seed must be an integer" in err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("trigger = 1, 0, 0.0", "trigger = 1, 0, -1.0", "trigger time must be >= 0"),
+        (None, "ber_delay = 0, 1, -0.3", "ber_delay must be >= 0"),
+        (None, "timeout = nan", "request_timeout must be finite"),
+        (None, "speed_cap = 20", "speed_cap below the cruise speed"),
+        ("dt = 0.001", "dt = 0", "dt must be > 0"),
+    ],
+)
+def test_simulate_refused_value_names_its_line(capsys, tmp_path, old, new, message):
+    path = write_config(tmp_path)
+    text = path.read_text()
+    text = text.replace(old, new) if old else text + new + "\n"
+    path.write_text(text, encoding="utf-8")
+    lineno = text.splitlines().index(new) + 1
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"error: line {lineno}: {message}" in err
+
+
+def test_simulate_refuses_a_run_above_the_work_cap(capsys, tmp_path, monkeypatch):
+    import sdcap.simulator
+
+    # A 10-step cap stands in for the ~1 GB one, so that a broken check
+    # runs a small scenario instead of allocating a large one.
+    monkeypatch.setattr(sdcap.simulator, "MAX_VEHICLE_STEPS", 10)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(write_config(tmp_path)))
+    assert code == 2
+    assert out == ""
+    assert "exceeds the cap of 10 vehicle-steps" in err
+
+
 def test_monitor_satisfied_and_violated(capsys, tmp_path):
     cfg = write_config(tmp_path, gap_scale_lane1=0.9)
     trace_path = tmp_path / "traces.csv"

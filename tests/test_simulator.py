@@ -1,5 +1,7 @@
 """Sudden-brake scenario execution: collisions, blame, determinism, config files."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from sdcap import (
     LatencyModel,
     RoadSpec,
     ScenarioConfig,
+    SdcapError,
     SpawnSpec,
     Trace,
     VehicleParams,
@@ -27,7 +30,7 @@ from sdcap import (
 )
 from sdcap.ltl import traces_to_csv
 from sdcap.simulator import info_source_labels, link_resolutions
-from conftest import REFERENCE, reference_assign_responsibility
+from conftest import REFERENCE, reference_assign_responsibility, reference_run_scenario
 
 D_SAFE = safe_longitudinal_distance(REFERENCE, REFERENCE, 0.5)
 
@@ -226,23 +229,29 @@ def test_triggered_mid_chain_leaves_vehicles_ahead_cruising():
 
 
 @st.composite
-def blame_scenarios(draw):
-    """Small random roads: 1-2 lanes of 2-6 cars at 0.7-1.3 x the PBV gap,
-    random triggers and braking delays, PBV or CBV with a latency range that
-    straddles the request timeout, and a coarse step."""
+def scenarios(draw):
+    """Small random roads: 1-2 lanes of 2-8 cars at 0.6-1.3 x the PBV gap,
+    1-3 triggers on or off the step grid, braking delays, PBV or CBV with a
+    latency range that straddles the request timeout, a speed cap or none,
+    and a step of 1-20 ms."""
+    dt = draw(st.floats(0.001, 0.02))
     delay = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
     lanes = []
     for _ in range(draw(st.integers(1, 2))):
         column = [SpawnSpec(REFERENCE, None, draw(delay))]
-        for _ in range(draw(st.integers(1, 5))):
-            gap = draw(st.floats(0.7, 1.3)) * D_SAFE
+        for _ in range(draw(st.integers(1, 7))):
+            gap = draw(st.floats(0.6, 1.3)) * D_SAFE
             column.append(SpawnSpec(REFERENCE, gap, draw(delay)))
         lanes.append(tuple(column))
     triggers = []
     for _ in range(draw(st.integers(1, 3))):
         lane = draw(st.integers(0, len(lanes) - 1))
         index = draw(st.integers(0, len(lanes[lane]) - 1))
-        triggers.append(BrakeTrigger(lane, index, draw(st.floats(0.0, 1.0))))
+        # k steps, plus a fraction of one for a time off the grid.
+        steps = draw(st.integers(0, int(1.0 / dt))) + draw(
+            st.one_of(st.just(0.0), st.floats(0.01, 0.99))
+        )
+        triggers.append(BrakeTrigger(lane, index, steps * dt))
     return ScenarioConfig(
         road=RoadSpec(10.0, len(lanes), 100.0),
         lanes=tuple(lanes),
@@ -250,14 +259,15 @@ def blame_scenarios(draw):
         mode=draw(st.sampled_from(("pbv", "cbv"))),
         dev=DeviationSet(0.96, 1.03, 0.97, 0.95),
         latency=LatencyModel.uniform(0.05, 0.15),
-        dt=draw(st.floats(0.005, 0.02)),
+        dt=dt,
         rng_seed=draw(st.integers(0, 2**31)),
         request_timeout=0.1,
+        speed_cap=draw(st.one_of(st.none(), st.floats(REFERENCE.speed, REFERENCE.speed + 3.0))),
     )
 
 
 @settings(max_examples=60, deadline=None)
-@given(blame_scenarios())
+@given(scenarios())
 def test_blame_at_contact_time_matches_the_trace_scan_reference(cfg):
     traces = run_scenario(cfg)
     cleared = [
@@ -273,6 +283,63 @@ def test_blame_at_contact_time_matches_the_trace_scan_reference(cfg):
         for t in traces
     ]
     assert traces == reference_assign_responsibility(cleared, cfg)
+
+
+def assert_bit_identical(traces, expected):
+    assert [t.vehicle_id for t in traces] == [t.vehicle_id for t in expected]
+    for got, want in zip(traces, expected):
+        assert got.dt == want.dt
+        for name in ("position", "velocity", "ber", "collided", "responsible"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b), (got.vehicle_id, name)
+            assert a.tobytes() == b.tobytes(), (got.vehicle_id, name)  # -0.0 too
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+def test_time_axis_engine_matches_the_stepping_loop(cfg):
+    assert_bit_identical(run_scenario(cfg), reference_run_scenario(cfg))
+
+
+def test_chain_crash_of_a_dense_lane_matches_the_stepping_loop():
+    # Every follower hits its predecessor, one contact after another: each
+    # contact reschedules the rest of the lane.
+    cfg = single_lane([0.5 * D_SAFE] * 29, dt=0.01)
+    traces = run_scenario(cfg)
+    assert_bit_identical(traces, reference_run_scenario(cfg))
+    assert len(scenario_summary(traces, cfg)["collisions"]) == 29
+
+
+@pytest.mark.parametrize("cap_above_cruise", [0.0, 0.4, 1.0, 5.0])
+@pytest.mark.parametrize("dt", [1e-3, 7e-3])
+def test_speed_cap_bounds_every_sample_and_matches_the_stepping_loop(cap_above_cruise, dt):
+    # The followers accelerate for 0.5 s at 3 m/s^2 before braking, 1.5 m/s
+    # above cruise when uncapped: a cap within that binds, one above does not.
+    cap = REFERENCE.speed + cap_above_cruise
+    cfg = replace(
+        single_lane([D_SAFE, 0.8 * D_SAFE, D_SAFE], triggers=((0, 0, 0.3 + dt / 3),), dt=dt,
+                    delays=((2, 0.2),)),
+        speed_cap=cap,
+    )
+    traces = run_scenario(cfg)
+    assert_bit_identical(traces, reference_run_scenario(cfg))
+    peak = max(float(t.velocity.max()) for t in traces)
+    assert peak <= cap
+    if cap_above_cruise < 1.5:
+        uncapped = run_scenario(replace(cfg, speed_cap=None))
+        assert peak == cap < max(float(t.velocity.max()) for t in uncapped)
+
+
+def test_oversized_run_is_refused_before_it_starts(monkeypatch):
+    import sdcap.simulator
+
+    cfg = single_lane([D_SAFE])
+    _, _, _, max_steps = sdcap.simulator._start_run(cfg)
+    monkeypatch.setattr(sdcap.simulator, "MAX_VEHICLE_STEPS", 2 * (max_steps + 2))
+    run_scenario(cfg)  # exactly at the cap
+    monkeypatch.setattr(sdcap.simulator, "MAX_VEHICLE_STEPS", 2 * (max_steps + 2) - 1)
+    with pytest.raises(SdcapError, match="exceeds the cap of"):
+        run_scenario(cfg)
 
 
 def test_config_validation_errors():
