@@ -29,20 +29,21 @@ Each lane is computed to the episode's step bound; the first step where a
 rear vehicle is closer to its front than a body length is found over the
 whole lane at once. That step is applied as a collision scan (freeze both
 vehicles, snap the rear to contact, reschedule the followers), the
-vehicles it changed are recomputed from there, as far as the search for
-the next contact reaches, and the search repeats. A collision is recorded
-at the grid step that detects it: its time is that step's time, not the
-exact contact time between two samples. The run ends one step after every
-braking vehicle stands still.
+vehicles it changed are recomputed from there to the step bound, and the
+search repeats after that step. A collision is recorded at the grid step
+that detects it: its time is that step's time, not the exact contact time
+between two samples. The run ends one step after every braking vehicle
+stands still.
 
-The cost is O(vehicles x steps) numpy work, with Python only at the
-switch, cap, halt and contact steps. A run holds its columns for the
-whole step bound, so a scenario of more than MAX_VEHICLE_STEPS
-vehicle-steps (about 1 GB) is refused before it starts.
+The cost is O(vehicles x steps) numpy work per contact and once without
+one, with Python only at the switch, cap, halt and contact steps. A run
+holds its columns for the whole step bound, so a scenario of more than
+MAX_VEHICLE_STEPS vehicle-steps (about 1 GB) is refused before it starts.
 """
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -447,20 +448,14 @@ def _trajectory(veh: _VehicleRT, x, v, k: int, end: int, times, spans, dt: float
             k = straddled
 
 
-# Steps searched for the next contact after one, doubled while none is found.
-_CONTACT_WINDOW = 128
-
-
 class _Lane:
     """One lane's samples on the step grid, settled contact by contact.
 
     `position` and `velocity` ([vehicle, sample]) hold each vehicle's
-    trajectory under its current schedule up to sample `valid[vehicle]`.
-    Samples up to `settled` are final: the contacts before them have been
-    applied. A contact often reschedules every follower, so after one the
-    changed vehicles are recomputed only as far as the search for the next
-    contact reaches, which keeps a lane of many contacts from costing
-    vehicles x steps per contact.
+    trajectory under its current schedule up to the step bound. A contact
+    changes the schedule of the vehicles it freezes or reschedules; they are
+    recomputed from the contact step on, and the search for the next
+    contact starts after it.
     """
 
     def __init__(self, vehicles, first_affected, times, spans, cfg: ScenarioConfig):
@@ -473,50 +468,26 @@ class _Lane:
         self.velocity = np.empty_like(self.position)
         for i, veh in enumerate(vehicles):
             self.position[i, 0], self.velocity[i, 0] = veh.x, veh.v
-        self.valid = [0] * len(vehicles)
-        self._extend(self.horizon)
-        self.settled = 0
+            self._recompute(i, 0)
         self.contacts: list[tuple[int, int]] = []  # (rear index, step)
-        self.halt: Optional[int] = None  # first step passing the halt test
-        self.next_contact = self._find_contact(self.horizon)
 
-    def _extend(self, end: int):
-        """Compute every vehicle's samples up to `end`."""
-        for i, veh in enumerate(self.vehicles):
-            if self.valid[i] < end:
-                _trajectory(veh, self.position[i], self.velocity[i], self.valid[i], end,
-                            self.times, self.spans, self.dt, self.speed_cap)
-                self.valid[i] = end
+    def _recompute(self, i: int, step: int):
+        """Vehicle i's samples after `step` under its current schedule."""
+        _trajectory(self.vehicles[i], self.position[i], self.velocity[i], step,
+                    self.horizon, self.times, self.spans, self.dt, self.speed_cap)
 
-    def _find_contact(self, window: int) -> Optional[int]:
-        """First step past `settled` where a moving rear is closer to its
-        front than a body length (the `_scan_collisions` test). Every
-        vehicle is computed up to that step, or to the horizon if none."""
-        lo = self.settled + 1
+    def _next_contact(self, after: int) -> Optional[int]:
+        """First step past `after` where a moving rear is closer to its
+        front than a body length (the `_scan_collisions` test), or None."""
         rears = self.vehicles[1:]
         live = np.array([not veh.frozen for veh in rears], dtype=bool)[:, None]
         contact = np.array([veh.params.length for veh in rears])[:, None] - _EPS
-        while lo <= self.horizon:
-            hi = min(self.horizon, self.settled + window)
-            self._extend(hi)
-            gaps = self.position[:-1, lo:hi + 1] - self.position[1:, lo:hi + 1]
-            hit = _first(((gaps < contact) & live).any(axis=0), lo)
-            if hit is not None:
-                return hit
-            lo, window = hi + 1, 2 * window
-        return None
-
-    def _first_halt(self, lo: int, hi: int) -> Optional[int]:
-        """First step in [lo, hi) at which every affected vehicle of the
-        lane stands still and has passed its brake onset."""
-        first = len(self.vehicles) - len(self.affected)
-        onset = max((veh.onset for veh in self.affected), default=-math.inf)
-        still = (self.velocity[first:, lo:hi] == 0.0).all(axis=0)
-        return _first(still & (self.times[lo:hi] >= onset), lo)
+        gaps = self.position[:-1, after + 1:] - self.position[1:, after + 1:]
+        return _first(((gaps < contact) & live).any(axis=0), after + 1)
 
     def _apply_contact(self, step: int):
-        """Step `step`'s collision scan and rescheduling; the vehicles it
-        changed are to be recomputed from there."""
+        """Step `step`'s collision scan and rescheduling, and the changed
+        vehicles recomputed from there."""
         for i, veh in enumerate(self.vehicles):
             veh.x, veh.v = float(self.position[i, step]), float(self.velocity[i, step])
         before = [(veh.cause, veh.onset, veh.frozen) for veh in self.vehicles]
@@ -526,22 +497,24 @@ class _Lane:
         for i, veh in enumerate(self.vehicles):
             if (veh.cause, veh.onset, veh.frozen) != before[i]:
                 self.position[i, step], self.velocity[i, step] = veh.x, veh.v
-                self.valid[i] = step
-        self.settled = step
-        self.next_contact = self._find_contact(_CONTACT_WINDOW)
+                self._recompute(i, step)
 
-    def settle(self, until: Optional[int] = None):
-        """Apply the lane's contacts in step order: those up to step
-        `until`, or without it, those before the lane first passes its halt
-        test (no contact can change that verdict after it)."""
-        while True:
-            nxt = self.next_contact
-            if self.halt is None:
-                end = self.horizon + 1 if nxt is None else nxt
-                self.halt = self._first_halt(max(self.settled, 1), end)
-            if nxt is None or (self.halt is not None if until is None else nxt > until):
-                return
-            self._apply_contact(nxt)
+    def settle(self) -> Optional[int]:
+        """Apply the lane's contacts in step order; return the first step at
+        which every affected vehicle stands still and has passed its brake
+        onset (None if none does by the step bound).
+
+        Past that step no contact can change the lane's samples up to it,
+        so the halt is searched once, on the settled samples.
+        """
+        step = self._next_contact(0)
+        while step is not None:
+            self._apply_contact(step)
+            step = self._next_contact(step)
+        first = len(self.vehicles) - len(self.affected)
+        onset = max((veh.onset for veh in self.affected), default=-math.inf)
+        still = (self.velocity[first:, 1:] == 0.0).all(axis=0)
+        return _first(still & (self.times[1:] >= onset), 1)
 
 
 def _start_run(cfg: ScenarioConfig):
@@ -624,16 +597,13 @@ def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
     runs = [
         _Lane(lane, first, times, spans, cfg) for lane, first in zip(lanes, first_affected)
     ]
-    for run in runs:
-        run.settle()
-    halts = [run.halt for run in runs]
+    halts = [run.settle() for run in runs]
     if None in halts or max(halts) >= horizon:
         raise SdcapError("simulation failed to reach a halt state")
     last = max(halts) + 1  # one trailing step past the halt
-    contacts: list[tuple[int, int, int]] = []  # (lane, rear index, step)
-    for lane_idx, run in enumerate(runs):
-        run.settle(until=last)
-        contacts.extend((lane_idx, rear, step) for rear, step in run.contacts)
+    contacts = [  # (lane, rear index, step)
+        (lane_idx, rear, step) for lane_idx, run in enumerate(runs) for rear, step in run.contacts
+    ]
     return _traces(
         cfg,
         lanes,
@@ -860,20 +830,15 @@ def _parse_floats(value: str, lineno: int, expect: int) -> list[float]:
         raise ConfigError(f"line {lineno}: {exc}") from exc
 
 
-class _AtLine:
-    """Context in which a value refused while the config is built raises a
-    ConfigError naming the line the value came from."""
-
-    def __init__(self, lineno: int):
-        self.lineno = lineno
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, SdcapError) and not isinstance(exc, ConfigError):
-            raise ConfigError(f"line {self.lineno}: {exc}") from exc
-        return False
+@contextmanager
+def _at_line(lineno: int):
+    """A value refused inside raises a ConfigError naming its line."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except SdcapError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from exc
 
 
 def _integer(value: float, lineno: int, what: str) -> int:
@@ -922,7 +887,7 @@ def scenario_from_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "trigger":
-            with _AtLine(lineno):
+            with _at_line(lineno):
                 triggers.append(BrakeTrigger(*_parse_target(value, lineno)))
         elif key == "ber_delay":
             lane, idx, delay = _parse_target(value, lineno)
@@ -1004,7 +969,7 @@ def scenario_from_text(text: str) -> ScenarioConfig:
         if lane_no not in lane_gaps:
             raise ConfigError(f"missing key 'lane.{lane_no}.gaps'")
         gaps, gaps_line = lane_gaps[lane_no]
-        with _AtLine(gaps_line):
+        with _at_line(gaps_line):
             lanes.append([SpawnSpec(params, gap) for gap in [None, *gaps]])
     unknown_lanes = set(lane_gaps) - set(range(road.lanes))
     if unknown_lanes:
@@ -1014,7 +979,7 @@ def scenario_from_text(text: str) -> ScenarioConfig:
             raise ConfigError(
                 f"line {delay_line}: ber_delay target ({lane_no}, {idx}) out of range"
             )
-        with _AtLine(delay_line):
+        with _at_line(delay_line):
             gap = lanes[lane_no][idx].gap_to_predecessor
             lanes[lane_no][idx] = SpawnSpec(params, gap, delay)
 
@@ -1032,18 +997,14 @@ def scenario_from_text(text: str) -> ScenarioConfig:
         if key in scalars:
             settings[name] = (key, get_float(key))
     try:
-        return ScenarioConfig(**fields, **{name: value for name, (_, value) in settings.items()})
-    except SdcapError as exc:
-        refused = exc
-    # Apply the settings one at a time, so that the refused one names its line.
-    try:
         cfg = ScenarioConfig(**fields)
     except SdcapError as exc:
         raise ConfigError(str(exc)) from exc
+    # Apply the settings one at a time, so that a refused one names its line.
     for name, (key, value) in settings.items():
-        with _AtLine(scalar_lines[key]):
+        with _at_line(scalar_lines[key]):
             cfg = replace(cfg, **{name: value})
-    raise ConfigError(str(refused)) from refused
+    return cfg
 
 
 def scenario_from_file(path) -> ScenarioConfig:

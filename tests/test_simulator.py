@@ -310,6 +310,17 @@ def test_chain_crash_of_a_dense_lane_matches_the_stepping_loop():
     assert len(scenario_summary(traces, cfg)["collisions"]) == 29
 
 
+def test_contacts_on_consecutive_steps_match_the_stepping_loop():
+    # Without acceleration the third car keeps its 5.01 m gap until the
+    # second one stops dead at contact; it closes the last centimetre in the
+    # very next step, so the contact search must resume right after one.
+    cfg = single_lane([5.5, 5.01], params=replace(REFERENCE, max_accel=0.0))
+    traces = run_scenario(cfg)
+    assert_bit_identical(traces, reference_run_scenario(cfg))
+    times = [c["time_s"] for c in scenario_summary(traces, cfg)["collisions"]]
+    assert times == [334 * cfg.dt, 335 * cfg.dt]
+
+
 @pytest.mark.parametrize("cap_above_cruise", [0.0, 0.4, 1.0, 5.0])
 @pytest.mark.parametrize("dt", [1e-3, 7e-3])
 def test_speed_cap_bounds_every_sample_and_matches_the_stepping_loop(cap_above_cruise, dt):
