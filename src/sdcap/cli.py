@@ -8,6 +8,7 @@ by exactly 1/3.6; every file output is SI with unit-suffixed column names.
 
 import argparse
 import json
+import math
 import sys
 
 from .capacity import (
@@ -18,7 +19,7 @@ from .capacity import (
     check_capacity_bound,
     sdc_per_lane,
 )
-from .errors import SdcapError
+from .errors import InvalidInputError, SdcapError
 from .kinematics import safe_longitudinal_distance
 from .ltl import evaluate, parse_formula, read_traces_csv, write_traces_csv
 from .params import KMH_TO_MPS, VehicleParams
@@ -33,6 +34,10 @@ from .simulator import (
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_ERROR = 2
+
+# The most points a sweep grid may have, per axis and in product: far above
+# the 12 x 12 x 12 x 4 = 6,912-point grids the benchmark sweeps.
+MAX_SWEEP_POINTS = 100_000
 
 
 def _speed_mps(value: float, unit: str) -> float:
@@ -54,17 +59,18 @@ def _parse_axis(text: str) -> tuple[float, ...]:
     if ":" in text and "," not in text:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-        if step <= 0:
-            raise ValueError(f"range step must be > 0 in {text!r}")
-        values = []
-        k = 0
-        while True:
-            v = lo + k * step
-            if v > hi + 1e-12:
-                break
-            values.append(round(v, 12))
-            k += 1
-        return tuple(values)
+        if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"range needs finite bounds and a finite step > 0: {text!r}"
+            )
+        steps = (hi - lo) / step
+        if steps + 1 > MAX_SWEEP_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"range {text!r} has more than the cap of {MAX_SWEEP_POINTS} points"
+            )
+        # lo + k * step grows with k: the points are a prefix of these.
+        candidates = (lo + k * step for k in range(int(max(steps, 0.0)) + 2))
+        return tuple(round(v, 12) for v in candidates if v <= hi + 1e-12)
     return tuple(_parse_eta(part) for part in text.split(","))
 
 
@@ -88,12 +94,12 @@ def _deviations_from_args(args) -> DeviationSet:
     )
 
 
-def _add_vehicle_args(parser, tau0_default=0.5):
+def _add_vehicle_args(parser):
     parser.add_argument("--brake", type=float, default=9.0,
                         help="full-braking deceleration, m/s^2")
     parser.add_argument("--acc", type=float, default=3.0,
                         help="maximum acceleration, m/s^2")
-    parser.add_argument("--tau0", type=float, default=tau0_default,
+    parser.add_argument("--tau0", type=float, default=0.5,
                         help="perception-mode machine response time, s")
     parser.add_argument("--cbv-tau0", type=float, default=0.4,
                         help="cooperative-mode machine response time, s")
@@ -157,14 +163,14 @@ def cmd_sdc(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = SweepGrid(
-        e_tau=_parse_axis(args.e_tau_axis),
-        e_brake=_parse_axis(args.e_brake_axis),
-        e_v=_parse_axis(args.e_v_axis),
-        eta=_parse_axis(args.eta_axis),
-        e_length=args.e_l,
-        speed_kmh=args.v_kmh,
-    )
+    axes = (args.e_tau_axis, args.e_brake_axis, args.e_v_axis, args.eta_axis)
+    if math.prod(map(len, axes)) > MAX_SWEEP_POINTS:
+        sizes = " x ".join(str(len(axis)) for axis in axes)
+        raise InvalidInputError(
+            f"--e-tau-axis x --e-brake-axis x --e-v-axis x --eta-axis: {sizes} points, "
+            f"more than the cap of {MAX_SWEEP_POINTS}"
+        )
+    grid = SweepGrid(*axes, e_length=args.e_l, speed_kmh=args.v_kmh)
     road = RoadSpec(args.M_km, args.lanes, args.v_kmh)
     fleet = _vehicle_from_args(args, road.min_speed_mps)
     report = check_capacity_bound(grid, fleet, args.cbv_tau0, road)
@@ -190,11 +196,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = scenario_from_file(args.config)
-    traces = run_scenario(cfg)
-    summary = scenario_summary(traces, cfg)
+    run = run_scenario(cfg)
+    summary = scenario_summary(run, cfg)
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8", newline="") as handle:
-            write_traces_csv(traces, handle, summary["info_sources"])
+            write_traces_csv(run, handle, run.info_sources)
     if args.summary_out:
         with open(args.summary_out, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
@@ -251,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sdc)
 
     p = sub.add_parser("sweep", help="deviation/latency sweep to CSV")
-    p.add_argument("--e-tau-axis", default="0.95:1.0:0.01")
-    p.add_argument("--e-brake-axis", default="0.95:1.0:0.01")
-    p.add_argument("--e-v-axis", default="1.0:1.05:0.01")
-    p.add_argument("--eta-axis", default="5g,dsrc,4g,0.1",
+    p.add_argument("--e-tau-axis", type=_parse_axis, default="0.95:1.0:0.01")
+    p.add_argument("--e-brake-axis", type=_parse_axis, default="0.95:1.0:0.01")
+    p.add_argument("--e-v-axis", type=_parse_axis, default="1.0:1.05:0.01")
+    p.add_argument("--eta-axis", type=_parse_axis, default="5g,dsrc,4g,0.1",
                    help="comma list of seconds and/or preset labels")
     p.add_argument("--M-km", type=float, default=10.0)
     p.add_argument("--lanes", type=int, default=2)
@@ -290,10 +296,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except SdcapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+    except (SdcapError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

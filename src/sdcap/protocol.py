@@ -29,7 +29,6 @@ class LatencyModel:
 
     lo: float
     hi: float
-    label: str = ""
 
     def __post_init__(self):
         lo = require_finite("lo", self.lo)
@@ -40,19 +39,19 @@ class LatencyModel:
             )
 
     @classmethod
-    def constant(cls, value: float, label: str = "") -> "LatencyModel":
-        return cls(value, value, label)
+    def constant(cls, value: float) -> "LatencyModel":
+        return cls(value, value)
 
     @classmethod
-    def uniform(cls, lo: float, hi: float, label: str = "") -> "LatencyModel":
-        return cls(lo, hi, label)
+    def uniform(cls, lo: float, hi: float) -> "LatencyModel":
+        return cls(lo, hi)
 
 
 # Defaults per V2V technology; real deployments tend to beat these numbers.
 LATENCY_PRESETS = {
-    "dsrc": LatencyModel.constant(0.010, "DSRC"),
-    "5g": LatencyModel.constant(0.001, "5G"),
-    "4g": LatencyModel.constant(0.050, "4G"),
+    "dsrc": LatencyModel.constant(0.010),
+    "5g": LatencyModel.constant(0.001),
+    "4g": LatencyModel.constant(0.050),
 }
 
 DEFAULT_REQUEST_TIMEOUT = 0.1

@@ -35,6 +35,11 @@ that detects it: its time is that step's time, not the exact contact time
 between two samples. The run ends one step after every braking vehicle
 stands still.
 
+`run_scenario` returns a `Run`, the list of traces, which also carries the
+run's contacts and each vehicle's info source. The summary's collisions
+are those contacts: one rule, an overlap of more than 1e-9 m, so two cars
+that only touch are not a collision.
+
 The cost is O(vehicles x steps) numpy work per contact and once without
 one, with Python only at the switch, cap, halt and contact steps. A run
 holds its columns for the whole step bound, so a scenario of more than
@@ -50,7 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import RoadSpec
-from .errors import ConfigError, InvalidParameterError, SdcapError
+from .errors import ConfigError, InvalidInputError, InvalidParameterError, SdcapError
 from .kinematics import safe_longitudinal_distance
 # perfbench reads simulator.vehicle_safe, so the name stays importable here.
 from .ltl import Trace, safety_verdicts, vehicle_safe  # noqa: F401
@@ -572,8 +577,21 @@ def _start_run(cfg: ScenarioConfig):
     return resolutions, lanes, first_affected, max_steps
 
 
-def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
-    """Execute the scenario and return fully annotated traces.
+class Run(list):
+    """A finished run's traces in lane-major order, with two facts the run
+    decided: `contacts`, its rear-end contacts as (lane, rear index, step)
+    sorted by lane and rear, and `info_sources`, each vehicle's front-car
+    information source from the run's one draw of the link resolutions."""
+
+    def __init__(self, traces, contacts, info_sources):
+        super().__init__(traces)
+        self.contacts = contacts
+        self.info_sources = info_sources
+
+
+def run_scenario(cfg: ScenarioConfig) -> Run:
+    """Execute the scenario and return its Run: the fully annotated traces,
+    which also carry the run's contacts and info sources.
 
     Deterministic for a fixed config and seed. Each lane's trajectories are
     computed to the step bound, and its contacts are then applied one at a
@@ -615,7 +633,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[Trace]:
     )
 
 
-def _traces(cfg, lanes, positions, velocities, contacts, resolutions, last) -> list[Trace]:
+def _traces(cfg, lanes, positions, velocities, contacts, resolutions, last) -> Run:
     """The run's traces, from its samples 0..last (positions[lane][vehicle,
     step]) and the contacts it detected, with blame decided."""
     steps = np.arange(last + 1)
@@ -639,7 +657,7 @@ def _traces(cfg, lanes, positions, velocities, contacts, resolutions, last) -> l
                     responsible=steps >= blamed.get((lane_idx, idx), len(steps)),
                 )
             )
-    return traces
+    return Run(traces, sorted(contacts), _info_sources(cfg, resolutions))
 
 
 def _since(times: np.ndarray, event: Optional[float]) -> np.ndarray:
@@ -655,37 +673,6 @@ def _first(flags: np.ndarray, offset: int = 0) -> Optional[int]:
         return None
     k = int(np.argmax(flags))
     return offset + k if flags[k] else None
-
-
-def _trace_map(traces: Sequence[Trace], cfg: ScenarioConfig) -> dict[tuple[int, int], Trace]:
-    by_id = {t.vehicle_id: t for t in traces}
-    out = {}
-    for lane_idx, lane in enumerate(cfg.lanes):
-        for idx in range(len(lane)):
-            vid = vehicle_id(lane_idx, idx)
-            if vid not in by_id:
-                raise InvalidParameterError(f"traces missing vehicle {vid}")
-            out[(lane_idx, idx)] = by_id[vid]
-    return out
-
-
-def rear_end_pairs(
-    traces: Sequence[Trace], cfg: ScenarioConfig
-) -> list[tuple[int, int, int]]:
-    """Identify rear-end contacts as (lane, rear index, collision step)."""
-    grid = _trace_map(traces, cfg)
-    pairs = []
-    for lane_idx, lane in enumerate(cfg.lanes):
-        for idx in range(1, len(lane)):
-            rear = grid[(lane_idx, idx)]
-            front = grid[(lane_idx, idx - 1)]
-            k = _first(rear.collided)
-            if k is None:
-                continue
-            gap = front.position[k] - rear.position[k]
-            if abs(gap - lane[idx].params.length) <= 1e-6:
-                pairs.append((lane_idx, idx, k))
-    return pairs
 
 
 def assign_responsibility(
@@ -745,43 +732,49 @@ def assign_responsibility(
     return blamed
 
 
-def info_source_labels(cfg: ScenarioConfig) -> dict[str, str]:
+def _info_sources(cfg: ScenarioConfig, resolutions) -> dict[str, str]:
     """Per-vehicle provenance of the front-car information (for trace CSV)."""
-    resolutions = link_resolutions(cfg)
-    labels = {}
-    for lane_idx, lane in enumerate(cfg.lanes):
-        for idx in range(len(lane)):
-            vid = vehicle_id(lane_idx, idx)
-            if idx == 0:
-                labels[vid] = "none"
-            else:
-                labels[vid] = resolutions[(lane_idx, idx)][0].source.value
-    return labels
+    return {
+        vehicle_id(lane_idx, idx): resolutions[(lane_idx, idx)][0].source.value if idx else "none"
+        for lane_idx, lane in enumerate(cfg.lanes)
+        for idx in range(len(lane))
+    }
 
 
-def scenario_summary(traces: Sequence[Trace], cfg: ScenarioConfig) -> dict:
-    """Collision, throughput and spacing summary of a finished run."""
-    verdicts = safety_verdicts(traces)
-    grid = _trace_map(traces, cfg)
-    collisions = []
+def info_source_labels(cfg: ScenarioConfig) -> dict[str, str]:
+    """The info-source labels a run of cfg carries (Run.info_sources), from
+    a fresh draw of the link resolutions."""
+    return _info_sources(cfg, link_resolutions(cfg))
+
+
+def scenario_summary(run: Run, cfg: ScenarioConfig) -> dict:
+    """Collision, throughput and spacing summary of a finished run: the
+    Run that run_scenario(cfg) returned, whose contacts and info sources it
+    reports. A plain list of traces, or traces out of order, is refused."""
+    ids = [vehicle_id(lane, i) for lane, cars in enumerate(cfg.lanes) for i in range(len(cars))]
+    if not isinstance(run, Run) or [t.vehicle_id for t in run] != ids:
+        raise InvalidInputError("scenario_summary needs the Run of run_scenario(cfg): "
+                                "cfg's vehicles in lane-major order, with their contacts")
+    verdicts = safety_verdicts(run)
     min_gaps = {}
-    for lane_idx, lane in enumerate(cfg.lanes):
-        for idx in range(1, len(lane)):
-            rear = grid[(lane_idx, idx)]
-            front = grid[(lane_idx, idx - 1)]
+    start = 0
+    for lane in cfg.lanes:
+        column = run[start:start + len(lane)]
+        start += len(lane)
+        for front, rear in zip(column, column[1:]):
             min_gaps[f"{front.vehicle_id}->{rear.vehicle_id}"] = float(
                 np.min(front.position - rear.position)
             )
-    for lane_idx, rear_idx, hit_step in rear_end_pairs(traces, cfg):
-        collisions.append(
-            {
-                "lane": lane_idx,
-                "rear": vehicle_id(lane_idx, rear_idx),
-                "front": vehicle_id(lane_idx, rear_idx - 1),
-                "time_s": hit_step * cfg.dt,
-            }
-        )
-    responsible = sorted(t.vehicle_id for t in traces if t.responsible.any())
+    collisions = [
+        {
+            "lane": lane_idx,
+            "rear": vehicle_id(lane_idx, rear_idx),
+            "front": vehicle_id(lane_idx, rear_idx - 1),
+            "time_s": hit_step * cfg.dt,
+        }
+        for lane_idx, rear_idx, hit_step in run.contacts
+    ]
+    responsible = sorted(t.vehicle_id for t in run if t.responsible.any())
     fleet = cfg.lanes[0][0].params if cfg.lanes[0] else None
     return {
         "mode": cfg.mode,
@@ -792,9 +785,9 @@ def scenario_summary(traces: Sequence[Trace], cfg: ScenarioConfig) -> dict:
         "responsible": responsible,
         "min_gaps_m": min_gaps,
         "unsafe_vehicles": sorted(
-            t.vehicle_id for t, safe in zip(traces, verdicts) if not safe
+            t.vehicle_id for t, safe in zip(run, verdicts) if not safe
         ),
-        "info_sources": info_source_labels(cfg),
+        "info_sources": run.info_sources,
         "parameters": {
             "dt_s": cfg.dt,
             "rng_seed": cfg.rng_seed,
@@ -858,13 +851,14 @@ def _parse_latency(value: str, lineno: int) -> LatencyModel:
     value = value.strip()
     if value.lower() in LATENCY_PRESETS:
         return LATENCY_PRESETS[value.lower()]
-    if value.startswith("constant:"):
-        return LatencyModel.constant(
-            _parse_floats(value[len("constant:"):], lineno, 1)[0]
-        )
-    if value.startswith("uniform:"):
-        lo, hi = _parse_floats(value[len("uniform:"):], lineno, 2)
-        return LatencyModel.uniform(lo, hi)
+    with _at_line(lineno):
+        if value.startswith("constant:"):
+            return LatencyModel.constant(
+                _parse_floats(value[len("constant:"):], lineno, 1)[0]
+            )
+        if value.startswith("uniform:"):
+            lo, hi = _parse_floats(value[len("uniform:"):], lineno, 2)
+            return LatencyModel.uniform(lo, hi)
     raise ConfigError(
         f"line {lineno}: unknown latency {value!r} "
         f"(presets: {sorted(LATENCY_PRESETS)}, or constant:S / uniform:LO,HI)"
@@ -876,7 +870,7 @@ def scenario_from_text(text: str) -> ScenarioConfig:
     scalars: dict[str, str] = {}
     scalar_lines: dict[str, int] = {}
     lane_gaps: dict[int, tuple[list[float], int]] = {}
-    triggers: list[BrakeTrigger] = []
+    triggers: list[tuple[BrakeTrigger, int]] = []  # (trigger, line)
     delays: dict[tuple[int, int], tuple[float, int]] = {}  # target: (delay, line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -888,7 +882,7 @@ def scenario_from_text(text: str) -> ScenarioConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "trigger":
             with _at_line(lineno):
-                triggers.append(BrakeTrigger(*_parse_target(value, lineno)))
+                triggers.append((BrakeTrigger(*_parse_target(value, lineno)), lineno))
         elif key == "ber_delay":
             lane, idx, delay = _parse_target(value, lineno)
             delays[(lane, idx)] = (delay, lineno)
@@ -898,9 +892,7 @@ def scenario_from_text(text: str) -> ScenarioConfig:
                 lane_no = int(middle)
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad lane key {key!r}") from None
-            gaps = (
-                [] if value == "" else [g for g in _parse_floats(value, lineno, max(1, value.count(",") + 1))]
-            )
+            gaps = [] if value == "" else _parse_floats(value, lineno, value.count(",") + 1)
             lane_gaps[lane_no] = (gaps, lineno)
         else:
             if key in scalars:
@@ -923,39 +915,45 @@ def scenario_from_text(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"line {scalar_lines[key]}: {exc}") from exc
 
-    def get_int(key: str, default: int) -> int:
+    def get_int(key: str, default=None) -> int:
         if key not in scalars:
             return default
         return _integer(get_float(key), scalar_lines[key], key)
 
-    road = RoadSpec(
-        length_km=get_float("road.length_km", 10.0),
-        lanes=get_int("road.lanes", 2),
-        min_speed_kmh=get_float("road.min_speed_kmh", 100.0),
-    )
+    def given(*fields, read=get_float) -> dict:
+        """The settings {field: (config key, value)} of the (config key,
+        field) pairs the file sets."""
+        return {name: (key, read(key)) for key, name in fields if key in scalars}
+
+    def configured(obj, settings: dict):
+        """obj with the settings applied one at a time, so that a refused
+        value names its line."""
+        for name, (key, value) in settings.items():
+            with _at_line(scalar_lines[key]):
+                obj = replace(obj, **{name: value})
+        return obj
+
+    road = configured(RoadSpec(), {
+        **given(("road.length_km", "length_km"), ("road.min_speed_kmh", "min_speed_kmh")),
+        **given(("road.lanes", "lanes"), read=get_int),
+    })
     if "vehicle.speed_kmh" in scalars and "vehicle.speed" in scalars:
         raise ConfigError("give vehicle.speed or vehicle.speed_kmh, not both")
     if "vehicle.speed_kmh" in scalars:
-        speed = get_float("vehicle.speed_kmh") * KMH_TO_MPS
+        speed = ("vehicle.speed_kmh", get_float("vehicle.speed_kmh") * KMH_TO_MPS)
     else:
-        speed = get_float("vehicle.speed")
-    try:
-        params = VehicleParams(
-            length=get_float("vehicle.length"),
-            max_brake=get_float("vehicle.max_brake"),
-            max_accel=get_float("vehicle.max_accel"),
-            speed=speed,
-            response_time=get_float("vehicle.response_time"),
-        )
-        dev = DeviationSet(
-            length=get_float("dev.e_l", 1.0),
-            front_speed=get_float("dev.e_v", 1.0),
-            brake=get_float("dev.e_brake", 1.0),
-            response=get_float("dev.e_tau", 1.0),
-            regime=Regime.UNCHECKED,
-        )
-    except SdcapError as exc:
-        raise ConfigError(str(exc)) from exc
+        speed = ("vehicle.speed", get_float("vehicle.speed"))
+    vehicle = {
+        name: (f"vehicle.{name}", get_float(f"vehicle.{name}"))
+        for name in ("length", "max_brake", "max_accel", "response_time")
+    }
+    # The vehicle keys have no defaults: start from any valid vehicle, and
+    # every field is then replaced by its configured value.
+    params = configured(VehicleParams(1.0, 1.0, 0.0, 0.0, 0.0), {**vehicle, "speed": speed})
+    dev = configured(DeviationSet(regime=Regime.UNCHECKED), given(
+        ("dev.e_l", "length"), ("dev.e_v", "front_speed"),
+        ("dev.e_brake", "brake"), ("dev.e_tau", "response"),
+    ))
 
     mode = need("mode").lower()
     latency = (
@@ -974,37 +972,31 @@ def scenario_from_text(text: str) -> ScenarioConfig:
     unknown_lanes = set(lane_gaps) - set(range(road.lanes))
     if unknown_lanes:
         raise ConfigError(f"lane keys outside road.lanes: {sorted(unknown_lanes)}")
+
+    def target(key: str, lane_no: int, idx: int, lineno: int):
+        """Refuse a trigger or ber_delay target that names no vehicle."""
+        if not (0 <= lane_no < road.lanes and 0 <= idx < len(lanes[lane_no])):
+            raise ConfigError(f"line {lineno}: {key} target ({lane_no}, {idx}) out of range")
+
+    for trig, trig_line in triggers:
+        target("trigger", trig.lane, trig.index, trig_line)
     for (lane_no, idx), (delay, delay_line) in delays.items():
-        if not (0 <= lane_no < road.lanes) or not (0 <= idx < len(lanes[lane_no])):
-            raise ConfigError(
-                f"line {delay_line}: ber_delay target ({lane_no}, {idx}) out of range"
-            )
+        target("ber_delay", lane_no, idx, delay_line)
         with _at_line(delay_line):
             gap = lanes[lane_no][idx].gap_to_predecessor
             lanes[lane_no][idx] = SpawnSpec(params, gap, delay)
 
-    fields = dict(
-        road=road,
-        lanes=tuple(map(tuple, lanes)),
-        triggers=tuple(triggers),
-        dev=dev,
-        latency=latency,
-        rng_seed=get_int("seed", 0),
-    )
-    # The settings ScenarioConfig checks: field name -> (config key, value).
-    settings = {"mode": ("mode", mode)}
-    for key, name in (("dt", "dt"), ("timeout", "request_timeout"), ("speed_cap", "speed_cap")):
-        if key in scalars:
-            settings[name] = (key, get_float(key))
+    # The settings ScenarioConfig checks on their own are applied to a
+    # one-vehicle scenario, so that a refused value names its line; the full
+    # scenario is then built, and checked, once.
+    one_car = ScenarioConfig(RoadSpec(lanes=1), [[SpawnSpec(params)]], [BrakeTrigger(0, 0, 0.0)])
+    one_car = configured(one_car, {"mode": ("mode", mode), **given(
+        ("dt", "dt"), ("timeout", "request_timeout"), ("speed_cap", "speed_cap"))})
     try:
-        cfg = ScenarioConfig(**fields)
+        return replace(one_car, road=road, lanes=lanes, triggers=[t for t, _ in triggers],
+                       dev=dev, latency=latency, rng_seed=get_int("seed", 0))
     except SdcapError as exc:
         raise ConfigError(str(exc)) from exc
-    # Apply the settings one at a time, so that a refused one names its line.
-    for name, (key, value) in settings.items():
-        with _at_line(scalar_lines[key]):
-            cfg = replace(cfg, **{name: value})
-    return cfg
 
 
 def scenario_from_file(path) -> ScenarioConfig:

@@ -2,6 +2,7 @@
 
 import csv
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sdcap import (
     InvalidInputError,
     Not,
     Or,
+    ScenarioConfig,
     Trace,
     VehicleParams,
     VehicleState,
@@ -24,15 +26,15 @@ from sdcap import (
     safe_longitudinal_distance,
 )
 from sdcap.ltl import TRACE_CSV_COLUMNS
-from sdcap.errors import SdcapError
+from sdcap.errors import InvalidParameterError, SdcapError
 from sdcap.simulator import (
     _advance,
+    _first,
     _reschedule,
     _scan_collisions,
     _start_run,
     _traces,
     link_resolutions,
-    rear_end_pairs,
     vehicle_id,
 )
 
@@ -212,6 +214,37 @@ def reference_read_traces_csv(stream):
 # the blame step the library used before the simulator decided blame at
 # contact time: contacts, cause steps and onset steps are re-derived from
 # the trace columns, and the latencies are drawn again from the seed.
+
+
+def _trace_map(traces: Sequence[Trace], cfg: ScenarioConfig) -> dict[tuple[int, int], Trace]:
+    by_id = {t.vehicle_id: t for t in traces}
+    out = {}
+    for lane_idx, lane in enumerate(cfg.lanes):
+        for idx in range(len(lane)):
+            vid = vehicle_id(lane_idx, idx)
+            if vid not in by_id:
+                raise InvalidParameterError(f"traces missing vehicle {vid}")
+            out[(lane_idx, idx)] = by_id[vid]
+    return out
+
+
+def rear_end_pairs(
+    traces: Sequence[Trace], cfg: ScenarioConfig
+) -> list[tuple[int, int, int]]:
+    """Identify rear-end contacts as (lane, rear index, collision step)."""
+    grid = _trace_map(traces, cfg)
+    pairs = []
+    for lane_idx, lane in enumerate(cfg.lanes):
+        for idx in range(1, len(lane)):
+            rear = grid[(lane_idx, idx)]
+            front = grid[(lane_idx, idx - 1)]
+            k = _first(rear.collided)
+            if k is None:
+                continue
+            gap = front.position[k] - rear.position[k]
+            if abs(gap - lane[idx].params.length) <= 1e-6:
+                pairs.append((lane_idx, idx, k))
+    return pairs
 
 
 def reference_assign_responsibility(traces, cfg):

@@ -114,6 +114,29 @@ def test_sweep_out_of_regime_axis_rejected(capsys, tmp_path):
     assert "rejected" in err
 
 
+FINITE = "range needs finite bounds and a finite step > 0"
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--e-tau-axis", "0.9:inf:0.01"], f"argument --e-tau-axis: {FINITE}"),
+        (["--e-brake-axis", "0.9:1.0:nan"], f"argument --e-brake-axis: {FINITE}"),
+        (["--e-v-axis", "0:1:inf"], f"argument --e-v-axis: {FINITE}"),
+        (["--eta-axis", "0:1e9:1"], "argument --eta-axis: range '0:1e9:1' has more than the cap"),
+        (["--e-tau-axis", "0.5:1:0.001", "--e-brake-axis", "0.5:1:0.001"],
+         "--e-tau-axis x --e-brake-axis x --e-v-axis x --eta-axis: 501 x 501 x 6 x 4 points"),
+    ],
+)
+def test_sweep_unbounded_axis_is_refused_naming_the_flag(capsys, tmp_path, flags, named):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "sweep", *flags, "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert named in err
+    assert not out_path.exists()
+
+
 def test_sweep_unwritable_path_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "sweep", "--e-tau-axis", "1.0", "--e-brake-axis", "1.0",
@@ -195,6 +218,12 @@ def test_simulate_non_integral_seed_exits_two(capsys, tmp_path):
         (None, "timeout = nan", "request_timeout must be finite"),
         (None, "speed_cap = 20", "speed_cap below the cruise speed"),
         ("dt = 0.001", "dt = 0", "dt must be > 0"),
+        ("vehicle.max_brake = 9", "vehicle.max_brake = 0", "max_brake must be > 0"),
+        (None, "dev.e_l = 0", "deviation length must be > 0"),
+        ("road.lanes = 2", "road.lanes = 0", "lanes must be a positive integer"),
+        ("road.length_km = 10", "road.length_km = -1", "length_km must be > 0"),
+        (None, "trigger = 0, 9, 0.0", "trigger target (0, 9) out of range"),
+        (None, "latency = uniform: 0.2, 0.1", "latency bounds must satisfy"),
     ],
 )
 def test_simulate_refused_value_names_its_line(capsys, tmp_path, old, new, message):

@@ -15,6 +15,7 @@ from sdcap import (
     InvalidParameterError,
     LatencyModel,
     RoadSpec,
+    Run,
     ScenarioConfig,
     SdcapError,
     SpawnSpec,
@@ -30,7 +31,12 @@ from sdcap import (
 )
 from sdcap.ltl import traces_to_csv
 from sdcap.simulator import info_source_labels, link_resolutions
-from conftest import REFERENCE, reference_assign_responsibility, reference_run_scenario
+from conftest import (
+    REFERENCE,
+    rear_end_pairs,
+    reference_assign_responsibility,
+    reference_run_scenario,
+)
 
 D_SAFE = safe_longitudinal_distance(REFERENCE, REFERENCE, 0.5)
 
@@ -283,6 +289,7 @@ def test_blame_at_contact_time_matches_the_trace_scan_reference(cfg):
         for t in traces
     ]
     assert traces == reference_assign_responsibility(cleared, cfg)
+    assert traces.contacts == rear_end_pairs(cleared, cfg)
 
 
 def assert_bit_identical(traces, expected):
@@ -298,7 +305,10 @@ def assert_bit_identical(traces, expected):
 @settings(max_examples=60, deadline=None)
 @given(scenarios())
 def test_time_axis_engine_matches_the_stepping_loop(cfg):
-    assert_bit_identical(run_scenario(cfg), reference_run_scenario(cfg))
+    run, reference = run_scenario(cfg), reference_run_scenario(cfg)
+    assert_bit_identical(run, reference)
+    assert run.contacts == reference.contacts
+    assert run.info_sources == reference.info_sources
 
 
 def test_chain_crash_of_a_dense_lane_matches_the_stepping_loop():
@@ -308,6 +318,21 @@ def test_chain_crash_of_a_dense_lane_matches_the_stepping_loop():
     traces = run_scenario(cfg)
     assert_bit_identical(traces, reference_run_scenario(cfg))
     assert len(scenario_summary(traces, cfg)["collisions"]) == 29
+
+
+def test_summary_lists_only_the_contacts_the_run_recorded():
+    # The second car starts exactly one length behind the lead and brakes
+    # with it, so the two touch but never overlap. The third car, at 0.7 x
+    # the PBV gap, hits the second: the only contact, and the only blame.
+    cfg = single_lane([REFERENCE.length, 0.7 * D_SAFE],
+                      triggers=((0, 0, 0.0), (0, 1, 0.0)), dt=0.01)
+    run = run_scenario(cfg)
+    summary = scenario_summary(run, cfg)
+    assert summary["collisions"] == [
+        {"lane": 0, "rear": "l0v2", "front": "l0v1", "time_s": 222 * cfg.dt}
+    ]
+    assert summary["responsible"] == ["l0v2"]
+    assert run.contacts == [(0, 2, 222)]
 
 
 def test_contacts_on_consecutive_steps_match_the_stepping_loop():
@@ -490,7 +515,20 @@ def test_summary_evaluates_the_safety_formula_once_per_vehicle(monkeypatch):
 
 def test_summary_rejects_traces_of_different_horizons():
     cfg = single_lane([D_SAFE])
-    lead, rear = run_scenario(cfg)
+    run = run_scenario(cfg)
+    lead, rear = run
     short = Trace(rear.vehicle_id, rear.steps[:-1], rear.dt)
     with pytest.raises(InvalidInputError, match="horizon"):
-        scenario_summary([lead, short], cfg)
+        scenario_summary(Run([lead, short], run.contacts, run.info_sources), cfg)
+
+
+def test_summary_refuses_a_plain_list_or_reordered_traces():
+    # The collisions and info sources come from the Run, and min_gaps_m
+    # pairs its traces by position: traces without them, or out of lane
+    # order, are refused rather than summarised wrongly.
+    cfg = single_lane([0.9 * D_SAFE, D_SAFE])
+    run = run_scenario(cfg)
+    for traces in (list(run), Run(run[::-1], run.contacts, run.info_sources),
+                   Run(run[:2], run.contacts, run.info_sources)):
+        with pytest.raises(InvalidInputError, match="needs the Run of run_scenario"):
+            scenario_summary(traces, cfg)
