@@ -198,7 +198,6 @@ class SweepGrid:
     e_v: tuple[float, ...]
     eta: tuple[float, ...]
     e_length: float = 1.0
-    speed_kmh: float = 100.0
 
     def __post_init__(self):
         for name in ("e_tau", "e_brake", "e_v", "eta"):
@@ -207,7 +206,6 @@ class SweepGrid:
             if not axis:
                 raise InvalidInputError(f"sweep axis {name} must be non-empty")
         require_finite("e_length", self.e_length)
-        require_finite("speed_kmh", self.speed_kmh)
 
     def points(self):
         return product(self.e_tau, self.e_brake, self.e_v, self.eta)
@@ -255,16 +253,16 @@ def check_capacity_bound(
     grid: SweepGrid,
     fleet_pbv: VehicleParams,
     cbv_response_time: float,
-    road: Optional[RoadSpec] = None,
+    road: RoadSpec = RoadSpec(),
 ) -> CapacityBoundReport:
     """Evaluate both capacities across the grid and look for bound violations.
 
     Every point must sit in the conservative regime and satisfy the delay
     side condition (corrected response time + latency not above the
     perception-mode response time); offending points are rejected with a
-    diagnostic and not counted.
+    diagnostic and not counted. Both capacities are those of `road`, whose
+    speed floor is the speed the fleet is evaluated at.
     """
-    road = road or RoadSpec(min_speed_kmh=grid.speed_kmh)
     rows: list[SweepRow] = []
     violations: list[SweepRow] = []
     rejected: list[str] = []

@@ -170,7 +170,7 @@ def cmd_sweep(args) -> int:
             f"--e-tau-axis x --e-brake-axis x --e-v-axis x --eta-axis: {sizes} points, "
             f"more than the cap of {MAX_SWEEP_POINTS}"
         )
-    grid = SweepGrid(*axes, e_length=args.e_l, speed_kmh=args.v_kmh)
+    grid = SweepGrid(*axes, e_length=args.e_l)
     road = RoadSpec(args.M_km, args.lanes, args.v_kmh)
     fleet = _vehicle_from_args(args, road.min_speed_mps)
     report = check_capacity_bound(grid, fleet, args.cbv_tau0, road)

@@ -48,7 +48,6 @@ MAX_VEHICLE_STEPS vehicle-steps (about 1 GB) is refused before it starts.
 
 import math
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -237,7 +236,6 @@ class _VehicleRT:
         "trigger_time",
         "x",
         "v",
-        "frozen",
         "collision_time",
         "cause",
         "onset",
@@ -250,8 +248,7 @@ class _VehicleRT:
         self.trigger_time: Optional[float] = None
         self.x = x
         self.v = spawn.params.speed
-        self.frozen = False
-        self.collision_time: Optional[float] = None
+        self.collision_time: Optional[float] = None  # set once, at contact, which freezes it
         self.cause: Optional[float] = None
         self.onset: Optional[float] = None
 
@@ -296,7 +293,7 @@ def _phase_at(veh: _VehicleRT, t: float) -> int:
 
 def _advance(veh: _VehicleRT, t0: float, t1: float, speed_cap: Optional[float]):
     """Piecewise-exact kinematics from t0 to t1 with the phase schedule."""
-    if veh.frozen:
+    if veh.collision_time is not None:
         return
     boundaries = {t0, t1}
     for b in (veh.cause, veh.onset):
@@ -345,12 +342,11 @@ def _scan_collisions(lane: list[_VehicleRT], t: float) -> list[int]:
     for idx in range(1, len(lane)):
         front, rear = lane[idx - 1], lane[idx]
         contact = rear.params.length
-        if rear.collision_time is not None and rear.frozen:
+        if rear.collision_time is not None:
             continue
         if front.x - rear.x < contact - _EPS:
             rear.x = front.x - contact
             for veh in (front, rear):
-                veh.frozen = True
                 veh.v = 0.0
                 if veh.collision_time is None:
                     veh.collision_time = t
@@ -420,12 +416,12 @@ def _brake(veh, x, v, lo: int, hi: int, spans, dt: float):
 
 def _trajectory(veh: _VehicleRT, x, v, k: int, end: int, times, spans, dt: float, speed_cap):
     """Fill x[k + 1:end + 1] and v[k + 1:end + 1] from sample k under the
-    vehicle's current schedule (cause, onset, frozen).
+    vehicle's current schedule (cause, onset, collision_time).
 
     The steps between two phase switches form one run. A step with a
     switch strictly inside it goes through `_advance`.
     """
-    if veh.frozen:
+    if veh.collision_time is not None:
         x[k + 1:end + 1] = x[k]
         v[k + 1:end + 1] = v[k]
         return
@@ -485,7 +481,7 @@ class _Lane:
         """First step past `after` where a moving rear is closer to its
         front than a body length (the `_scan_collisions` test), or None."""
         rears = self.vehicles[1:]
-        live = np.array([not veh.frozen for veh in rears], dtype=bool)[:, None]
+        live = np.array([veh.collision_time is None for veh in rears], dtype=bool)[:, None]
         contact = np.array([veh.params.length for veh in rears])[:, None] - _EPS
         gaps = self.position[:-1, after + 1:] - self.position[1:, after + 1:]
         return _first(((gaps < contact) & live).any(axis=0), after + 1)
@@ -495,12 +491,12 @@ class _Lane:
         vehicles recomputed from there."""
         for i, veh in enumerate(self.vehicles):
             veh.x, veh.v = float(self.position[i, step]), float(self.velocity[i, step])
-        before = [(veh.cause, veh.onset, veh.frozen) for veh in self.vehicles]
+        before = [(veh.cause, veh.onset, veh.collision_time) for veh in self.vehicles]
         hits = _scan_collisions(self.vehicles, step * self.dt)
         self.contacts.extend((rear, step) for rear in hits)
         _reschedule(self.vehicles)
         for i, veh in enumerate(self.vehicles):
-            if (veh.cause, veh.onset, veh.frozen) != before[i]:
+            if (veh.cause, veh.onset, veh.collision_time) != before[i]:
                 self.position[i, step], self.velocity[i, step] = veh.x, veh.v
                 self._recompute(i, step)
 
@@ -526,7 +522,8 @@ def _start_run(cfg: ScenarioConfig):
     """A run's initial state: the link resolutions, the vehicles of each
     lane with their first schedule, the index of each lane's first braking
     vehicle (None in a lane without a trigger), and a generous bound on the
-    number of steps the episode takes."""
+    number of steps the episode takes. A scenario whose bound times its
+    vehicle count exceeds MAX_VEHICLE_STEPS is refused here."""
     resolutions = link_resolutions(cfg)
     lanes: list[list[_VehicleRT]] = []
     for lane_idx, lane_spec in enumerate(cfg.lanes):
@@ -565,16 +562,19 @@ def _start_run(cfg: ScenarioConfig):
     )
     if cfg.speed_cap is not None:
         peak_speed = min(peak_speed, max(cfg.speed_cap, 0.0))
-    max_steps = (
-        int(
-            math.ceil(
-                (max_onset + peak_speed / min(v.params.max_brake for v in affected))
-                / cfg.dt
-            )
+    # A float until it passes the work cap: extreme finite values (dt or
+    # max_brake = 1e-320) make it inf or nan, which have no int.
+    max_steps = np.ceil(
+        (max_onset + peak_speed / min(v.params.max_brake for v in affected)) / cfg.dt
+    ) + 16
+    horizon = max_steps + 2  # the last step the episode may take
+    if not horizon * cfg.vehicle_count <= MAX_VEHICLE_STEPS:
+        raise SdcapError(
+            f"scenario too large: up to {horizon:.10g} steps x {cfg.vehicle_count} "
+            f"vehicles exceeds the cap of {MAX_VEHICLE_STEPS} vehicle-steps; "
+            "use a coarser dt or fewer vehicles"
         )
-        + 16
-    )
-    return resolutions, lanes, first_affected, max_steps
+    return resolutions, lanes, first_affected, int(max_steps)
 
 
 class Run(list):
@@ -604,12 +604,6 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
     """
     resolutions, lanes, first_affected, max_steps = _start_run(cfg)
     horizon = max_steps + 2  # the last step the episode may take
-    if horizon * cfg.vehicle_count > MAX_VEHICLE_STEPS:
-        raise SdcapError(
-            f"scenario too large: up to {horizon} steps x {cfg.vehicle_count} "
-            f"vehicles exceeds the cap of {MAX_VEHICLE_STEPS} vehicle-steps; "
-            "use a coarser dt or fewer vehicles"
-        )
     times = np.arange(horizon + 1) * cfg.dt
     spans = np.diff(times, prepend=0.0)
     runs = [
@@ -775,7 +769,7 @@ def scenario_summary(run: Run, cfg: ScenarioConfig) -> dict:
         for lane_idx, rear_idx, hit_step in run.contacts
     ]
     responsible = sorted(t.vehicle_id for t in run if t.responsible.any())
-    fleet = cfg.lanes[0][0].params if cfg.lanes[0] else None
+    fleet = next(lane[0].params for lane in cfg.lanes if lane)  # homogeneous
     return {
         "mode": cfg.mode,
         "omega": cfg.vehicle_count,
@@ -793,11 +787,11 @@ def scenario_summary(run: Run, cfg: ScenarioConfig) -> dict:
             "rng_seed": cfg.rng_seed,
             "road_length_km": cfg.road.length_km,
             "lanes": cfg.road.lanes,
-            "vehicle_length_m": fleet.length if fleet else None,
-            "max_brake_mps2": fleet.max_brake if fleet else None,
-            "max_accel_mps2": fleet.max_accel if fleet else None,
-            "cruise_speed_mps": fleet.speed if fleet else None,
-            "response_time_s": fleet.response_time if fleet else None,
+            "vehicle_length_m": fleet.length,
+            "max_brake_mps2": fleet.max_brake,
+            "max_accel_mps2": fleet.max_accel,
+            "cruise_speed_mps": fleet.speed,
+            "response_time_s": fleet.response_time,
             "e_l": cfg.dev.length,
             "e_v": cfg.dev.front_speed,
             "e_brake": cfg.dev.brake,
@@ -813,62 +807,103 @@ def scenario_summary(run: Run, cfg: ScenarioConfig) -> dict:
 # See README for the full schema.
 
 
-def _parse_floats(value: str, lineno: int, expect: int) -> list[float]:
+def _parse_floats(value: str, expect: int) -> list[float]:
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != expect:
-        raise ConfigError(f"line {lineno}: expected {expect} comma-separated values")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from exc
+        raise ConfigError(f"expected {expect} comma-separated values")
+    return [float(p) for p in parts]
 
 
-@contextmanager
-def _at_line(lineno: int):
-    """A value refused inside raises a ConfigError naming its line."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except SdcapError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from exc
+class _at_line:
+    """A value refused inside raises a ConfigError naming its line. Every
+    config line and setting enters one, so it is a class: a contextmanager
+    generator costs about three times as much per entry (CPython 3.11)."""
+
+    __slots__ = ("lineno",)
+
+    def __init__(self, lineno: int):
+        self.lineno = lineno
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, (SdcapError, ValueError)):
+            raise ConfigError(f"line {self.lineno}: {exc}") from exc
 
 
-def _integer(value: float, lineno: int, what: str) -> int:
+def _integer(value: float, what: str) -> int:
     """A count or index read as a float: refused unless integral."""
     if not value.is_integer():
-        raise ConfigError(f"line {lineno}: {what} must be an integer, got {value!r}")
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
-def _parse_target(value: str, lineno: int) -> tuple[int, int, float]:
+def _parse_target(value: str) -> tuple[int, int, float]:
     """The 'lane, vehicle index, number' of a trigger or ber_delay line."""
-    lane, idx, number = _parse_floats(value, lineno, 3)
-    return _integer(lane, lineno, "lane"), _integer(idx, lineno, "vehicle index"), number
+    lane, idx, number = _parse_floats(value, 3)
+    return _integer(lane, "lane"), _integer(idx, "vehicle index"), number
 
 
-def _parse_latency(value: str, lineno: int) -> LatencyModel:
-    value = value.strip()
+def _parse_latency(value: str) -> LatencyModel:
     if value.lower() in LATENCY_PRESETS:
         return LATENCY_PRESETS[value.lower()]
-    with _at_line(lineno):
-        if value.startswith("constant:"):
-            return LatencyModel.constant(
-                _parse_floats(value[len("constant:"):], lineno, 1)[0]
-            )
-        if value.startswith("uniform:"):
-            lo, hi = _parse_floats(value[len("uniform:"):], lineno, 2)
-            return LatencyModel.uniform(lo, hi)
+    if value.startswith("constant:"):
+        return LatencyModel.constant(_parse_floats(value[len("constant:"):], 1)[0])
+    if value.startswith("uniform:"):
+        return LatencyModel.uniform(*_parse_floats(value[len("uniform:"):], 2))
     raise ConfigError(
-        f"line {lineno}: unknown latency {value!r} "
+        f"unknown latency {value!r} "
         f"(presets: {sorted(LATENCY_PRESETS)}, or constant:S / uniform:LO,HI)"
     )
 
 
+# Every scalar config key: the object it sets, that object's field, and the
+# reader of its value text. The objects hold the range rules.
+_KEYS = {
+    "mode": ("scenario", "mode", str.lower),
+    "dt": ("scenario", "dt", float),
+    "timeout": ("scenario", "request_timeout", float),
+    "speed_cap": ("scenario", "speed_cap", float),
+    "seed": ("scenario", "rng_seed", lambda text: _integer(float(text), "seed")),
+    "latency": ("scenario", "latency", _parse_latency),
+    "road.length_km": ("road", "length_km", float),
+    "road.lanes": ("road", "lanes", lambda text: _integer(float(text), "road.lanes")),
+    "road.min_speed_kmh": ("road", "min_speed_kmh", float),
+    **{f"vehicle.{name}": ("vehicle", name, float)
+       for name in ("length", "max_brake", "max_accel", "speed", "response_time")},
+    "vehicle.speed_kmh": ("vehicle", "speed", lambda text: float(text) * KMH_TO_MPS),
+    "dev.e_l": ("dev", "length", float),
+    "dev.e_v": ("dev", "front_speed", float),
+    "dev.e_brake": ("dev", "brake", float),
+    "dev.e_tau": ("dev", "response", float),
+}
+# The keys without a default; vehicle.speed_kmh sets vehicle.speed.
+_REQUIRED = ("vehicle.speed", "vehicle.length", "vehicle.max_brake", "vehicle.max_accel",
+             "vehicle.response_time", "mode")
+# Scenario fields refused, if at all, by their readers: set in the final
+# build instead of being applied to the one-vehicle scenario first.
+_CHECKED_WHEN_READ = ("rng_seed", "latency")
+
+
+def _applied(obj, settings: dict):
+    """obj with the settings {field: (value, line, key)} applied one at a
+    time, so that a refused value names its line."""
+    for name, (value, lineno, _) in settings.items():
+        with _at_line(lineno):
+            obj = replace(obj, **{name: value})
+    return obj
+
+
+def _check_target(lanes, key: str, lane_no: int, idx: int):
+    """Refuse a trigger or ber_delay target that names no vehicle."""
+    if not (0 <= lane_no < len(lanes) and 0 <= idx < len(lanes[lane_no])):
+        raise ConfigError(f"{key} target ({lane_no}, {idx}) out of range")
+
+
 def scenario_from_text(text: str) -> ScenarioConfig:
     """Parse a scenario config file; errors carry line numbers."""
-    scalars: dict[str, str] = {}
-    scalar_lines: dict[str, int] = {}
+    settings: dict[str, dict] = {"road": {}, "vehicle": {}, "dev": {}, "scenario": {}}
     lane_gaps: dict[int, tuple[list[float], int]] = {}
     triggers: list[tuple[BrakeTrigger, int]] = []  # (trigger, line)
     delays: dict[tuple[int, int], tuple[float, int]] = {}  # target: (delay, line)
@@ -877,90 +912,41 @@ def scenario_from_text(text: str) -> ScenarioConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "trigger":
-            with _at_line(lineno):
-                triggers.append((BrakeTrigger(*_parse_target(value, lineno)), lineno))
-        elif key == "ber_delay":
-            lane, idx, delay = _parse_target(value, lineno)
-            delays[(lane, idx)] = (delay, lineno)
-        elif key.startswith("lane.") and key.endswith(".gaps"):
-            middle = key[len("lane."):-len(".gaps")]
-            try:
-                lane_no = int(middle)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad lane key {key!r}") from None
-            gaps = [] if value == "" else _parse_floats(value, lineno, value.count(",") + 1)
-            lane_gaps[lane_no] = (gaps, lineno)
-        else:
-            if key in scalars:
-                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-            scalars[key] = value
-            scalar_lines[key] = lineno
+        with _at_line(lineno):
+            if "=" not in line:
+                raise ConfigError("expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key == "trigger":
+                triggers.append((BrakeTrigger(*_parse_target(value)), lineno))
+            elif key == "ber_delay":
+                lane, idx, delay = _parse_target(value)
+                delays[(lane, idx)] = (delay, lineno)
+            elif key.startswith("lane.") and key.endswith(".gaps"):
+                try:
+                    lane_no = int(key[len("lane."):-len(".gaps")])
+                except ValueError:
+                    raise ConfigError(f"bad lane key {key!r}") from None
+                gaps = [] if value == "" else _parse_floats(value, value.count(",") + 1)
+                lane_gaps[lane_no] = (gaps, lineno)
+            elif key not in _KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+            else:
+                obj, name, read = _KEYS[key]
+                if name in settings[obj]:
+                    first = settings[obj][name][2]
+                    raise ConfigError(f"duplicate key {key!r}" if first == key else
+                                      f"give {' or '.join(sorted((first, key)))}, not both")
+                settings[obj][name] = (read(value), lineno, key)
 
-    def need(key: str) -> str:
-        if key not in scalars:
+    for key in _REQUIRED:
+        obj, name, _ = _KEYS[key]
+        if name not in settings[obj]:
             raise ConfigError(f"missing required key {key!r}")
-        return scalars[key]
-
-    def get_float(key: str, default=None) -> float:
-        if key not in scalars:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return float(scalars[key])
-        except ValueError as exc:
-            raise ConfigError(f"line {scalar_lines[key]}: {exc}") from exc
-
-    def get_int(key: str, default=None) -> int:
-        if key not in scalars:
-            return default
-        return _integer(get_float(key), scalar_lines[key], key)
-
-    def given(*fields, read=get_float) -> dict:
-        """The settings {field: (config key, value)} of the (config key,
-        field) pairs the file sets."""
-        return {name: (key, read(key)) for key, name in fields if key in scalars}
-
-    def configured(obj, settings: dict):
-        """obj with the settings applied one at a time, so that a refused
-        value names its line."""
-        for name, (key, value) in settings.items():
-            with _at_line(scalar_lines[key]):
-                obj = replace(obj, **{name: value})
-        return obj
-
-    road = configured(RoadSpec(), {
-        **given(("road.length_km", "length_km"), ("road.min_speed_kmh", "min_speed_kmh")),
-        **given(("road.lanes", "lanes"), read=get_int),
-    })
-    if "vehicle.speed_kmh" in scalars and "vehicle.speed" in scalars:
-        raise ConfigError("give vehicle.speed or vehicle.speed_kmh, not both")
-    if "vehicle.speed_kmh" in scalars:
-        speed = ("vehicle.speed_kmh", get_float("vehicle.speed_kmh") * KMH_TO_MPS)
-    else:
-        speed = ("vehicle.speed", get_float("vehicle.speed"))
-    vehicle = {
-        name: (f"vehicle.{name}", get_float(f"vehicle.{name}"))
-        for name in ("length", "max_brake", "max_accel", "response_time")
-    }
+    road = _applied(RoadSpec(), settings["road"])
     # The vehicle keys have no defaults: start from any valid vehicle, and
     # every field is then replaced by its configured value.
-    params = configured(VehicleParams(1.0, 1.0, 0.0, 0.0, 0.0), {**vehicle, "speed": speed})
-    dev = configured(DeviationSet(regime=Regime.UNCHECKED), given(
-        ("dev.e_l", "length"), ("dev.e_v", "front_speed"),
-        ("dev.e_brake", "brake"), ("dev.e_tau", "response"),
-    ))
-
-    mode = need("mode").lower()
-    latency = (
-        _parse_latency(scalars["latency"], scalar_lines["latency"])
-        if "latency" in scalars
-        else LatencyModel.constant(0.0)
-    )
+    params = _applied(VehicleParams(1.0, 1.0, 0.0, 0.0, 0.0), settings["vehicle"])
+    dev = _applied(DeviationSet(regime=Regime.UNCHECKED), settings["dev"])
 
     lanes = []
     for lane_no in range(road.lanes):
@@ -972,29 +958,24 @@ def scenario_from_text(text: str) -> ScenarioConfig:
     unknown_lanes = set(lane_gaps) - set(range(road.lanes))
     if unknown_lanes:
         raise ConfigError(f"lane keys outside road.lanes: {sorted(unknown_lanes)}")
-
-    def target(key: str, lane_no: int, idx: int, lineno: int):
-        """Refuse a trigger or ber_delay target that names no vehicle."""
-        if not (0 <= lane_no < road.lanes and 0 <= idx < len(lanes[lane_no])):
-            raise ConfigError(f"line {lineno}: {key} target ({lane_no}, {idx}) out of range")
-
     for trig, trig_line in triggers:
-        target("trigger", trig.lane, trig.index, trig_line)
+        with _at_line(trig_line):
+            _check_target(lanes, "trigger", trig.lane, trig.index)
     for (lane_no, idx), (delay, delay_line) in delays.items():
-        target("ber_delay", lane_no, idx, delay_line)
         with _at_line(delay_line):
-            gap = lanes[lane_no][idx].gap_to_predecessor
-            lanes[lane_no][idx] = SpawnSpec(params, gap, delay)
+            _check_target(lanes, "ber_delay", lane_no, idx)
+            lanes[lane_no][idx] = replace(lanes[lane_no][idx], ber_delay=delay)
 
     # The settings ScenarioConfig checks on their own are applied to a
     # one-vehicle scenario, so that a refused value names its line; the full
     # scenario is then built, and checked, once.
+    scenario = settings["scenario"]
+    checked = {name: scenario.pop(name)[0] for name in _CHECKED_WHEN_READ if name in scenario}
     one_car = ScenarioConfig(RoadSpec(lanes=1), [[SpawnSpec(params)]], [BrakeTrigger(0, 0, 0.0)])
-    one_car = configured(one_car, {"mode": ("mode", mode), **given(
-        ("dt", "dt"), ("timeout", "request_timeout"), ("speed_cap", "speed_cap"))})
+    one_car = _applied(one_car, scenario)
     try:
         return replace(one_car, road=road, lanes=lanes, triggers=[t for t, _ in triggers],
-                       dev=dev, latency=latency, rng_seed=get_int("seed", 0))
+                       dev=dev, **checked)
     except SdcapError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -224,6 +224,9 @@ def test_simulate_non_integral_seed_exits_two(capsys, tmp_path):
         ("road.length_km = 10", "road.length_km = -1", "length_km must be > 0"),
         (None, "trigger = 0, 9, 0.0", "trigger target (0, 9) out of range"),
         (None, "latency = uniform: 0.2, 0.1", "latency bounds must satisfy"),
+        (None, "dev.e_tua = 0.5", "unknown key 'dev.e_tua'"),
+        (None, "timout = 0", "unknown key 'timout'"),
+        (None, "vehicle.colour = red", "unknown key 'vehicle.colour'"),
     ],
 )
 def test_simulate_refused_value_names_its_line(capsys, tmp_path, old, new, message):
@@ -248,6 +251,29 @@ def test_simulate_refuses_a_run_above_the_work_cap(capsys, tmp_path, monkeypatch
     assert code == 2
     assert out == ""
     assert "exceeds the cap of 10 vehicle-steps" in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("vehicle.max_brake = 9", "vehicle.max_brake = 1e-320"),
+        ("dt = 0.001", "dt = 1e-320"),
+        ("vehicle.max_accel = 3", "vehicle.max_accel = 1e308"),
+        ("vehicle.response_time = 0.5", "vehicle.response_time = 1e308"),
+    ],
+)
+def test_simulate_refuses_an_unbounded_run_before_it_starts(capsys, tmp_path, monkeypatch,
+                                                            old, new):
+    import sdcap.simulator
+
+    # Each value makes the step bound infinite; nothing may be allocated.
+    monkeypatch.setattr(sdcap.simulator, "_Lane", lambda *args: pytest.fail("lane allocated"))
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace(old, new), encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error: scenario too large: up to inf steps" in err
 
 
 def test_monitor_satisfied_and_violated(capsys, tmp_path):

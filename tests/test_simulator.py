@@ -1,6 +1,7 @@
 """Sudden-brake scenario execution: collisions, blame, determinism, config files."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sdcap import (
     InvalidInputError,
     InvalidParameterError,
     LatencyModel,
+    Regime,
     RoadSpec,
     Run,
     ScenarioConfig,
@@ -489,6 +491,63 @@ def test_config_file_lane_must_exist():
         scenario_from_text(broken)
 
 
+def config_text(cfg, data):
+    """cfg written as a config file: keys in a drawn order, with comments
+    and blank lines, and the trigger lines in their relative order."""
+    fleet = cfg.lanes[0][0].params
+    lines = [
+        f"mode = {data.draw(st.sampled_from((cfg.mode, cfg.mode.upper())))}",
+        f"dt = {cfg.dt!r}",
+        f"seed = {cfg.rng_seed}",
+        f"timeout = {cfg.request_timeout!r}",
+        f"latency = uniform: {cfg.latency.lo!r}, {cfg.latency.hi!r}",
+        f"road.length_km = {cfg.road.length_km!r}",
+        f"road.lanes = {cfg.road.lanes}",
+        f"road.min_speed_kmh = {cfg.road.min_speed_kmh!r}",
+        f"vehicle.length = {fleet.length!r}",
+        f"vehicle.max_brake = {fleet.max_brake!r}",
+        f"vehicle.max_accel = {fleet.max_accel!r}",
+        f"vehicle.speed = {fleet.speed!r}",
+        f"vehicle.response_time = {fleet.response_time!r}",
+        f"dev.e_l = {cfg.dev.length!r}",
+        f"dev.e_v = {cfg.dev.front_speed!r}",
+        f"dev.e_brake = {cfg.dev.brake!r}",
+        f"dev.e_tau = {cfg.dev.response!r}",
+    ]
+    if cfg.speed_cap is not None:
+        lines.append(f"speed_cap = {cfg.speed_cap!r}")
+    for lane_no, lane in enumerate(cfg.lanes):
+        gaps = ", ".join(repr(spawn.gap_to_predecessor) for spawn in lane[1:])
+        lines.append(f"lane.{lane_no}.gaps = {gaps}")
+        lines += [f"ber_delay = {lane_no}, {idx}, {spawn.ber_delay!r}"
+                  for idx, spawn in enumerate(lane) if spawn.ber_delay]
+    triggers = [f"trigger = {t.lane}, {t.index}, {t.time!r}" for t in cfg.triggers]
+    lines = data.draw(st.permutations(lines + triggers))
+    in_order = iter(triggers)
+    lines = [next(in_order) if line.startswith("trigger") else line for line in lines]
+    text = []
+    for line in lines:
+        text += data.draw(st.lists(st.sampled_from(("", "# a comment", "   ")), max_size=2))
+        text.append(line + data.draw(st.sampled_from(("", "  # why", "\t"))))
+    return "\n".join(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.data())
+def test_config_text_round_trips_every_scenario(cfg, data):
+    # The parser builds deviations in the unchecked regime.
+    expected = replace(cfg, dev=replace(cfg.dev, regime=Regime.UNCHECKED))
+    assert scenario_from_text(config_text(cfg, data)) == expected
+
+
+def test_readme_example_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Scenario config files", 1)[1].split("```", 2)[1]
+    cfg = scenario_from_text(example)
+    assert [len(lane) for lane in cfg.lanes] == [3, 1]
+    assert cfg.lanes[0][1].ber_delay == 0.2 and cfg.speed_cap == 30.0
+
+
 def test_summary_parameter_echo():
     cfg = single_lane([D_SAFE])
     summary = scenario_summary(run_scenario(cfg), cfg)
@@ -496,6 +555,23 @@ def test_summary_parameter_echo():
     assert summary["parameters"]["max_brake_mps2"] == 9.0
     assert summary["parameters"]["rng_seed"] == 0
     assert summary["info_sources"]["l0v1"] == "perception"
+
+
+def test_summary_echoes_the_fleet_when_lane_zero_is_empty():
+    cfg = ScenarioConfig(
+        road=RoadSpec(10.0, 2, 100.0),
+        lanes=((), (SpawnSpec(REFERENCE),)),
+        triggers=(BrakeTrigger(1, 0, 0.0),),
+    )
+    parameters = scenario_summary(run_scenario(cfg), cfg)["parameters"]
+    assert (
+        parameters["vehicle_length_m"],
+        parameters["max_brake_mps2"],
+        parameters["max_accel_mps2"],
+        parameters["cruise_speed_mps"],
+        parameters["response_time_s"],
+    ) == (REFERENCE.length, REFERENCE.max_brake, REFERENCE.max_accel, REFERENCE.speed,
+          REFERENCE.response_time)
 
 
 def test_summary_evaluates_the_safety_formula_once_per_vehicle(monkeypatch):
