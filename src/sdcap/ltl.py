@@ -573,24 +573,68 @@ def _csv_field(text: str) -> str:
     return text
 
 
+# Each (ber, collided, responsible) triple as text, indexed by
+# ber << 2 | collided << 1 | responsible.
+_FLAG_FIELDS = tuple(f"{c >> 2},{c >> 1 & 1},{c & 1}" for c in range(8))
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal consecutive values."""
+    changed = np.empty(len(values), dtype=bool)
+    changed[:1] = True
+    np.not_equal(values[1:], values[:-1], out=changed[1:])
+    starts = np.flatnonzero(changed)
+    return starts, np.diff(starts, append=len(values))
+
+
+def _float_fields(column: np.ndarray) -> np.ndarray:
+    """Each value's repr() plus ',', as an object array. A run of equal
+    values is formatted once; runs are split on the bits, so -0.0 and 0.0
+    keep their own text."""
+    starts, lengths = _runs(column.view(np.int64))
+    fields = np.array([f"{x!r}," for x in column[starts].tolist()], dtype=object)
+    return np.repeat(fields, lengths)
+
+
 def write_traces_csv(
     traces: Sequence[Trace],
     stream,
     info_sources: dict[str, str] | None = None,
 ) -> None:
+    """Write the traces as CSV, one write per trace.
+
+    Each row is assembled from per-column strings: a time value is
+    formatted once per (length, dt), a position or velocity once per run of
+    equal values, and the flags come from an 8-entry table, so the Python
+    work grows with the distinct values rather than the rows.
+    """
     columns = list(TRACE_CSV_COLUMNS)
     if info_sources:
         columns.append("info_source")
     stream.write(",".join(columns) + "\n")
+    times: dict[tuple, np.ndarray] = {}
     for trace in traces:
-        vid = _csv_field(trace.vehicle_id)
+        n = len(trace)
+        # An int dt writes int times, so 1 and 1.0 need their own entries.
+        key = (n, trace.dt, type(trace.dt))
+        if key not in times:
+            times[key] = np.array(
+                [f"{t!r}," for t in (np.arange(n) * trace.dt).tolist()], dtype=object
+            )
         source = info_sources.get(trace.vehicle_id, "") if info_sources else None
         end = "\n" if source is None else f",{_csv_field(source)}\n"
-        times = (np.arange(len(trace)) * trace.dt).tolist()
-        stream.writelines(
-            f"{t!r},{vid},{p!r},{v!r},{b:d},{c:d},{r:d}{end}"
-            for t, p, v, b, c, r in zip(times, *(c.tolist() for c in trace._columns()))
+        flags = (
+            trace.ber.view(np.uint8) << 2
+            | trace.collided.view(np.uint8) << 1
+            | trace.responsible.view(np.uint8)
         )
+        fields = np.empty((n, 5), dtype=object)
+        fields[:, 0] = times[key]
+        fields[:, 1] = _csv_field(trace.vehicle_id) + ","
+        fields[:, 2] = _float_fields(trace.position)
+        fields[:, 3] = _float_fields(trace.velocity)
+        fields[:, 4] = np.array([f + end for f in _FLAG_FIELDS], dtype=object)[flags]
+        stream.write("".join(fields.ravel().tolist()))
 
 
 def traces_to_csv(traces: Sequence[Trace], info_sources=None) -> str:
@@ -631,12 +675,17 @@ def _load_rows(lines, usecols, max_rows=None) -> np.ndarray:
         )
 
 
-def _line_of_row(stream, usecols, row: int) -> int:
-    """File line number of data row `row` (0-based), found by re-reading."""
+def _line_of_row(stream, usecols, row: int | None = None) -> int:
+    """File line number of data row `row` (0-based) or, with no row, of the
+    row that fails to parse; found by re-reading the stream and counting
+    its lines, which only a failed read pays for."""
     stream.seek(0)
     stream.readline()
     lines = _CountedLines(stream)
-    _load_rows(lines, usecols, max_rows=row + 1)
+    try:
+        _load_rows(lines, usecols, max_rows=None if row is None else row + 1)
+    except ValueError:
+        pass  # the read stopped at the row that fails to parse
     return 1 + lines.count
 
 
@@ -648,7 +697,7 @@ def read_traces_csv(stream) -> list[Trace]:
     vehicle's rows are sorted by t (stably) and must be uniformly sampled.
     Numbers are decimal literals, flags integers (0 is false). Raises
     InvalidInputError naming the line of a malformed row, or the vehicle
-    whose samples are bad.
+    whose samples are bad; the line is found by reading the stream again.
     """
     header = stream.readline()
     if not header:
@@ -660,12 +709,13 @@ def read_traces_csv(stream) -> list[Trace]:
         raise InvalidInputError(f"trace CSV missing columns: {missing}")
     usecols = [index[c] for c in TRACE_CSV_COLUMNS]
 
-    lines = _CountedLines(stream)
     try:
-        rows = _load_rows(lines, usecols)
+        rows = _load_rows(stream, usecols)
     except ValueError as exc:
         reason = str(exc).split(" at row ")[0]
-        raise InvalidInputError(f"trace CSV line {1 + lines.count}: {reason}") from None
+        raise InvalidInputError(
+            f"trace CSV line {_line_of_row(stream, usecols)}: {reason}"
+        ) from None
     t, position, velocity = rows["t"], rows["position"], rows["velocity"]
     bad = np.flatnonzero(
         ~(np.isfinite(t) & np.isfinite(position) & np.isfinite(velocity) & (velocity >= 0))
@@ -678,11 +728,15 @@ def read_traces_csv(stream) -> list[Trace]:
             f"{t[k]}, {position[k]}, {velocity[k]}"
         )
 
+    # Vehicle codes in order of first appearance, one lookup per run of
+    # rows with the same id.
+    vehicle_ids = rows["vehicle_id"]
+    starts, lengths = _runs(vehicle_ids)
     ids: dict[str, int] = {}
-    codes = np.fromiter(
-        (ids.setdefault(vid, len(ids)) for vid in rows["vehicle_id"]),
-        dtype=np.intp,
-        count=len(rows),
+    codes = np.repeat(
+        np.array([ids.setdefault(vid, len(ids)) for vid in vehicle_ids[starts].tolist()],
+                 dtype=np.intp),
+        lengths,
     )
     order = np.lexsort((t, codes))
     t = t[order]

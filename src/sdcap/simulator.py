@@ -920,12 +920,16 @@ def scenario_from_text(text: str) -> ScenarioConfig:
                 triggers.append((BrakeTrigger(*_parse_target(value)), lineno))
             elif key == "ber_delay":
                 lane, idx, delay = _parse_target(value)
+                if (lane, idx) in delays:
+                    raise ConfigError(f"duplicate ber_delay for lane {lane}, vehicle {idx}")
                 delays[(lane, idx)] = (delay, lineno)
             elif key.startswith("lane.") and key.endswith(".gaps"):
                 try:
                     lane_no = int(key[len("lane."):-len(".gaps")])
                 except ValueError:
                     raise ConfigError(f"bad lane key {key!r}") from None
+                if lane_no in lane_gaps:
+                    raise ConfigError(f"duplicate gaps for lane {lane_no}")
                 gaps = [] if value == "" else _parse_floats(value, value.count(",") + 1)
                 lane_gaps[lane_no] = (gaps, lineno)
             elif key not in _KEYS:
@@ -955,9 +959,10 @@ def scenario_from_text(text: str) -> ScenarioConfig:
         gaps, gaps_line = lane_gaps[lane_no]
         with _at_line(gaps_line):
             lanes.append([SpawnSpec(params, gap) for gap in [None, *gaps]])
-    unknown_lanes = set(lane_gaps) - set(range(road.lanes))
-    if unknown_lanes:
-        raise ConfigError(f"lane keys outside road.lanes: {sorted(unknown_lanes)}")
+    for lane_no, (_, gaps_line) in lane_gaps.items():  # in file order
+        if not 0 <= lane_no < road.lanes:
+            with _at_line(gaps_line):
+                raise ConfigError(f"lane {lane_no} outside road.lanes = {road.lanes}")
     for trig, trig_line in triggers:
         with _at_line(trig_line):
             _check_target(lanes, "trigger", trig.lane, trig.index)

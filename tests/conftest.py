@@ -6,19 +6,25 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sdcap import (
     And,
     Atom,
     BoundaryMode,
+    BrakeTrigger,
+    DeviationSet,
     Finally,
     Globally,
     Implies,
     InfoSource,
     InvalidInputError,
+    LatencyModel,
     Not,
     Or,
+    RoadSpec,
     ScenarioConfig,
+    SpawnSpec,
     Trace,
     VehicleParams,
     VehicleState,
@@ -50,6 +56,10 @@ def reference_params() -> VehicleParams:
     return REFERENCE
 
 
+# The PBV safe gap between two REFERENCE cars (0.5 s response time).
+D_SAFE = safe_longitudinal_distance(REFERENCE, REFERENCE, 0.5)
+
+
 def random_pair(rng: random.Random) -> tuple[VehicleParams, VehicleParams, float]:
     """A homogeneous-braking rear/front pair plus a response time."""
     length = rng.uniform(3.0, 6.0)
@@ -69,6 +79,44 @@ def random_pair(rng: random.Random) -> tuple[VehicleParams, VehicleParams, float
         response_time=rear.response_time,
     )
     return rear, front, rng.uniform(0.0, 1.5)
+
+
+@st.composite
+def scenarios(draw):
+    """Small random roads: 1-2 lanes of 2-8 cars at 0.6-1.3 x the PBV gap,
+    1-3 triggers on or off the step grid, braking delays, PBV or CBV with a
+    latency range that straddles the request timeout, a speed cap or none,
+    and a step of 1-20 ms."""
+    dt = draw(st.floats(0.001, 0.02))
+    delay = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    lanes = []
+    for _ in range(draw(st.integers(1, 2))):
+        column = [SpawnSpec(REFERENCE, None, draw(delay))]
+        for _ in range(draw(st.integers(1, 7))):
+            gap = draw(st.floats(0.6, 1.3)) * D_SAFE
+            column.append(SpawnSpec(REFERENCE, gap, draw(delay)))
+        lanes.append(tuple(column))
+    triggers = []
+    for _ in range(draw(st.integers(1, 3))):
+        lane = draw(st.integers(0, len(lanes) - 1))
+        index = draw(st.integers(0, len(lanes[lane]) - 1))
+        # k steps, plus a fraction of one for a time off the grid.
+        steps = draw(st.integers(0, int(1.0 / dt))) + draw(
+            st.one_of(st.just(0.0), st.floats(0.01, 0.99))
+        )
+        triggers.append(BrakeTrigger(lane, index, steps * dt))
+    return ScenarioConfig(
+        road=RoadSpec(10.0, len(lanes), 100.0),
+        lanes=tuple(lanes),
+        triggers=tuple(triggers),
+        mode=draw(st.sampled_from(("pbv", "cbv"))),
+        dev=DeviationSet(0.96, 1.03, 0.97, 0.95),
+        latency=LatencyModel.uniform(0.05, 0.15),
+        dt=dt,
+        rng_seed=draw(st.integers(0, 2**31)),
+        request_timeout=0.1,
+        speed_cap=draw(st.one_of(st.none(), st.floats(REFERENCE.speed, REFERENCE.speed + 3.0))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +255,32 @@ def reference_read_traces_csv(stream):
                 raise InvalidInputError(f"trace {vid}: non-uniform sampling step")
         traces.append(Trace(vid, tuple(state for _, state in rows), dt))
     return traces
+
+
+# ---------------------------------------------------------------------------
+# Reference trace-CSV writer: one formatted row at a time. It is the writer
+# the library used before it assembled rows from per-column strings.
+
+
+def reference_write_traces_csv(traces, stream, info_sources=None):
+    def field(text):
+        if "," in text or '"' in text:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    columns = list(TRACE_CSV_COLUMNS)
+    if info_sources:
+        columns.append("info_source")
+    stream.write(",".join(columns) + "\n")
+    for trace in traces:
+        vid = field(trace.vehicle_id)
+        source = info_sources.get(trace.vehicle_id, "") if info_sources else None
+        end = "\n" if source is None else f",{field(source)}\n"
+        times = (np.arange(len(trace)) * trace.dt).tolist()
+        stream.writelines(
+            f"{t!r},{vid},{p!r},{v!r},{b:d},{c:d},{r:d}{end}"
+            for t, p, v, b, c, r in zip(times, *(c.tolist() for c in trace._columns()))
+        )
 
 
 # ---------------------------------------------------------------------------

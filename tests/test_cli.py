@@ -227,6 +227,11 @@ def test_simulate_non_integral_seed_exits_two(capsys, tmp_path):
         (None, "dev.e_tua = 0.5", "unknown key 'dev.e_tua'"),
         (None, "timout = 0", "unknown key 'timout'"),
         (None, "vehicle.colour = red", "unknown key 'vehicle.colour'"),
+        (None, "lane.0.gaps = 30", "duplicate gaps for lane 0"),
+        (None, "lane.00.gaps = 30", "duplicate gaps for lane 0"),
+        (None, "ber_delay = 0, 1, 0.5\nber_delay = 0, 1, 0.0",
+         "duplicate ber_delay for lane 0, vehicle 1"),
+        (None, "lane.2.gaps = 30", "lane 2 outside road.lanes = 2"),
     ],
 )
 def test_simulate_refused_value_names_its_line(capsys, tmp_path, old, new, message):
@@ -234,7 +239,8 @@ def test_simulate_refused_value_names_its_line(capsys, tmp_path, old, new, messa
     text = path.read_text()
     text = text.replace(old, new) if old else text + new + "\n"
     path.write_text(text, encoding="utf-8")
-    lineno = text.splitlines().index(new) + 1
+    # The last of the new lines is the refused one.
+    lineno = text.splitlines().index(new.splitlines()[-1]) + 1
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 2
     assert out == ""

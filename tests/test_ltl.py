@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdcap import (
@@ -23,12 +23,14 @@ from sdcap import (
     InvalidInputError,
     Not,
     Or,
+    ScenarioConfig,
     Trace,
     VehicleState,
     evaluate,
     parse_formula,
     read_traces_csv,
     road_safe,
+    run_scenario,
     sdt,
     vehicle_safe,
     write_traces_csv,
@@ -39,6 +41,8 @@ from conftest import (
     random_trace,
     reference_evaluate,
     reference_read_traces_csv,
+    reference_write_traces_csv,
+    scenarios,
 )
 
 
@@ -464,6 +468,75 @@ def test_long_traces_and_wide_windows_match_reference(data, n, seed, switch, bou
 
 
 # ---------------------------------------------------------------------------
+# Trace CSV writer against the reference writer
+
+# Few distinct values, so that runs form and -0.0 meets 0.0.
+_POSITIONS = st.sampled_from((0.0, -0.0, -2.5, 0.1 + 0.2, 5e-324, 27.78, 1e22))
+_VELOCITIES = st.sampled_from((0.0, -0.0, 0.1 + 0.2, 5e-324, 27.78))
+_NAMES = st.sampled_from(("v", "car,1", 'a"b', '"', ","))
+
+
+def _columns(position, velocity, ber=None, collided=None, responsible=None):
+    """Trace.from_columns keywords; flags not given are all false."""
+    false = [False] * len(position)
+    return dict(position=position, velocity=velocity, ber=ber or false,
+                collided=collided or false, responsible=responsible or false)
+
+
+@st.composite
+def hand_built_traces(draw):
+    """(traces, info_sources): 1-3 traces, each with its own length and dt
+    (an int dt among them), of few distinct values and a repeated tail, as
+    a halted car has; ids and sources may hold ',' or '"', and the sources
+    may leave a vehicle out, or be empty or absent."""
+    traces = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.one_of(st.sampled_from((2, 40)), st.integers(1, 60)))
+        moving = draw(st.integers(1, n))
+
+        def with_tail(values):
+            head = draw(st.lists(values, min_size=moving, max_size=moving))
+            return head + head[-1:] * (n - moving)
+
+        hit = draw(st.integers(0, n))
+        columns = _columns(
+            with_tail(_POSITIONS),
+            with_tail(_VELOCITIES),
+            draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+            [j >= hit for j in range(n)],
+            draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        )
+        dt = draw(st.sampled_from((0.1, 0.001, 1, 1.0)))
+        traces.append(Trace.from_columns(draw(_NAMES) + str(k), dt, **columns))
+    ids = st.sampled_from([t.vehicle_id for t in traces])
+    return traces, draw(st.one_of(st.none(), st.dictionaries(ids, _NAMES)))
+
+
+def _written(writer, traces, info_sources) -> str:
+    out = io.StringIO()
+    writer(traces, out, info_sources)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(scenarios(), st.booleans()), hand_built_traces()))
+@example(([Trace.from_columns("z", 0.5, **_columns([0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]))],
+          None))
+@example(([Trace.from_columns(f"same-n{k}", dt, **_columns([1.0] * 3, [0.0] * 3))
+           for k, dt in enumerate((0.1, 0.2, 1, 1.0))]
+          + [Trace.from_columns("other-n", 0.1, **_columns([1.0] * 5, [0.0] * 5))],
+          {"same-n0": "x,y", "same-n1": 'say "hi"'}))
+def test_writer_matches_reference_writer(case):
+    traces, info_sources = case
+    if isinstance(traces, ScenarioConfig):  # a run, with its info sources or without
+        run = run_scenario(traces)
+        traces, info_sources = run, run.info_sources if info_sources else None
+    assert _written(write_traces_csv, traces, info_sources) == _written(
+        reference_write_traces_csv, traces, info_sources
+    )
+
+
+# ---------------------------------------------------------------------------
 # Trace CSV reader against the reference reader
 
 
@@ -573,6 +646,24 @@ def test_reader_names_the_bad_line():
         text = header + "".join(rows[:2]) + "\n" + bad_row + "".join(rows[2:])
         with pytest.raises(InvalidInputError, match="line 5"):
             read_traces_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("position, ber, message", [
+    ("1.0", "x", "could not convert"),  # a parse error
+    ("nan", "0", "must be finite"),     # a value error
+])
+def test_reader_names_the_bad_line_of_a_long_crlf_file(position, ber, message):
+    # 120k rows with CRLF endings and a blank line after every 1000th, far
+    # past any chunk loadtxt reads at once; the last row is malformed.
+    lines = [",".join(TRACE_CSV_COLUMNS)]
+    for k in range(120_000):
+        lines.append(f"{k * 0.1!r},a,{k}.0,1.0,0,0,0")
+        if k % 1000 == 999:
+            lines.append("")
+    lines.append(f"12000.0,a,{position},1.0,{ber},0,0")
+    text = "\r\n".join(lines) + "\r\n"
+    with pytest.raises(InvalidInputError, match=f"^trace CSV line {len(lines)}: .*{message}"):
+        read_traces_csv(io.StringIO(text, newline=""))
 
 
 def test_reader_rejects_empty_input_and_returns_no_traces_for_a_bare_header():

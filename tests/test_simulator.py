@@ -26,7 +26,6 @@ from sdcap import (
     corrected_safe_distance,
     road_safe,
     run_scenario,
-    safe_longitudinal_distance,
     scenario_from_text,
     scenario_summary,
     sdt,
@@ -34,13 +33,13 @@ from sdcap import (
 from sdcap.ltl import traces_to_csv
 from sdcap.simulator import info_source_labels, link_resolutions
 from conftest import (
+    D_SAFE,
     REFERENCE,
     rear_end_pairs,
     reference_assign_responsibility,
     reference_run_scenario,
+    scenarios,
 )
-
-D_SAFE = safe_longitudinal_distance(REFERENCE, REFERENCE, 0.5)
 
 
 def single_lane(gaps, *, params=REFERENCE, triggers=((0, 0, 0.0),), dt=1e-3,
@@ -234,44 +233,6 @@ def test_triggered_mid_chain_leaves_vehicles_ahead_cruising():
     assert all(s.velocity == REFERENCE.speed for s in lead.steps)
     assert not any(s.ber_active for s in lead.steps)
     assert summary["road_safe"] is True
-
-
-@st.composite
-def scenarios(draw):
-    """Small random roads: 1-2 lanes of 2-8 cars at 0.6-1.3 x the PBV gap,
-    1-3 triggers on or off the step grid, braking delays, PBV or CBV with a
-    latency range that straddles the request timeout, a speed cap or none,
-    and a step of 1-20 ms."""
-    dt = draw(st.floats(0.001, 0.02))
-    delay = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
-    lanes = []
-    for _ in range(draw(st.integers(1, 2))):
-        column = [SpawnSpec(REFERENCE, None, draw(delay))]
-        for _ in range(draw(st.integers(1, 7))):
-            gap = draw(st.floats(0.6, 1.3)) * D_SAFE
-            column.append(SpawnSpec(REFERENCE, gap, draw(delay)))
-        lanes.append(tuple(column))
-    triggers = []
-    for _ in range(draw(st.integers(1, 3))):
-        lane = draw(st.integers(0, len(lanes) - 1))
-        index = draw(st.integers(0, len(lanes[lane]) - 1))
-        # k steps, plus a fraction of one for a time off the grid.
-        steps = draw(st.integers(0, int(1.0 / dt))) + draw(
-            st.one_of(st.just(0.0), st.floats(0.01, 0.99))
-        )
-        triggers.append(BrakeTrigger(lane, index, steps * dt))
-    return ScenarioConfig(
-        road=RoadSpec(10.0, len(lanes), 100.0),
-        lanes=tuple(lanes),
-        triggers=tuple(triggers),
-        mode=draw(st.sampled_from(("pbv", "cbv"))),
-        dev=DeviationSet(0.96, 1.03, 0.97, 0.95),
-        latency=LatencyModel.uniform(0.05, 0.15),
-        dt=dt,
-        rng_seed=draw(st.integers(0, 2**31)),
-        request_timeout=0.1,
-        speed_cap=draw(st.one_of(st.none(), st.floats(REFERENCE.speed, REFERENCE.speed + 3.0))),
-    )
 
 
 @settings(max_examples=60, deadline=None)
