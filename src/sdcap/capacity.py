@@ -10,9 +10,9 @@ spacing collapses to a single closed-form distance.
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, SdcapError
 from .kinematics import safe_longitudinal_distance
 from .params import KMH_TO_MPS, VehicleParams, require_finite
 from .perception import DeviationSet, Regime
@@ -49,6 +49,29 @@ class RoadSpec:
         return self.min_speed_kmh * KMH_TO_MPS
 
 
+def safe_distance(
+    rear: VehicleParams,
+    front: VehicleParams,
+    mode: str,
+    dev: Optional[DeviationSet] = None,
+    eta: float = 0.0,
+) -> float:
+    """The safe gap the rear car must keep, by the information it plans with.
+
+    "pbv": the rear car perceived the front car's conservative values and
+    keeps the closed-form distance at its own response time. "cbv": it
+    received the actual values (dev maps the front car's conservative values
+    to them) after a latency of eta, and keeps the corrected distance.
+    """
+    if mode == "pbv":
+        return safe_longitudinal_distance(rear, front, rear.response_time)
+    if mode == "cbv":
+        if dev is None:
+            raise InvalidInputError("cbv mode requires a DeviationSet")
+        return corrected_safe_distance(rear, front, dev, eta)
+    raise InvalidInputError(f"mode must be 'pbv' or 'cbv', got {mode!r}")
+
+
 def expected_safe_distance(
     fleet: VehicleParams,
     road: RoadSpec,
@@ -58,48 +81,7 @@ def expected_safe_distance(
 ) -> float:
     """Expected safe spacing for a homogeneous fleet pinned at the speed floor."""
     at_floor = fleet.with_speed(road.min_speed_mps)
-    if mode == "pbv":
-        return safe_longitudinal_distance(at_floor, at_floor, fleet.response_time)
-    if mode == "cbv":
-        if dev is None:
-            raise InvalidInputError("cbv mode requires a DeviationSet")
-        return corrected_safe_distance(at_floor, at_floor, dev, eta)
-    raise InvalidInputError(f"mode must be 'pbv' or 'cbv', got {mode!r}")
-
-
-def expected_safe_distance_mixture(
-    fleet: Sequence[tuple[VehicleParams, float]],
-    road: RoadSpec,
-    mode: str,
-    dev: Optional[DeviationSet] = None,
-    eta: float = 0.0,
-) -> float:
-    """Weight-averaged spacing over follower/leader pairs of a mixed fleet.
-
-    Extension beyond the homogeneous model: each (params, weight) entry is
-    a sub-population; the expectation averages the pairwise distance over
-    independent draws of the follower and the leader.
-    """
-    if not fleet:
-        raise InvalidInputError("fleet mixture must be non-empty")
-    total = sum(w for _, w in fleet)
-    if total <= 0:
-        raise InvalidInputError("fleet mixture weights must sum to > 0")
-    expected = 0.0
-    for rear, w_rear in fleet:
-        for front, w_front in fleet:
-            rear_at = rear.with_speed(road.min_speed_mps)
-            front_at = front.with_speed(road.min_speed_mps)
-            if mode == "pbv":
-                d = safe_longitudinal_distance(rear_at, front_at, rear.response_time)
-            elif mode == "cbv":
-                if dev is None:
-                    raise InvalidInputError("cbv mode requires a DeviationSet")
-                d = corrected_safe_distance(rear_at, front_at, dev, eta)
-            else:
-                raise InvalidInputError(f"mode must be 'pbv' or 'cbv', got {mode!r}")
-            expected += (w_rear / total) * (w_front / total) * d
-    return expected
+    return safe_distance(at_floor, at_floor, mode, dev, eta)
 
 
 def sdc(road: RoadSpec, expected_distance: float, vehicle_length: float) -> int:
@@ -150,6 +132,16 @@ class CapacityReport:
         }
 
 
+def _cooperative_capacity(
+    fleet_cbv: VehicleParams, road: RoadSpec, dev: DeviationSet, eta: float
+) -> tuple[float, int]:
+    """Cooperative spacing and capacity. fleet_cbv is the fleet at the speed
+    floor with its cooperative-mode response time; it packs at the
+    communicated actual length."""
+    d_cbv = safe_distance(fleet_cbv, fleet_cbv, "cbv", dev, eta)
+    return d_cbv, sdc(road, d_cbv, dev.length * fleet_cbv.length)
+
+
 def capacity_report(
     fleet_pbv: VehicleParams,
     road: RoadSpec,
@@ -164,11 +156,11 @@ def capacity_report(
     the communicated actual length.
     """
     d_pbv = expected_safe_distance(fleet_pbv, road, "pbv")
-    fleet_cbv = fleet_pbv.with_response_time(cbv_response_time)
-    d_cbv = expected_safe_distance(fleet_cbv, road, "cbv", dev, eta)
+    fleet_cbv = fleet_pbv.with_speed(road.min_speed_mps).with_response_time(cbv_response_time)
+    d_cbv, sdc_cbv = _cooperative_capacity(fleet_cbv, road, dev, eta)
     return CapacityReport(
         sdc_pbv=sdc(road, d_pbv, fleet_pbv.length),
-        sdc_cbv=sdc(road, d_cbv, dev.length * fleet_pbv.length),
+        sdc_cbv=sdc_cbv,
         expected_distance_pbv=d_pbv,
         expected_distance_cbv=d_cbv,
         parameters={
@@ -261,8 +253,12 @@ def check_capacity_bound(
     side condition (corrected response time + latency not above the
     perception-mode response time); offending points are rejected with a
     diagnostic and not counted. Both capacities are those of `road`, whose
-    speed floor is the speed the fleet is evaluated at.
+    speed floor is the speed the fleet is evaluated at. The perception side
+    does not depend on the grid and is computed once.
     """
+    d_pbv = expected_safe_distance(fleet_pbv, road, "pbv")
+    sdc_pbv = sdc(road, d_pbv, fleet_pbv.length)
+    fleet_cbv = fleet_pbv.with_speed(road.min_speed_mps).with_response_time(cbv_response_time)
     rows: list[SweepRow] = []
     violations: list[SweepRow] = []
     rejected: list[str] = []
@@ -275,7 +271,7 @@ def check_capacity_bound(
                 response=e_tau,
                 regime=Regime.CONSERVATIVE,
             )
-        except Exception as exc:
+        except SdcapError as exc:
             rejected.append(
                 f"point (e_tau={e_tau}, e_brake={e_brake}, e_v={e_v}, eta={eta}): {exc}"
             )
@@ -287,17 +283,8 @@ def check_capacity_bound(
                 f"(e_tau*{cbv_response_time} + eta > {fleet_pbv.response_time})"
             )
             continue
-        report = capacity_report(fleet_pbv, road, dev, eta, cbv_response_time)
-        row = SweepRow(
-            e_tau=e_tau,
-            e_brake=e_brake,
-            e_v=e_v,
-            eta=eta,
-            d_pbv=report.expected_distance_pbv,
-            d_cbv=report.expected_distance_cbv,
-            sdc_pbv=report.sdc_pbv,
-            sdc_cbv=report.sdc_cbv,
-        )
+        d_cbv, sdc_cbv = _cooperative_capacity(fleet_cbv, road, dev, eta)
+        row = SweepRow(e_tau, e_brake, e_v, eta, d_pbv, d_cbv, sdc_pbv, sdc_cbv)
         rows.append(row)
         if row.sdc_cbv < row.sdc_pbv:
             violations.append(row)

@@ -17,14 +17,14 @@ from .capacity import (
     SweepGrid,
     capacity_report,
     check_capacity_bound,
+    safe_distance,
     sdc_per_lane,
 )
 from .errors import InvalidInputError, SdcapError
-from .kinematics import safe_longitudinal_distance
 from .ltl import evaluate, parse_formula, read_traces_csv, write_traces_csv
 from .params import KMH_TO_MPS, VehicleParams
 from .perception import DeviationSet, Regime
-from .protocol import LATENCY_PRESETS, corrected_safe_distance
+from .protocol import LATENCY_PRESETS
 from .simulator import (
     run_scenario,
     scenario_from_file,
@@ -48,7 +48,10 @@ def _parse_eta(text: str) -> float:
     label = text.strip().lower()
     if label in LATENCY_PRESETS:
         return LATENCY_PRESETS[label].lo
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _parse_axis(text: str) -> tuple[float, ...]:
@@ -129,19 +132,20 @@ def cmd_distance(args) -> int:
         f"vr={speed_rear!r} m/s vf={speed_front!r} m/s brake={args.brake} "
         f"acc={args.acc} L={args.length}"
     )
+    lines = []  # printed only once every requested distance is known
     if args.mode in ("pbv", "both"):
         rear = _vehicle_from_args(args, speed_rear)
-        d = safe_longitudinal_distance(rear, front, args.tau0)
-        print(f"pbv_distance_m={d!r} tau={args.tau0} {echo}")
+        d = safe_distance(rear, front, "pbv")
+        lines.append(f"pbv_distance_m={d!r} tau={args.tau0} {echo}")
     if args.mode in ("cbv", "both"):
         rear = _vehicle_from_args(args, speed_rear).with_response_time(args.cbv_tau0)
-        dev = _deviations_from_args(args)
-        d = corrected_safe_distance(rear, front, dev, args.eta)
-        print(
+        d = safe_distance(rear, front, "cbv", _deviations_from_args(args), args.eta)
+        lines.append(
             f"cbv_distance_m={d!r} tau0={args.cbv_tau0} eta={args.eta} "
             f"e_l={args.e_l} e_v={args.e_v} e_brake={args.e_brake} "
             f"e_tau={args.e_tau} {echo}"
         )
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, OracleError
-from .params import VehicleParams, require_finite
+from .params import VehicleParams, require_closed_form, require_finite
 
 
 def max_speed_after_response(rear: VehicleParams, tau: float) -> float:
@@ -66,13 +66,14 @@ def safe_longitudinal_distance(
     """
     length = _require_equal_lengths(rear, front)
     t_front = time_to_stop_front(front)
-    t_rear = time_to_stop_rear(rear, tau)
+    t_rear = require_closed_form("rear stopping time", time_to_stop_rear(rear, tau))
     if t_front >= t_rear:
         return length
     v_peak = max_speed_after_response(rear, tau)
     rear_travel = 0.5 * (rear.speed + v_peak) * tau + 0.5 * (t_rear - tau) * v_peak
     front_travel = 0.5 * front.speed * t_front
-    return max(length, length + rear_travel - front_travel)
+    distance = require_closed_form("safe distance", length + rear_travel - front_travel)
+    return max(length, distance)
 
 
 @dataclass(frozen=True)

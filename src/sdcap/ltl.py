@@ -320,24 +320,17 @@ def _combine(trace: Trace, f: Formula, args: list, boundary: BoundaryMode) -> np
 
 def _window(x: np.ndarray, lo: int, hi: int, boundary: BoundaryMode, every: bool) -> np.ndarray:
     """G[lo,hi] x (every=True) or F[lo,hi] x at every step, from counts of
-    true values over each window clipped to the trace."""
+    true values over each window of x padded past its end."""
     n = len(x)
     # Offsets at or beyond n all fall past the last step: clipping them
     # keeps the arithmetic small for any window width.
     lo, hi = min(lo, n), min(hi, n)
-    steps = np.arange(n)
-    start = np.minimum(steps + lo, n)
-    end = np.minimum(steps + hi + 1, n)
-    counts = np.concatenate(([0], np.cumsum(x, dtype=np.intp)))
-    inside = counts[end] - counts[start]
-    verdict = inside == end - start if every else inside > 0
-    if boundary is BoundaryMode.ABSORBING:
-        # Windows reaching past the end also read the final state.
-        if every:
-            verdict[n - hi:] &= x[-1]
-        else:
-            verdict[n - hi:] |= x[-1]
-    return verdict
+    # Past the end, an absorbing window reads the final state; a strict one
+    # reads a value that decides nothing (true for G, false for F).
+    pad = x[-1] if boundary is BoundaryMode.ABSORBING else every
+    counts = np.cumsum(np.concatenate(([False], x, np.full(hi, pad))), dtype=np.intp)
+    inside = counts[hi + 1:hi + 1 + n] - counts[lo:lo + n]
+    return inside == hi - lo + 1 if every else inside > 0
 
 
 def safety_formula(horizon: int) -> Formula:

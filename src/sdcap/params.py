@@ -21,6 +21,18 @@ def require_finite(name: str, value: float) -> float:
     return value
 
 
+def require_closed_form(name: str, value: float) -> float:
+    """value, if finite. Parameters whose closed form overflows a double
+    (a near-zero brake, a speed near the largest double) are refused rather
+    than answered with inf, or with the contact distance when both stopping
+    times are inf."""
+    if not math.isfinite(value):
+        raise InvalidParameterError(
+            f"{name} is {value}: the parameters overflow the closed form"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Parameters of one vehicle.

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from .errors import InvalidParameterError
-from .params import VehicleParams, require_finite
+from .params import VehicleParams, require_closed_form, require_finite
 from .perception import (
     DeviationSet,
     MetricKind,
@@ -147,7 +147,7 @@ def corrected_safe_distance(
         )
     tau_eff = dev.response * rear.response_time + eta
     v_peak = rear.speed + tau_eff * rear.max_accel
-    t_rear = tau_eff + v_peak / rear.max_brake
+    t_rear = require_closed_form("rear stopping time", tau_eff + v_peak / rear.max_brake)
 
     front_speed = dev.front_speed * front_conservative.speed
     front_brake = dev.brake * front_conservative.max_brake
@@ -156,14 +156,11 @@ def corrected_safe_distance(
     contact = 0.5 * rear.length * (1.0 + dev.length)
     if t_front >= t_rear:
         return contact
-    return max(
-        contact,
-        0.5
-        * (
-            (rear.length + rear.length * dev.length)
-            - front_speed * t_front
-            + (rear.speed + v_peak) * tau_eff
-            + v_peak * v_peak / rear.max_brake
-        ),
+    distance = 0.5 * (
+        (rear.length + rear.length * dev.length)
+        - front_speed * t_front
+        + (rear.speed + v_peak) * tau_eff
+        + v_peak * v_peak / rear.max_brake
     )
+    return max(contact, require_closed_form("safe distance", distance))
 

@@ -53,9 +53,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import RoadSpec
+from .capacity import RoadSpec, safe_distance
 from .errors import ConfigError, InvalidInputError, InvalidParameterError, SdcapError
-from .kinematics import safe_longitudinal_distance
 # perfbench reads simulator.vehicle_safe, so the name stays importable here.
 from .ltl import Trace, safety_verdicts, vehicle_safe  # noqa: F401
 from .params import KMH_TO_MPS, VehicleParams, require_finite
@@ -66,7 +65,6 @@ from .protocol import (
     InfoSource,
     LATENCY_PRESETS,
     LatencyModel,
-    corrected_safe_distance,
     resolve_front_info,
     sample_latency,
 )
@@ -698,19 +696,13 @@ def assign_responsibility(
         resolution, eta = resolutions[(lane_idx, rear_idx)]
         v_rear = float(velocities[lane_idx][rear_idx, cause_step])
         v_front = float(velocities[lane_idx][rear_idx - 1, cause_step])
-        if cfg.mode == "cbv" and resolution.source is InfoSource.RESPONSE:
-            threshold = corrected_safe_distance(
-                rear.params.with_speed(v_rear),
-                front.params.with_speed(v_front),
-                cfg.dev,
-                eta,
-            )
-        else:
-            threshold = safe_longitudinal_distance(
-                rear.params.with_speed(v_rear),
-                front.params.with_speed(v_front),
-                resolution.effective_tau,
-            )
+        threshold = safe_distance(
+            rear.params.with_speed(v_rear),
+            front.params.with_speed(v_front),
+            "cbv" if resolution.source is InfoSource.RESPONSE else "pbv",
+            cfg.dev,
+            eta,
+        )
         position = positions[lane_idx]
         gap_at_cause = float(position[rear_idx - 1, cause_step] - position[rear_idx, cause_step])
         spaced_too_close = gap_at_cause < threshold - 1e-9

@@ -11,14 +11,15 @@ from sdcap import (
     Regime,
     RoadSpec,
     SweepGrid,
+    VehicleParams,
     capacity_report,
     check_capacity_bound,
     expected_safe_distance,
-    expected_safe_distance_mixture,
     safe_longitudinal_distance,
     sdc,
     sdc_per_lane,
 )
+from sdcap.capacity import safe_distance
 from conftest import REFERENCE
 
 
@@ -96,33 +97,14 @@ def test_expected_safe_distance_cbv_collapse():
 
 
 def test_expected_safe_distance_guards():
-    with pytest.raises(InvalidInputError):
-        expected_safe_distance(REFERENCE, RoadSpec(), "cbv")
-    with pytest.raises(InvalidInputError):
-        expected_safe_distance(REFERENCE, RoadSpec(), "quantum")
-
-
-def test_mixture_collapses_to_homogeneous_point():
-    road = RoadSpec()
-    single = expected_safe_distance(REFERENCE, road, "pbv")
-    mixture = expected_safe_distance_mixture([(REFERENCE, 1.0)], road, "pbv")
-    assert mixture == pytest.approx(single)
-    doubled = expected_safe_distance_mixture(
-        [(REFERENCE, 2.0), (REFERENCE, 3.0)], road, "pbv"
-    )
-    assert doubled == pytest.approx(single)
-
-
-def test_mixture_averages_pairwise_distances():
-    road = RoadSpec()
-    slow = REFERENCE.with_response_time(0.3)
-    mixture = expected_safe_distance_mixture(
-        [(REFERENCE, 1.0), (slow, 1.0)], road, "pbv"
-    )
-    at_floor = REFERENCE.with_speed(road.min_speed_mps)
-    d_fast = safe_longitudinal_distance(at_floor, at_floor, 0.5)
-    d_slow = safe_longitudinal_distance(at_floor, at_floor, 0.3)
-    assert mixture == pytest.approx(0.5 * d_fast + 0.5 * d_slow)
+    for distance in (
+        lambda *args: expected_safe_distance(REFERENCE, RoadSpec(), *args),
+        lambda *args: safe_distance(REFERENCE, REFERENCE, *args),
+    ):
+        with pytest.raises(InvalidInputError, match="cbv mode requires a DeviationSet"):
+            distance("cbv")
+        with pytest.raises(InvalidInputError, match="mode must be 'pbv' or 'cbv', got 'quantum'"):
+            distance("quantum")
 
 
 def test_capacity_report_default_point():
@@ -190,6 +172,72 @@ def test_check_capacity_bound_rejects_delay_side_condition():
     report = check_capacity_bound(grid, REFERENCE, 0.4)
     assert not report.rows
     assert "side condition" in report.rejected[0]
+
+
+def test_sweep_rows_equal_capacity_report_at_each_point():
+    rng = random.Random(2024)
+    tau0 = rng.uniform(0.3, 0.8)
+    cbv_tau0 = rng.uniform(0.5, 0.9) * tau0
+    fleet = VehicleParams(
+        length=rng.uniform(3.0, 6.0),
+        max_brake=rng.uniform(6.0, 10.0),
+        max_accel=rng.uniform(1.0, 4.0),
+        speed=rng.uniform(0.0, 40.0),
+        response_time=tau0,
+    )
+    floor = RoadSpec(lanes=rng.randint(1, 4), min_speed_kmh=rng.uniform(40.0, 130.0))
+    e_length = rng.uniform(0.85, 0.95)
+    # Put the PBV packing half a (1 - e_length) body length short of a whole
+    # number of spacings, so packing at any other length changes SDC_pbv.
+    d_pbv = expected_safe_distance(fleet, floor, "pbv")
+    length_m = rng.randint(200, 600) * d_pbv / floor.lanes + fleet.length
+    length_m -= 0.5 * (1.0 - e_length) * fleet.length
+    road = RoadSpec(length_m / 1000.0, floor.lanes, floor.min_speed_kmh)
+
+    def axis(lo, hi, bad=None):
+        values = [rng.uniform(lo, hi) for _ in range(3)]
+        if bad is not None:
+            values.insert(rng.randrange(4), bad)
+        return tuple(values)
+
+    out_of_regime_e_v, late_eta = 0.97, tau0
+    grid = SweepGrid(
+        e_tau=axis(0.85, 1.0),
+        e_brake=axis(0.85, 1.0),
+        e_v=axis(1.0, 1.1, bad=out_of_regime_e_v),
+        eta=axis(0.0, tau0 - cbv_tau0, bad=late_eta),
+        e_length=e_length,
+    )
+    report = check_capacity_bound(grid, fleet, cbv_tau0, road)
+
+    rows, rejected = [], []
+    for e_tau, e_brake, e_v, eta in grid.points():
+        point = f"point (e_tau={e_tau}, e_brake={e_brake}, e_v={e_v}, eta={eta}): "
+        if e_v == out_of_regime_e_v:
+            rejected.append(
+                point + f"deviation front_speed={e_v} violates the conservative regime "
+                "(must be >= 1)"
+            )
+        elif eta == late_eta:
+            rejected.append(
+                point + "delay side condition violated "
+                f"(e_tau*{cbv_tau0} + eta > {tau0})"
+            )
+        else:
+            dev = DeviationSet(e_length, e_v, e_brake, e_tau)
+            at_point = capacity_report(fleet, road, dev, eta, cbv_tau0)
+            rows.append((e_tau, e_brake, e_v, eta, at_point))
+    assert list(report.rejected) == rejected
+    assert len(report.rows) == len(rows) == 81
+    for row, (e_tau, e_brake, e_v, eta, at_point) in zip(report.rows, rows):
+        assert (row.e_tau, row.e_brake, row.e_v, row.eta) == (e_tau, e_brake, e_v, eta)
+        assert row.d_pbv == at_point.expected_distance_pbv
+        assert row.d_cbv == at_point.expected_distance_cbv
+        assert row.sdc_pbv == at_point.sdc_pbv
+        assert row.sdc_cbv == at_point.sdc_cbv
+    assert report.violations == tuple(r for r in report.rows if r.sdc_cbv < r.sdc_pbv)
+    assert report.rows[0].sdc_pbv == sdc(road, d_pbv, fleet.length)
+    assert report.rows[0].sdc_pbv != sdc(road, d_pbv, e_length * fleet.length)
 
 
 def test_sweep_grid_rejects_empty_axis():

@@ -52,6 +52,42 @@ def test_distance_missing_flags_is_usage_error(capsys):
     assert run_cli(capsys, "distance", "--vr", "100")[0] == 2
 
 
+OVERFLOW = "the parameters overflow the closed form"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["sdc", "--brake", "1e-320"], f"rear stopping time is inf: {OVERFLOW}"),
+        (["distance", "--vr", "3", "--vf", "3", "--brake", "1e-320"],
+         f"rear stopping time is inf: {OVERFLOW}"),
+        (["distance", "--vr", "1e308", "--vf", "0"], f"safe distance is inf: {OVERFLOW}"),
+        (["distance", "--vr", "1e308", "--vf", "0", "--mode", "cbv"],
+         f"safe distance is inf: {OVERFLOW}"),
+    ],
+)
+def test_overflowing_closed_form_is_refused(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "eta, named",
+    [
+        ("inf", "argument --eta: must be a finite number, got 'inf'"),
+        ("nan", "argument --eta: must be a finite number, got 'nan'"),
+        ("-1", "eta must be >= 0, got -1.0"),
+    ],
+)
+def test_distance_refused_eta_prints_no_distance(capsys, eta, named):
+    code, out, err = run_cli(capsys, "distance", "--vr", "3", "--vf", "3", "--eta", eta)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
 def test_sdc_defaults(capsys):
     code, out, _ = run_cli(capsys, "sdc")
     assert code == 0
@@ -126,6 +162,7 @@ FINITE = "range needs finite bounds and a finite step > 0"
         (["--eta-axis", "0:1e9:1"], "argument --eta-axis: range '0:1e9:1' has more than the cap"),
         (["--e-tau-axis", "0.5:1:0.001", "--e-brake-axis", "0.5:1:0.001"],
          "--e-tau-axis x --e-brake-axis x --e-v-axis x --eta-axis: 501 x 501 x 6 x 4 points"),
+        (["--eta-axis", "nan"], "argument --eta-axis: must be a finite number, got 'nan'"),
     ],
 )
 def test_sweep_unbounded_axis_is_refused_naming_the_flag(capsys, tmp_path, flags, named):
