@@ -44,18 +44,23 @@ def _speed_mps(value: float, unit: str) -> float:
     return value * KMH_TO_MPS if unit == "kmh" else value
 
 
-def _parse_eta(text: str) -> float:
-    label = text.strip().lower()
-    if label in LATENCY_PRESETS:
-        return LATENCY_PRESETS[label].lo
-    value = float(text)
+def _parse_number(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
-def _parse_axis(text: str) -> tuple[float, ...]:
-    """Axis syntax: comma list of numbers/preset labels, or lo:hi:step."""
+def _parse_eta(text: str) -> float:
+    preset = LATENCY_PRESETS.get(text.strip().lower())
+    return _parse_number(text) if preset is None else preset.lo
+
+
+def _parse_axis(text: str, point=_parse_number) -> tuple[float, ...]:
+    """Axis syntax: comma list of finite numbers, or lo:hi:step."""
     text = text.strip()
     if not text:
         return ()
@@ -74,7 +79,12 @@ def _parse_axis(text: str) -> tuple[float, ...]:
         # lo + k * step grows with k: the points are a prefix of these.
         candidates = (lo + k * step for k in range(int(max(steps, 0.0)) + 2))
         return tuple(round(v, 12) for v in candidates if v <= hi + 1e-12)
-    return tuple(_parse_eta(part) for part in text.split(","))
+    return tuple(point(part) for part in text.split(","))
+
+
+def _parse_eta_axis(text: str) -> tuple[float, ...]:
+    """A latency axis: as _parse_axis, with preset labels in the comma list."""
+    return _parse_axis(text, _parse_eta)
 
 
 def _vehicle_from_args(args, speed: float) -> VehicleParams:
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-tau-axis", type=_parse_axis, default="0.95:1.0:0.01")
     p.add_argument("--e-brake-axis", type=_parse_axis, default="0.95:1.0:0.01")
     p.add_argument("--e-v-axis", type=_parse_axis, default="1.0:1.05:0.01")
-    p.add_argument("--eta-axis", type=_parse_axis, default="5g,dsrc,4g,0.1",
+    p.add_argument("--eta-axis", type=_parse_eta_axis, default="5g,dsrc,4g,0.1",
                    help="comma list of seconds and/or preset labels")
     p.add_argument("--M-km", type=float, default=10.0)
     p.add_argument("--lanes", type=int, default=2)

@@ -3,9 +3,9 @@
 A cooperative rear car requests the front car's parameters over V2V. On a
 response it plans with the communicated actual values and an effective
 response time of (response ratio * machine response time + latency). On a
-timeout it falls back to conservative perception observations, and failing
-that to predefined conservative defaults; the fallback paths carry no
-communication latency.
+timeout a simulated run takes predefined conservative defaults, while
+resolve_front_info models the full chain: perception observations first,
+then the defaults. The fallback paths carry no communication latency.
 """
 
 import random
@@ -151,7 +151,7 @@ def corrected_safe_distance(
 
     front_speed = dev.front_speed * front_conservative.speed
     front_brake = dev.brake * front_conservative.max_brake
-    t_front = front_speed / front_brake
+    t_front = require_closed_form("front stopping time", front_speed / front_brake)
 
     contact = 0.5 * rear.length * (1.0 + dev.length)
     if t_front >= t_rear:

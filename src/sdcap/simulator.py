@@ -49,7 +49,7 @@ MAX_VEHICLE_STEPS vehicle-steps (about 1 GB) is refused before it starts.
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,14 +58,12 @@ from .errors import ConfigError, InvalidInputError, InvalidParameterError, Sdcap
 # perfbench reads simulator.vehicle_safe, so the name stays importable here.
 from .ltl import Trace, safety_verdicts, vehicle_safe  # noqa: F401
 from .params import KMH_TO_MPS, VehicleParams, require_finite
-from .perception import DeviationSet, Regime, corrected_params
+from .perception import DeviationSet, Regime
 from .protocol import (
     DEFAULT_REQUEST_TIMEOUT,
-    FrontInfoResolution,
     InfoSource,
     LATENCY_PRESETS,
     LatencyModel,
-    resolve_front_info,
     sample_latency,
 )
 
@@ -186,42 +184,36 @@ def vehicle_id(lane: int, index: int) -> str:
     return f"l{lane}v{index}"
 
 
-def link_resolutions(
-    cfg: ScenarioConfig,
-) -> dict[tuple[int, int], tuple[FrontInfoResolution, float]]:
-    """Front-car information resolution for every follower, seeded by cfg.
+class Link(NamedTuple):
+    """A follower's front-car information: its source, the follower's
+    effective response time, and the latency drawn (0.0 in PBV)."""
 
-    Perception mode: the follower plans from its conservative onboard view
-    (latency-free). Cooperative mode: one latency draw per link; a draw
-    beyond the request timeout falls back to the conservative defaults.
-    """
+    source: InfoSource
+    effective_tau: float
+    eta: float
+
+
+def link_resolutions(cfg: ScenarioConfig) -> dict[tuple[int, int], Link]:
+    """The Link of every follower (lane, index), seeded by cfg. PBV: the
+    onboard view at the follower's own tau0. CBV: one latency draw eta per
+    link; the response within the request timeout, with e_tau * tau0 + eta,
+    and past it the conservative defaults at tau0."""
     rng = random.Random(cfg.rng_seed)
-    resolutions = {}
+    links = {}
     for lane_idx, lane in enumerate(cfg.lanes):
         for idx in range(1, len(lane)):
-            rear = lane[idx].params
-            front = lane[idx - 1].params
+            tau = lane[idx].params.response_time
             if cfg.mode == "pbv":
-                # The configured params are the conservative onboard view.
-                res = FrontInfoResolution(
-                    InfoSource.PERCEPTION, front, rear.response_time
-                )
-                eta = 0.0
+                link = Link(InfoSource.PERCEPTION, tau, 0.0)
             else:
                 eta = sample_latency(cfg.latency, rng)
                 if eta > cfg.request_timeout:
-                    res = resolve_front_info(None, None, front, rear.response_time)
+                    link = Link(InfoSource.DEFAULTS, tau, eta)
                 else:
-                    res = resolve_front_info(
-                        corrected_params(front, cfg.dev),
-                        None,
-                        front,
-                        rear.response_time,
-                        response_ratio=cfg.dev.response,
-                        eta=eta,
-                    )
-            resolutions[(lane_idx, idx)] = (res, eta)
-    return resolutions
+                    # The operation order of corrected_safe_distance.
+                    link = Link(InfoSource.RESPONSE, cfg.dev.response * tau + eta, eta)
+            links[(lane_idx, idx)] = link
+    return links
 
 
 class _VehicleRT:
@@ -230,7 +222,7 @@ class _VehicleRT:
     __slots__ = (
         "params",
         "ber_delay",
-        "tau_eff",
+        "link",
         "trigger_time",
         "x",
         "v",
@@ -239,10 +231,10 @@ class _VehicleRT:
         "onset",
     )
 
-    def __init__(self, spawn: SpawnSpec, x: float, tau_eff: Optional[float]):
+    def __init__(self, spawn: SpawnSpec, x: float, link: Optional[Link]):
         self.params = spawn.params
         self.ber_delay = spawn.ber_delay
-        self.tau_eff = tau_eff  # None for the lane lead
+        self.link = link  # None for the lane lead
         self.trigger_time: Optional[float] = None
         self.x = x
         self.v = spawn.params.speed
@@ -268,7 +260,7 @@ def _reschedule(lane: list[_VehicleRT]):
             if event is not None:
                 if veh.cause is None or event < veh.cause:
                     veh.cause = event
-                candidates.append(veh.cause + veh.tau_eff + veh.ber_delay)
+                candidates.append(veh.cause + veh.link.effective_tau + veh.ber_delay)
         if candidates:
             onset = min(candidates)
             if veh.onset is None or onset < veh.onset:
@@ -517,12 +509,12 @@ class _Lane:
 
 
 def _start_run(cfg: ScenarioConfig):
-    """A run's initial state: the link resolutions, the vehicles of each
-    lane with their first schedule, the index of each lane's first braking
-    vehicle (None in a lane without a trigger), and a generous bound on the
-    number of steps the episode takes. A scenario whose bound times its
-    vehicle count exceeds MAX_VEHICLE_STEPS is refused here."""
-    resolutions = link_resolutions(cfg)
+    """A run's initial state: the vehicles of each lane, each follower with
+    its Link, and their first schedule, the index of each lane's first
+    braking vehicle (None in a lane without a trigger), and a generous
+    bound on the number of steps the episode takes. A scenario whose bound
+    times its vehicle count exceeds MAX_VEHICLE_STEPS is refused here."""
+    links = link_resolutions(cfg)
     lanes: list[list[_VehicleRT]] = []
     for lane_idx, lane_spec in enumerate(cfg.lanes):
         column: list[_VehicleRT] = []
@@ -530,10 +522,7 @@ def _start_run(cfg: ScenarioConfig):
         for idx, spawn in enumerate(lane_spec):
             if idx > 0:
                 x = column[-1].x - spawn.gap_to_predecessor
-            tau_eff = (
-                resolutions[(lane_idx, idx)][0].effective_tau if idx > 0 else None
-            )
-            column.append(_VehicleRT(spawn, x, tau_eff))
+            column.append(_VehicleRT(spawn, x, links.get((lane_idx, idx))))
         lanes.append(column)
 
     for trig in cfg.triggers:
@@ -554,7 +543,7 @@ def _start_run(cfg: ScenarioConfig):
     max_onset = max(v.onset for v in affected)
     # Generous upper bound on how long the episode can take.
     peak_speed = max(
-        v.params.speed + (0.0 if v.tau_eff is None else v.tau_eff + v.ber_delay)
+        v.params.speed + (0.0 if v.link is None else v.link.effective_tau + v.ber_delay)
         * v.params.max_accel
         for v in affected
     )
@@ -572,14 +561,14 @@ def _start_run(cfg: ScenarioConfig):
             f"vehicles exceeds the cap of {MAX_VEHICLE_STEPS} vehicle-steps; "
             "use a coarser dt or fewer vehicles"
         )
-    return resolutions, lanes, first_affected, int(max_steps)
+    return lanes, first_affected, int(max_steps)
 
 
 class Run(list):
     """A finished run's traces in lane-major order, with two facts the run
     decided: `contacts`, its rear-end contacts as (lane, rear index, step)
     sorted by lane and rear, and `info_sources`, each vehicle's front-car
-    information source from the run's one draw of the link resolutions."""
+    information source from the run's one draw of the links."""
 
     def __init__(self, traces, contacts, info_sources):
         super().__init__(traces)
@@ -600,7 +589,7 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
     its vehicle count exceeds MAX_VEHICLE_STEPS is refused before any
     column is allocated.
     """
-    resolutions, lanes, first_affected, max_steps = _start_run(cfg)
+    lanes, first_affected, max_steps = _start_run(cfg)
     horizon = max_steps + 2  # the last step the episode may take
     times = np.arange(horizon + 1) * cfg.dt
     spans = np.diff(times, prepend=0.0)
@@ -620,20 +609,17 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
         [run.position[:, :last + 1] for run in runs],
         [run.velocity[:, :last + 1] for run in runs],
         contacts,
-        resolutions,
         last,
     )
 
 
-def _traces(cfg, lanes, positions, velocities, contacts, resolutions, last) -> Run:
+def _traces(cfg, lanes, positions, velocities, contacts, last) -> Run:
     """The run's traces, from its samples 0..last (positions[lane][vehicle,
     step]) and the contacts it detected, with blame decided."""
     steps = np.arange(last + 1)
     # Step k's grid time k * dt: the same double in numpy as in Python.
     times = steps * cfg.dt
-    blamed = assign_responsibility(
-        lanes, positions, velocities, contacts, resolutions, cfg, times
-    )
+    blamed = assign_responsibility(lanes, positions, velocities, contacts, cfg, times)
     traces = []
     for lane_idx, lane in enumerate(lanes):
         for idx, veh in enumerate(lane):
@@ -649,7 +635,7 @@ def _traces(cfg, lanes, positions, velocities, contacts, resolutions, last) -> R
                     responsible=steps >= blamed.get((lane_idx, idx), len(steps)),
                 )
             )
-    return Run(traces, sorted(contacts), _info_sources(cfg, resolutions))
+    return Run(traces, sorted(contacts), _labels([[veh.link for veh in lane] for lane in lanes]))
 
 
 def _since(times: np.ndarray, event: Optional[float]) -> np.ndarray:
@@ -672,7 +658,6 @@ def assign_responsibility(
     positions: Sequence[np.ndarray],
     velocities: Sequence[np.ndarray],
     contacts: Sequence[tuple[int, int, int]],
-    resolutions: dict[tuple[int, int], tuple[FrontInfoResolution, float]],
     cfg: ScenarioConfig,
     times: np.ndarray,
 ) -> dict[tuple[int, int], int]:
@@ -680,11 +665,12 @@ def assign_responsibility(
 
     The rear vehicle of a contact is responsible iff (a) its gap at the
     moment its predecessor's sudden stop began was below the safe distance
-    applicable to its information mode, or (b) it failed to start braking
-    within its effective response time of that moment. The front vehicle is
-    never blamed for braking. positions[lane] and velocities[lane] hold the
-    run's samples as [vehicle, step]. Returns {(lane, index): contact step} for the
-    blamed vehicles; without collisions it is empty.
+    applicable to its link's information source, or (b) it failed to start
+    braking within its link's effective response time of that moment. The
+    front vehicle is never blamed for braking. positions[lane] and
+    velocities[lane] hold the run's samples as [vehicle, step]. Returns
+    {(lane, index): contact step} for the blamed vehicles; without
+    collisions it is empty.
     """
     blamed = {}
     for lane_idx, rear_idx, hit_step in contacts:
@@ -693,15 +679,14 @@ def assign_responsibility(
         cause_step = _first(_since(times, front.sudden_stop_time()))
         if cause_step is None:
             continue
-        resolution, eta = resolutions[(lane_idx, rear_idx)]
         v_rear = float(velocities[lane_idx][rear_idx, cause_step])
         v_front = float(velocities[lane_idx][rear_idx - 1, cause_step])
         threshold = safe_distance(
             rear.params.with_speed(v_rear),
             front.params.with_speed(v_front),
-            "cbv" if resolution.source is InfoSource.RESPONSE else "pbv",
+            "cbv" if rear.link.source is InfoSource.RESPONSE else "pbv",
             cfg.dev,
-            eta,
+            rear.link.eta,
         )
         position = positions[lane_idx]
         gap_at_cause = float(position[rear_idx - 1, cause_step] - position[rear_idx, cause_step])
@@ -711,26 +696,29 @@ def assign_responsibility(
         late_braking = (
             onset_step is None
             or onset_step * cfg.dt
-            > cause_step * cfg.dt + resolution.effective_tau + cfg.dt + 1e-9
+            > cause_step * cfg.dt + rear.link.effective_tau + cfg.dt + 1e-9
         )
         if spaced_too_close or late_braking:
             blamed[(lane_idx, rear_idx)] = hit_step
     return blamed
 
 
-def _info_sources(cfg: ScenarioConfig, resolutions) -> dict[str, str]:
-    """Per-vehicle provenance of the front-car information (for trace CSV)."""
+def _labels(links: Sequence[Sequence[Optional[Link]]]) -> dict[str, str]:
+    """Each vehicle's info source by vehicle id (for the trace CSV), from
+    links[lane][index]: its Link, or None ("none") for a lane lead."""
     return {
-        vehicle_id(lane_idx, idx): resolutions[(lane_idx, idx)][0].source.value if idx else "none"
-        for lane_idx, lane in enumerate(cfg.lanes)
-        for idx in range(len(lane))
+        vehicle_id(lane_idx, idx): "none" if link is None else link.source.value
+        for lane_idx, lane in enumerate(links)
+        for idx, link in enumerate(lane)
     }
 
 
 def info_source_labels(cfg: ScenarioConfig) -> dict[str, str]:
     """The info-source labels a run of cfg carries (Run.info_sources), from
-    a fresh draw of the link resolutions."""
-    return _info_sources(cfg, link_resolutions(cfg))
+    a fresh draw of the links."""
+    links = link_resolutions(cfg)
+    return _labels([[links.get((lane_idx, idx)) for idx in range(len(lane))]
+                    for lane_idx, lane in enumerate(cfg.lanes)])
 
 
 def scenario_summary(run: Run, cfg: ScenarioConfig) -> dict:

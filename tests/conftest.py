@@ -324,7 +324,7 @@ def rear_end_pairs(
 def reference_assign_responsibility(traces, cfg):
     """Traces with the responsibility flags of the RSS-style blame rule."""
     by_id = {t.vehicle_id: t for t in traces}
-    resolutions = link_resolutions(cfg)
+    links = link_resolutions(cfg)
     blamed = {}
     for lane_idx, rear_idx, hit_step in rear_end_pairs(traces, cfg):
         rear = by_id[vehicle_id(lane_idx, rear_idx)]
@@ -335,21 +335,21 @@ def reference_assign_responsibility(traces, cfg):
         cause_step = int(stops[0])
         rear_params = cfg.lanes[lane_idx][rear_idx].params
         front_params = cfg.lanes[lane_idx][rear_idx - 1].params
-        resolution, eta = resolutions[(lane_idx, rear_idx)]
+        link = links[(lane_idx, rear_idx)]
         v_rear = float(rear.velocity[cause_step])
         v_front = float(front.velocity[cause_step])
-        if cfg.mode == "cbv" and resolution.source is InfoSource.RESPONSE:
+        if cfg.mode == "cbv" and link.source is InfoSource.RESPONSE:
             threshold = corrected_safe_distance(
                 rear_params.with_speed(v_rear),
                 front_params.with_speed(v_front),
                 cfg.dev,
-                eta,
+                link.eta,
             )
         else:
             threshold = safe_longitudinal_distance(
                 rear_params.with_speed(v_rear),
                 front_params.with_speed(v_front),
-                resolution.effective_tau,
+                link.effective_tau,
             )
         gap_at_cause = float(front.position[cause_step] - rear.position[cause_step])
         spaced_too_close = gap_at_cause < threshold - 1e-9
@@ -358,7 +358,7 @@ def reference_assign_responsibility(traces, cfg):
         late_braking = (
             not onsets.size
             or onsets[0] * rear.dt
-            > cause_step * rear.dt + resolution.effective_tau + rear.dt + 1e-9
+            > cause_step * rear.dt + link.effective_tau + rear.dt + 1e-9
         )
         if spaced_too_close or late_braking:
             vid = rear.vehicle_id
@@ -391,7 +391,7 @@ def reference_assign_responsibility(traces, cfg):
 
 
 def reference_run_scenario(cfg):
-    resolutions, lanes, first_affected, max_steps = _start_run(cfg)
+    lanes, first_affected, max_steps = _start_run(cfg)
     affected = [
         veh
         for lane, first in zip(lanes, first_affected)
@@ -429,6 +429,4 @@ def reference_run_scenario(cfg):
     def columns(samples):
         return [np.array(lane, dtype=float).reshape(len(lane), step + 1) for lane in samples]
 
-    return _traces(
-        cfg, lanes, columns(positions), columns(velocities), contacts, resolutions, step
-    )
+    return _traces(cfg, lanes, columns(positions), columns(velocities), contacts, step)

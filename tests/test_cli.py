@@ -64,6 +64,10 @@ OVERFLOW = "the parameters overflow the closed form"
         (["distance", "--vr", "1e308", "--vf", "0"], f"safe distance is inf: {OVERFLOW}"),
         (["distance", "--vr", "1e308", "--vf", "0", "--mode", "cbv"],
          f"safe distance is inf: {OVERFLOW}"),
+        (["distance", "--vr", "30", "--vf", "30", "--mode", "cbv", "--e-v", "1e308"],
+         f"front stopping time is inf: {OVERFLOW}"),
+        (["distance", "--vr", "30", "--vf", "30", "--mode", "cbv", "--e-brake", "1e-320"],
+         f"front stopping time is inf: {OVERFLOW}"),
     ],
 )
 def test_overflowing_closed_form_is_refused(capsys, argv, named):
@@ -116,7 +120,8 @@ def test_sweep_writes_rows_with_bound_satisfied(capsys, tmp_path):
         "--e-v-axis", "1.0,1.05", "--eta-axis", "5g,dsrc", "--out", str(out_path),
     )
     assert code == 0
-    rows = list(csv.DictReader(out_path.open()))
+    with out_path.open() as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == 16
     assert all(int(r["SDC_cbv"]) >= int(r["SDC_pbv"]) for r in rows)
     assert "violations=0" in out
@@ -129,7 +134,8 @@ def test_sweep_single_point_equality(capsys, tmp_path):
         "--e-v-axis", "1.0", "--eta-axis", "0.1", "--out", str(out_path),
     )
     assert code == 0
-    row = next(csv.DictReader(out_path.open()))
+    with out_path.open() as handle:
+        row = next(csv.DictReader(handle))
     assert float(row["D_pbv_m"]) == pytest.approx(float(row["D_cbv_m"]), abs=1e-9)
     assert row["SDC_pbv"] == row["SDC_cbv"]
 
@@ -163,6 +169,9 @@ FINITE = "range needs finite bounds and a finite step > 0"
         (["--e-tau-axis", "0.5:1:0.001", "--e-brake-axis", "0.5:1:0.001"],
          "--e-tau-axis x --e-brake-axis x --e-v-axis x --eta-axis: 501 x 501 x 6 x 4 points"),
         (["--eta-axis", "nan"], "argument --eta-axis: must be a finite number, got 'nan'"),
+        (["--e-tau-axis", "5g"], "argument --e-tau-axis: must be a finite number, got '5g'"),
+        (["--e-brake-axis", "1.0,dsrc"],
+         "argument --e-brake-axis: must be a finite number, got 'dsrc'"),
     ],
 )
 def test_sweep_unbounded_axis_is_refused_naming_the_flag(capsys, tmp_path, flags, named):

@@ -30,8 +30,10 @@ from sdcap import (
     scenario_summary,
     sdt,
 )
+from sdcap.capacity import safe_distance
 from sdcap.ltl import traces_to_csv
-from sdcap.simulator import info_source_labels, link_resolutions
+from sdcap.protocol import InfoSource
+from sdcap.simulator import Link, info_source_labels, link_resolutions
 from conftest import (
     D_SAFE,
     REFERENCE,
@@ -149,8 +151,8 @@ def test_different_seeds_may_change_latency_draws():
     model = LatencyModel.uniform(0.0, 0.09)
     cfg_a = single_lane([D_SAFE], mode="cbv", latency=model, seed=1)
     cfg_b = single_lane([D_SAFE], mode="cbv", latency=model, seed=2)
-    eta_a = link_resolutions(cfg_a)[(0, 1)][1]
-    eta_b = link_resolutions(cfg_b)[(0, 1)][1]
+    eta_a = link_resolutions(cfg_a)[(0, 1)].eta
+    eta_b = link_resolutions(cfg_b)[(0, 1)].eta
     assert eta_a != eta_b
 
 
@@ -190,14 +192,71 @@ def test_cbv_latency_beyond_timeout_falls_back_to_defaults():
                       latency=LatencyModel.constant(0.5))
     labels = info_source_labels(cfg)
     assert labels["l0v1"] == "defaults"
-    resolution, _ = link_resolutions(cfg)[(0, 1)]
-    assert resolution.effective_tau == params.response_time
+    link = link_resolutions(cfg)[(0, 1)]
+    assert link.source is InfoSource.DEFAULTS
+    assert link.effective_tau == params.response_time
 
 
 def test_cbv_response_provenance_recorded():
     cfg = single_lane([D_SAFE], mode="cbv", latency=LatencyModel.constant(0.01))
     labels = info_source_labels(cfg)
     assert labels == {"l0v0": "none", "l0v1": "response"}
+
+
+def test_link_resolutions_cover_perception_response_and_timeout():
+    params = REFERENCE.with_response_time(0.4)
+    dev = DeviationSet(response=0.95)
+    pbv = single_lane([D_SAFE, D_SAFE], params=params)
+    assert link_resolutions(pbv) == {
+        (0, 1): Link(InfoSource.PERCEPTION, 0.4, 0.0),
+        (0, 2): Link(InfoSource.PERCEPTION, 0.4, 0.0),
+    }
+    # A uniform draw on [0, 0.2] against the 0.1 s timeout: seed 3 draws
+    # one latency on each side of it.
+    cbv = single_lane([D_SAFE, D_SAFE], params=params, mode="cbv", dev=dev,
+                      latency=LatencyModel.uniform(0.0, 0.2), seed=3)
+    links = link_resolutions(cbv)
+    response = next(link for link in links.values() if link.eta <= 0.1)
+    timeout = next(link for link in links.values() if link.eta > 0.1)
+    assert response.source is InfoSource.RESPONSE
+    assert response.effective_tau == 0.95 * 0.4 + response.eta
+    assert timeout.source is InfoSource.DEFAULTS
+    assert timeout.effective_tau == 0.4
+    assert info_source_labels(cbv) == {
+        "l0v0": "none",
+        **{f"l0v{idx}": link.source.value for (_, idx), link in links.items()},
+    }
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2])
+@pytest.mark.parametrize(
+    "mode, tau0, e_tau, eta",
+    [("pbv", 0.5, 1.0, 0.0)]
+    + [("cbv", 0.4, e_tau, eta) for e_tau in (0.9, 1.0) for eta in (0.001, 0.02, 0.09)],
+)
+def test_lane_packed_at_the_safe_distance_closes_without_contact(mode, tau0, e_tau, eta, dt):
+    # The check behind the SDC count: a 12-car lane spaced at safe_distance
+    # whose lead brakes ends with no contact and every car safe, and each
+    # follower stops about one length behind its front car. A link that
+    # planned with too short a response time would stop farther back.
+    params = REFERENCE.with_response_time(tau0)
+    dev = DeviationSet(response=e_tau)
+    gap = safe_distance(params, params, mode, dev, eta)
+    cfg = single_lane([gap] * 11, params=params, dt=dt, mode=mode, dev=dev,
+                      latency=LatencyModel.constant(eta))
+    summary = scenario_summary(run_scenario(cfg), cfg)
+    assert summary["collisions"] == []
+    assert summary["sdt"] == summary["omega"] == 12
+    assert abs(min_pair_gap(summary) - params.length) <= 1e-2
+
+
+def test_cbv_blame_refuses_a_corrected_front_speed_that_overflows():
+    # The cars never move with e_v, but blame's corrected distance does.
+    dev = DeviationSet(front_speed=1e308, regime=Regime.UNCHECKED)
+    cfg = single_lane([0.9 * D_SAFE], mode="cbv", dev=dev,
+                      latency=LatencyModel.constant(0.001))
+    with pytest.raises(InvalidParameterError, match="front stopping time is inf"):
+        run_scenario(cfg)
 
 
 def test_per_step_acceleration_stays_within_vehicle_limits():
@@ -333,7 +392,7 @@ def test_oversized_run_is_refused_before_it_starts(monkeypatch):
     import sdcap.simulator
 
     cfg = single_lane([D_SAFE])
-    _, _, _, max_steps = sdcap.simulator._start_run(cfg)
+    _, _, max_steps = sdcap.simulator._start_run(cfg)
     monkeypatch.setattr(sdcap.simulator, "MAX_VEHICLE_STEPS", 2 * (max_steps + 2))
     run_scenario(cfg)  # exactly at the cap
     monkeypatch.setattr(sdcap.simulator, "MAX_VEHICLE_STEPS", 2 * (max_steps + 2) - 1)
