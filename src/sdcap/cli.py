@@ -235,12 +235,14 @@ def cmd_monitor(args) -> int:
         traces = [t for t in traces if t.vehicle_id == args.vehicle]
         if not traces:
             raise SdcapError(f"vehicle {args.vehicle!r} not present in trace file")
-    all_hold = True
-    for trace in traces:
-        verdict = evaluate(trace, args.at, formula)
-        all_hold = all_hold and verdict
+    if not traces:
+        raise SdcapError(f"trace file {args.trace} holds no vehicles")
+    # Every verdict is decided before any is printed, so a refused --at
+    # or atom prints nothing.
+    verdicts = [evaluate(trace, args.at, formula) for trace in traces]
+    for trace, verdict in zip(traces, verdicts):
         print(f"{trace.vehicle_id}: {'satisfied' if verdict else 'violated'}")
-    return EXIT_OK if all_hold else EXIT_VIOLATED
+    return EXIT_OK if all(verdicts) else EXIT_VIOLATED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,8 @@ A trace is stored as columns (numpy arrays, one value per step), and a
 formula is evaluated bottom-up over the whole trace: each subformula
 becomes one boolean array, and G/F windows are counted from prefix sums,
 so a formula costs O(|f| * N) on an N-step trace whatever its window
-widths.
+widths. A G/F root is decided at the requested step only, from its one
+window over its child's array.
 """
 
 import csv
@@ -130,10 +131,13 @@ class Trace:
 
     `position` and `velocity` are float64 arrays, `ber`, `collided` and
     `responsible` bool arrays; all are read-only and have one entry per
-    step. `steps` is a read-only sequence of VehicleState values built on
-    demand. The trace is validated once, on construction: non-empty, finite
-    positions and velocities, velocities >= 0, a collided flag that never
-    turns off again, and a finite positive dt.
+    step. A column given as a read-only ndarray of its dtype is adopted as
+    it is, not copied, so its owner must not write to it through another
+    view; any other column is copied once and frozen. `steps` is a
+    read-only sequence of VehicleState values built on demand. The trace is
+    validated once, on construction: non-empty, finite positions and
+    velocities, velocities >= 0, a collided flag that never turns off
+    again, and a finite positive dt.
     """
 
     __slots__ = ("vehicle_id", "dt") + tuple(name for name, _ in _COLUMNS)
@@ -154,7 +158,8 @@ class Trace:
     def from_columns(
         cls, vehicle_id: str, dt: float, *, position, velocity, ber, collided, responsible
     ) -> "Trace":
-        """Build a trace from per-step columns (copied)."""
+        """Build a trace from per-step columns (adopted when read-only
+        ndarrays of the column's dtype, copied otherwise)."""
         trace = cls.__new__(cls)
         trace._set(vehicle_id, dt, position, velocity, ber, collided, responsible)
         return trace
@@ -163,9 +168,11 @@ class Trace:
         self.vehicle_id = vehicle_id
         self.dt = dt
         for (name, dtype), values in zip(_COLUMNS, columns):
-            column = np.array(values, dtype=dtype)
-            column.setflags(write=False)
-            setattr(self, name, column)
+            if not (type(values) is np.ndarray and values.dtype == dtype
+                    and not values.flags.writeable):
+                values = np.array(values, dtype=dtype)
+                values.setflags(write=False)
+            setattr(self, name, values)
         if self.position.ndim != 1 or any(
             getattr(self, name).shape != self.position.shape for name, _ in _COLUMNS
         ):
@@ -259,9 +266,18 @@ def evaluate(
     formula: Formula,
     boundary: BoundaryMode = BoundaryMode.ABSORBING,
 ) -> bool:
-    """Evaluate a formula on a trace at step index i."""
+    """Evaluate a formula on a trace at step index i.
+
+    A G/F root is decided from its window at step i alone; every
+    subformula below it is still evaluated over the whole trace."""
     if not (0 <= i < len(trace)):
-        raise EvaluationError(f"index {i} outside trace of length {len(trace)}")
+        raise EvaluationError(
+            f"index {i} outside trace {trace.vehicle_id} of length {len(trace)}"
+        )
+    if isinstance(formula, (Globally, Finally)):
+        x = _truth(trace, formula.child, boundary)
+        return _window_at(x, i, formula.lo, formula.hi, boundary,
+                          every=isinstance(formula, Globally))
     return bool(_truth(trace, formula, boundary)[i])
 
 
@@ -325,12 +341,31 @@ def _window(x: np.ndarray, lo: int, hi: int, boundary: BoundaryMode, every: bool
     # Offsets at or beyond n all fall past the last step: clipping them
     # keeps the arithmetic small for any window width.
     lo, hi = min(lo, n), min(hi, n)
-    # Past the end, an absorbing window reads the final state; a strict one
-    # reads a value that decides nothing (true for G, false for F).
-    pad = x[-1] if boundary is BoundaryMode.ABSORBING else every
-    counts = np.cumsum(np.concatenate(([False], x, np.full(hi, pad))), dtype=np.intp)
+    counts = np.cumsum(
+        np.concatenate(([False], x, np.full(hi, _pad(x, boundary, every)))), dtype=np.intp
+    )
     inside = counts[hi + 1:hi + 1 + n] - counts[lo:lo + n]
     return inside == hi - lo + 1 if every else inside > 0
+
+
+def _window_at(x: np.ndarray, i: int, lo: int, hi: int, boundary: BoundaryMode,
+               every: bool) -> bool:
+    """G[lo,hi] x (every=True) or F[lo,hi] x at step i alone: one window of
+    x, clipped to its end, plus the pad if the window reaches past it."""
+    n = len(x)
+    inside = x[min(i + lo, n):min(i + hi + 1, n)]
+    held = inside.all() if every else inside.any()
+    if i + hi >= n:
+        past = _pad(x, boundary, every)
+        held = (held and past) if every else (held or past)
+    return bool(held)
+
+
+def _pad(x: np.ndarray, boundary: BoundaryMode, every: bool):
+    """What a G (every=True) or F window of x reads past the end: the final
+    state if absorbing; if strict, a value that decides nothing (true for
+    G, false for F)."""
+    return x[-1] if boundary is BoundaryMode.ABSORBING else every
 
 
 def safety_formula(horizon: int) -> Formula:
@@ -741,6 +776,9 @@ def read_traces_csv(stream) -> list[Trace]:
         "responsible": rows["responsible"][order] != 0,
     }
     del rows, position, velocity
+    # Frozen, so each trace adopts its slices as views instead of copies.
+    for column in columns.values():
+        column.setflags(write=False)
 
     traces = []
     start = 0

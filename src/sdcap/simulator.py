@@ -42,8 +42,9 @@ that only touch are not a collision.
 
 The cost is O(vehicles x steps) numpy work per contact and once without
 one, with Python only at the switch, cap, halt and contact steps. A run
-holds its columns for the whole step bound, so a scenario of more than
-MAX_VEHICLE_STEPS vehicle-steps (about 1 GB) is refused before it starts.
+holds its columns for the whole step bound, and its traces adopt them as
+read-only views, so a scenario of more than MAX_VEHICLE_STEPS
+vehicle-steps (about 0.5 GB) is refused before it starts.
 """
 
 import math
@@ -70,9 +71,10 @@ from .protocol import (
 _EPS = 1e-9
 
 # The most vehicle-steps (step bound x vehicles) one run may hold. A run
-# holds about 40 bytes per vehicle-step at its peak (its float64 position
-# and velocity columns and the traces built from them), so this is about
-# 1 GB. run_scenario refuses a larger scenario before it allocates.
+# holds about 21 bytes per vehicle-step at its peak (its float64 position
+# and velocity columns, which its traces adopt, and their flags), so this
+# is about 0.5 GB. run_scenario refuses a larger scenario before it
+# allocates.
 MAX_VEHICLE_STEPS = 25_000_000
 
 
@@ -604,22 +606,35 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
         (lane_idx, rear, step) for lane_idx, run in enumerate(runs) for rear, step in run.contacts
     ]
     return _traces(
-        cfg,
-        lanes,
-        [run.position[:, :last + 1] for run in runs],
-        [run.velocity[:, :last + 1] for run in runs],
-        contacts,
-        last,
+        cfg, lanes, [run.position for run in runs], [run.velocity for run in runs], contacts, last
     )
 
 
 def _traces(cfg, lanes, positions, velocities, contacts, last) -> Run:
-    """The run's traces, from its samples 0..last (positions[lane][vehicle,
-    step]) and the contacts it detected, with blame decided."""
+    """The run's traces, from its samples (positions[lane][vehicle, step],
+    for steps 0..last at least) and the contacts it detected, with blame
+    decided.
+
+    The sample arrays are frozen, and the traces adopt steps 0..last of
+    them as read-only views, not copies; every flag that never turns on is
+    one shared all-False array."""
     steps = np.arange(last + 1)
     # Step k's grid time k * dt: the same double in numpy as in Python.
     times = steps * cfg.dt
     blamed = assign_responsibility(lanes, positions, velocities, contacts, cfg, times)
+    for samples in (*positions, *velocities):
+        samples.setflags(write=False)
+    never = np.zeros(last + 1, dtype=bool)
+    never.setflags(write=False)
+
+    def flag(on: np.ndarray) -> np.ndarray:
+        """on, read-only; `never` if it never turns on (each flag here stays
+        on once set, so its last step tells)."""
+        if not on[-1]:
+            return never
+        on.setflags(write=False)
+        return on
+
     traces = []
     for lane_idx, lane in enumerate(lanes):
         for idx, veh in enumerate(lane):
@@ -627,12 +642,12 @@ def _traces(cfg, lanes, positions, velocities, contacts, last) -> Run:
                 Trace.from_columns(
                     vehicle_id(lane_idx, idx),
                     cfg.dt,
-                    position=positions[lane_idx][idx],
-                    velocity=velocities[lane_idx][idx],
-                    ber=_since(times, veh.onset),
-                    collided=_since(times, veh.collision_time),
+                    position=positions[lane_idx][idx, :last + 1],
+                    velocity=velocities[lane_idx][idx, :last + 1],
+                    ber=flag(_since(times, veh.onset)),
+                    collided=flag(_since(times, veh.collision_time)),
                     # Flagged from the contact step; never if not blamed.
-                    responsible=steps >= blamed.get((lane_idx, idx), len(steps)),
+                    responsible=flag(steps >= blamed.get((lane_idx, idx), len(steps))),
                 )
             )
     return Run(traces, sorted(contacts), _labels([[veh.link for veh in lane] for lane in lanes]))

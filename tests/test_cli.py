@@ -385,3 +385,34 @@ def test_monitor_deeply_nested_formula_exits_two(capsys, tmp_path, formula):
     assert code == 2
     assert out == ""
     assert "nests deeper than" in err
+
+
+def test_monitor_refuses_a_trace_file_without_vehicles(capsys, tmp_path):
+    trace_path = tmp_path / "header.csv"
+    trace_path.write_text(
+        "t,vehicle_id,position_m,velocity_mps,ber,collided,responsible\n", encoding="utf-8"
+    )
+    code, out, err = run_cli(
+        capsys, "monitor", "--trace", str(trace_path), "--formula", "G[0,10] !C"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"error: trace file {trace_path} holds no vehicles" in err
+
+
+def test_monitor_checks_the_step_against_every_trace_before_printing(capsys, tmp_path):
+    trace_path = tmp_path / "traces.csv"
+    trace_path.write_text(
+        "t,vehicle_id,position_m,velocity_mps,ber,collided,responsible\n"
+        "0.0,a,0.0,1.0,1,0,0\n0.1,a,0.1,1.0,1,0,1\n0.2,a,0.2,1.0,1,0,1\n"
+        "0.0,b,0.0,1.0,0,0,0\n0.1,b,0.1,1.0,0,0,0\n",
+        encoding="utf-8",
+    )
+    argv = ["monitor", "--trace", str(trace_path), "--formula", "BER -> !Y"]
+    code, out, err = run_cli(capsys, *argv, "--at", "2")
+    assert code == 2
+    assert out == ""
+    assert "error: index 2 outside trace b of length 2" in err
+    code, out, _ = run_cli(capsys, *argv, "--at", "1")
+    assert code == 1
+    assert out == "a: violated\nb: satisfied\n"

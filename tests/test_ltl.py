@@ -35,7 +35,7 @@ from sdcap import (
     vehicle_safe,
     write_traces_csv,
 )
-from sdcap.ltl import MAX_NESTING, TRACE_CSV_COLUMNS, traces_to_csv
+from sdcap.ltl import MAX_NESTING, TRACE_CSV_COLUMNS, _truth, traces_to_csv
 from conftest import (
     random_formula,
     random_trace,
@@ -384,6 +384,26 @@ def test_trace_columns_are_read_only_copies():
     assert trace.ber.dtype == bool and trace.ber.tolist() == [False, True, True]
 
 
+def test_from_columns_adopts_read_only_arrays_of_the_column_dtype():
+    def frozen(array):
+        array.setflags(write=False)
+        return array
+
+    position = frozen(np.arange(3.0))
+    ber = frozen(np.array([False, True, True]))
+    velocity = frozen(np.ones(3, dtype=np.float32))  # read-only, but not float64
+    trace = Trace.from_columns("t", 0.1, position=position, velocity=velocity, ber=ber,
+                               collided=[False] * 3, responsible=[False] * 3)
+    assert trace.position is position and trace.ber is ber
+    assert trace.velocity.dtype == np.float64 and not trace.velocity.flags.writeable
+    assert not np.shares_memory(trace.velocity, velocity)
+    # An adopted column is validated like a copied one.
+    with pytest.raises(InvalidInputError, match="step 1"):
+        Trace.from_columns("t", 0.1, position=frozen(np.array([0.0, np.nan, 0.0])),
+                           velocity=[1.0] * 3, ber=ber, collided=[False] * 3,
+                           responsible=[False] * 3)
+
+
 @pytest.mark.parametrize(
     "changes",
     [
@@ -402,6 +422,45 @@ def test_trace_rejects_invalid_columns(changes):
                    collided=[False] * 3, responsible=[False] * 3)
     with pytest.raises(InvalidInputError):
         Trace.from_columns("t", **dict(columns, **changes))
+
+
+@st.composite
+def rooted_windows(draw, n):
+    """A G or F root whose window may start or end before, at or past the
+    end of an n-step trace, over a child that may nest windows of its own."""
+
+    def child(depth):
+        if depth == 0 or draw(st.booleans()):
+            return Atom(draw(st.sampled_from(("BER", "C", "Y"))))
+        kind = draw(st.sampled_from(("not", "and", "implies", "G", "F")))
+        if kind == "not":
+            return Not(child(depth - 1))
+        if kind == "and":
+            return And(child(depth - 1), child(depth - 1))
+        if kind == "implies":
+            return Implies(child(depth - 1), child(depth - 1))
+        lo = draw(st.integers(0, n + 2))
+        hi = lo + draw(st.integers(0, n + 2))
+        return (Globally if kind == "G" else Finally)(lo, hi, child(depth - 1))
+
+    lo = draw(st.integers(0, n + 3))
+    hi = lo + draw(st.integers(0, n + 3))
+    return draw(st.sampled_from((Globally, Finally)))(lo, hi, child(3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), boundary=st.sampled_from(list(BoundaryMode)))
+def test_root_window_at_one_step_matches_the_whole_trace_truth(data, n, boundary):
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    ber, responsible = data.draw(flags), data.draw(flags)
+    collide_from = data.draw(st.integers(0, n + 1))  # may be past the end
+    trace = make_trace([(ber[k], k >= collide_from, responsible[k]) for k in range(n)])
+    formula = data.draw(rooted_windows(n))
+    whole = _truth(trace, formula, boundary)
+    for i in range(n):
+        verdict = evaluate(trace, i, formula, boundary)
+        assert verdict == whole[i] == reference_evaluate(trace, i, formula, boundary), (
+            i, formula)
 
 
 @st.composite
@@ -664,6 +723,18 @@ def test_reader_names_the_bad_line_of_a_long_crlf_file(position, ber, message):
     text = "\r\n".join(lines) + "\r\n"
     with pytest.raises(InvalidInputError, match=f"^trace CSV line {len(lines)}: .*{message}"):
         read_traces_csv(io.StringIO(text, newline=""))
+
+
+def test_reader_traces_are_read_only_views_of_its_columns():
+    a, b = columnar(40, 1, vehicle_id="a"), columnar(30, 2, vehicle_id="b")
+    traces = read_traces_csv(io.StringIO(traces_to_csv([a, b])))
+    assert traces == [a, b]
+    for trace in traces:
+        assert not any(column.flags.writeable for column in trace._columns())
+    # Each trace's slice of the reader's sorted columns is adopted, not copied.
+    for name in ("position", "velocity", "ber", "collided", "responsible"):
+        first, second = (getattr(trace, name) for trace in traces)
+        assert first.base is not None and first.base is second.base
 
 
 def test_reader_rejects_empty_input_and_returns_no_traces_for_a_bare_header():

@@ -1,5 +1,7 @@
 """Sudden-brake scenario execution: collisions, blame, determinism, config files."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -607,6 +609,47 @@ def test_summary_evaluates_the_safety_formula_once_per_vehicle(monkeypatch):
     assert sorted(calls) == ["l0v0", "l0v1", "l0v2"]
     assert summary["sdt"] == 2 and summary["road_safe"] is False
     assert summary["unsafe_vehicles"] == ["l0v1"]
+
+
+def test_run_columns_are_read_only_views_of_the_lane_samples(monkeypatch):
+    import sdcap.simulator
+
+    calls = []
+    original = sdcap.simulator._traces
+    monkeypatch.setattr(sdcap.simulator, "_traces",
+                        lambda *args: calls.append(args) or original(*args))
+    cfg = single_lane([0.9 * D_SAFE, D_SAFE])
+    run = run_scenario(cfg)
+    _, _, positions, velocities, _, _ = calls[0]
+    columns = [column for trace in run for column in trace._columns()]
+    assert not any(column.flags.writeable for column in columns + positions + velocities)
+    for rear in run[1:]:
+        assert np.shares_memory(rear.position, positions[0])
+        assert np.shares_memory(rear.velocity, velocities[0])
+    # The rear of the contact has every flag on; each flag that never
+    # turns on is one array shared by the whole run.
+    assert run[1].ber[-1] and run[1].collided[-1] and run[1].responsible[-1]
+    never = [flag for trace in run for flag in trace._columns()[2:] if not flag.any()]
+    assert len(never) > 1 and all(flag is never[0] for flag in never)
+
+
+def test_run_holds_at_most_26_bytes_per_vehicle_step():
+    # 2 lanes x 20 cars at the safe gap, dt = 1 ms (about 510k vehicle-steps).
+    # The lanes' float64 position and velocity samples take 16 B per
+    # vehicle-step and the traces adopt them; a copy of either would add 8.
+    lane = (SpawnSpec(REFERENCE, None),) + (SpawnSpec(REFERENCE, D_SAFE),) * 19
+    cfg = replace(single_lane([]), road=RoadSpec(10.0, 2, 100.0), lanes=(lane, lane),
+                  triggers=(BrakeTrigger(0, 0, 0.0), BrakeTrigger(1, 0, 0.0)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vehicle_steps = sum(len(trace) for trace in run)
+    assert vehicle_steps > 400_000 and not run.contacts
+    assert peak <= 26 * vehicle_steps, peak / vehicle_steps
 
 
 def test_summary_rejects_traces_of_different_horizons():
