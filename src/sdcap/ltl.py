@@ -21,6 +21,7 @@ window over its child's array.
 import csv
 import io
 import math
+import re
 import warnings
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import EvaluationError, FormulaError, InvalidInputError
+from .errors import EvaluationError, FormulaError, InvalidInputError, undecodable_line
 from .params import require_finite
 
 
@@ -687,7 +688,19 @@ class _CountedLines:
         return line
 
 
-def _load_rows(lines, usecols, max_rows=None) -> np.ndarray:
+# Rows parsed by one np.loadtxt call. Only one chunk's row table and its
+# vehicle_id strings are alive at a time; what a chunk leaves behind is
+# compact columns.
+_CHUNK_ROWS = 16_384
+
+# numpy's message for a row with fewer fields than a column it reads.
+_SHORT_ROW = re.compile(r"invalid column index \d+ at row \d+ with (\d+) columns")
+
+# The columns a read keeps, by _ROW_DTYPE field; vehicle_id is kept as runs.
+_KEPT_FIELDS = ("t", "position", "velocity", "ber", "collided", "responsible")
+
+
+def _load_rows(lines, usecols, max_rows) -> np.ndarray:
     with warnings.catch_warnings():
         # No data rows (or blank lines not counted towards max_rows).
         warnings.simplefilter("ignore", UserWarning)
@@ -705,84 +718,155 @@ def _load_rows(lines, usecols, max_rows=None) -> np.ndarray:
 
 def _line_of_row(stream, usecols, row: int | None = None) -> int:
     """File line number of data row `row` (0-based) or, with no row, of the
-    row that fails to parse; found by re-reading the stream and counting
-    its lines, which only a failed read pays for."""
+    row that fails to parse; found by re-reading the stream in chunks and
+    counting its lines, which only a failed read pays for."""
     stream.seek(0)
     stream.readline()
     lines = _CountedLines(stream)
+    left = math.inf if row is None else row + 1
     try:
-        _load_rows(lines, usecols, max_rows=None if row is None else row + 1)
+        while left > 0:
+            size = min(left, _CHUNK_ROWS)
+            if len(_load_rows(lines, usecols, size)) < size:
+                break
+            left -= size
     except ValueError:
         pass  # the read stopped at the row that fails to parse
     return 1 + lines.count
+
+
+def _parse_failure(exc: ValueError, usecols) -> str:
+    """numpy's reason a row fails to parse, a short row's missing fields
+    named."""
+    short = _SHORT_ROW.match(str(exc))
+    if short is None:
+        return str(exc).split(" at row ")[0]
+    fields = int(short[1])
+    missing = [name for name, col in zip(TRACE_CSV_COLUMNS, usecols) if col >= fields]
+    return f"missing field{'s' * (len(missing) > 1)} {', '.join(map(repr, missing))}"
+
+
+def _read_columns(stream, usecols):
+    """Parse the data rows chunk by chunk into the _KEPT_FIELDS columns, the
+    vehicle ids in order of first appearance, and each run of rows of one
+    vehicle as its code and length. A malformed row is refused at once; a
+    non-finite value or negative velocity only once every row has parsed,
+    so a malformed row anywhere wins."""
+    parts: dict[str, list] = {name: [] for name in _KEPT_FIELDS}
+    run_codes, run_lengths = [], []
+    ids: dict[str, int] = {}
+    first_bad = None  # (row, t, position, velocity)
+    lines = iter(stream)
+    parsed = 0
+    while True:
+        try:
+            rows = _load_rows(lines, usecols, _CHUNK_ROWS)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"trace CSV line {_line_of_row(stream, usecols)}: "
+                f"{_parse_failure(exc, usecols)}"
+            ) from None
+        t, position, velocity = (np.array(rows[name]) for name in _KEPT_FIELDS[:3])
+        if first_bad is None:
+            bad = np.flatnonzero(~(
+                np.isfinite(t) & np.isfinite(position) & np.isfinite(velocity) & (velocity >= 0)
+            ))
+            if bad.size:
+                k = bad[0]
+                first_bad = (parsed + k, t[k], position[k], velocity[k])
+        for name, column in zip(_KEPT_FIELDS, (t, position, velocity)):
+            parts[name].append(column)
+        for name in _KEPT_FIELDS[3:]:
+            parts[name].append(rows[name] != 0)
+        # One dict lookup per run of rows with the same id.
+        vehicle_ids = rows["vehicle_id"]
+        starts, lengths = _runs(vehicle_ids)
+        run_codes.append(np.array(
+            [ids.setdefault(vid, len(ids)) for vid in vehicle_ids[starts].tolist()],
+            dtype=np.intp,
+        ))
+        run_lengths.append(lengths)
+        n = len(rows)
+        del rows, vehicle_ids
+        parsed += n
+        if n < _CHUNK_ROWS:
+            break
+
+    if first_bad is not None:
+        k, t_k, position_k, velocity_k = first_bad
+        raise InvalidInputError(
+            f"trace CSV line {_line_of_row(stream, usecols, k)}: t, position_m and "
+            f"velocity_mps must be finite and velocity_mps >= 0, got "
+            f"{t_k}, {position_k}, {velocity_k}"
+        )
+    # One column at a time, so only one column is held twice.
+    columns = {name: np.concatenate(parts.pop(name)) for name in _KEPT_FIELDS}
+    return columns, ids, np.concatenate(run_codes), np.concatenate(run_lengths)
+
+
+def _grouped(t: np.ndarray, run_codes: np.ndarray, run_lengths: np.ndarray) -> bool:
+    """Whether rows are already in np.lexsort((t, codes)) order, as the writer
+    lays them out: each vehicle's rows together, vehicles in order of first
+    appearance, and t non-decreasing within a vehicle."""
+    if np.any(run_codes[1:] < run_codes[:-1]):
+        return False
+    ascending = t[1:] >= t[:-1]
+    # t may fall from one vehicle's last row to the next one's first.
+    ascending[np.cumsum(run_lengths)[:-1][run_codes[1:] != run_codes[:-1]] - 1] = True
+    return bool(ascending.all())
 
 
 def read_traces_csv(stream) -> list[Trace]:
     """Parse a trace CSV from a seekable text stream (an open file or a
     StringIO) into one trace per vehicle, in order of first appearance.
 
-    Columns are found by header name; extra columns are ignored. Each
-    vehicle's rows are sorted by t (stably) and must be uniformly sampled.
-    Numbers are decimal literals, flags integers (0 is false). Raises
-    InvalidInputError naming the line of a malformed row, or the vehicle
-    whose samples are bad; the line is found by reading the stream again.
+    Columns are found by header name; extra columns are ignored, and a
+    required column named twice is refused. Each vehicle's rows are sorted
+    by t (stably) and must be uniformly sampled. Numbers are decimal
+    literals, flags integers (0 is false). Raises InvalidInputError naming
+    the line of a malformed row, the file and line of a byte that does not
+    decode, or the vehicle whose samples are bad; a line is found by
+    reading the stream again.
+
+    Rows are parsed _CHUNK_ROWS at a time, and a chunk keeps only compact
+    columns: t, position and velocity as float64, the flags as bool, and
+    vehicle ids as runs. So a read holds about 35 bytes per row plus one
+    chunk. Rows are re-sorted only when they are not already grouped by
+    vehicle in increasing t.
     """
-    header = stream.readline()
-    if not header:
-        raise InvalidInputError("empty trace CSV")
-    fieldnames = next(csv.reader([header]))
-    index = {name: k for k, name in enumerate(fieldnames)}
-    missing = [c for c in TRACE_CSV_COLUMNS if c not in index]
-    if missing:
-        raise InvalidInputError(f"trace CSV missing columns: {missing}")
-    usecols = [index[c] for c in TRACE_CSV_COLUMNS]
-
     try:
-        rows = _load_rows(stream, usecols)
-    except ValueError as exc:
-        reason = str(exc).split(" at row ")[0]
-        raise InvalidInputError(
-            f"trace CSV line {_line_of_row(stream, usecols)}: {reason}"
-        ) from None
-    t, position, velocity = rows["t"], rows["position"], rows["velocity"]
-    bad = np.flatnonzero(
-        ~(np.isfinite(t) & np.isfinite(position) & np.isfinite(velocity) & (velocity >= 0))
-    )
-    if bad.size:
-        k = bad[0]
-        raise InvalidInputError(
-            f"trace CSV line {_line_of_row(stream, usecols, k)}: t, position_m and "
-            f"velocity_mps must be finite and velocity_mps >= 0, got "
-            f"{t[k]}, {position[k]}, {velocity[k]}"
-        )
+        header = stream.readline()
+        if not header:
+            raise InvalidInputError("empty trace CSV")
+        fieldnames = next(csv.reader([header]))
+        missing = [c for c in TRACE_CSV_COLUMNS if c not in fieldnames]
+        if missing:
+            raise InvalidInputError(f"trace CSV missing columns: {missing}")
+        repeated = [c for c in TRACE_CSV_COLUMNS if fieldnames.count(c) > 1]
+        if repeated:
+            raise InvalidInputError(f"trace CSV repeats columns: {repeated}")
+        usecols = [fieldnames.index(c) for c in TRACE_CSV_COLUMNS]
+        columns, ids, run_codes, run_lengths = _read_columns(stream, usecols)
+    except UnicodeDecodeError:
+        raise InvalidInputError(f"trace CSV {undecodable_line(stream)}") from None
 
-    # Vehicle codes in order of first appearance, one lookup per run of
-    # rows with the same id.
-    vehicle_ids = rows["vehicle_id"]
-    starts, lengths = _runs(vehicle_ids)
-    ids: dict[str, int] = {}
-    codes = np.repeat(
-        np.array([ids.setdefault(vid, len(ids)) for vid in vehicle_ids[starts].tolist()],
-                 dtype=np.intp),
-        lengths,
-    )
-    order = np.lexsort((t, codes))
-    t = t[order]
-    columns = {
-        "position": position[order],
-        "velocity": velocity[order],
-        "ber": rows["ber"][order] != 0,
-        "collided": rows["collided"][order] != 0,
-        "responsible": rows["responsible"][order] != 0,
-    }
-    del rows, position, velocity
+    t = columns.pop("t")
+    if not _grouped(t, run_codes, run_lengths):
+        order = np.lexsort((t, np.repeat(run_codes, run_lengths)))
+        t = t[order]
+        for name, column in columns.items():
+            columns[name] = column[order]
     # Frozen, so each trace adopts its slices as views instead of copies.
     for column in columns.values():
         column.setflags(write=False)
+    counts = np.zeros(len(ids), dtype=np.intp)
+    np.add.at(counts, run_codes, run_lengths)
 
     traces = []
     start = 0
-    for vid, end in zip(ids, np.cumsum(np.bincount(codes, minlength=len(ids))).tolist()):
+    for vid, end in zip(ids, np.cumsum(counts).tolist()):
         times = t[start:end]
         if len(times) < 2:
             raise InvalidInputError(f"trace {vid}: need at least two samples")

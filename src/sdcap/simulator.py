@@ -55,7 +55,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .capacity import RoadSpec, safe_distance
-from .errors import ConfigError, InvalidInputError, InvalidParameterError, SdcapError
+from .errors import (
+    ConfigError,
+    InvalidInputError,
+    InvalidParameterError,
+    SdcapError,
+    undecodable_line,
+)
 # perfbench reads simulator.vehicle_safe, so the name stays importable here.
 from .ltl import Trace, safety_verdicts, vehicle_safe  # noqa: F401
 from .params import KMH_TO_MPS, VehicleParams, require_finite
@@ -982,4 +988,8 @@ def scenario_from_text(text: str) -> ScenarioConfig:
 
 def scenario_from_file(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return scenario_from_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {undecodable_line(handle)}") from None
+    return scenario_from_text(text)

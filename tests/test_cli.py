@@ -247,6 +247,15 @@ def test_simulate_bad_config_exits_two(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_simulate_names_the_file_and_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("mode = pbv\n# caf\u00e9\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"error: config file {path} line 2: byte 0xe9 is not utf-8 text" in err
+
+
 def test_simulate_non_integral_seed_exits_two(capsys, tmp_path):
     path = write_config(tmp_path)
     path.write_text(path.read_text().replace("seed = 3", "seed = 3.9"), encoding="utf-8")
@@ -398,6 +407,20 @@ def test_monitor_refuses_a_trace_file_without_vehicles(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert f"error: trace file {trace_path} holds no vehicles" in err
+
+
+def test_monitor_names_the_file_and_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):
+    trace_path = tmp_path / "traces.csv"
+    trace_path.write_bytes(
+        b"t,vehicle_id,position_m,velocity_mps,ber,collided,responsible\n"
+        b"0.0,a,0.0,1.0,0,0,0\n0.1,\xff,0.1,1.0,0,0,0\n"
+    )
+    code, out, err = run_cli(
+        capsys, "monitor", "--trace", str(trace_path), "--formula", "G[0,10] !C"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"error: trace CSV {trace_path} line 3: byte 0xff is not utf-8 text" in err
 
 
 def test_monitor_checks_the_step_against_every_trace_before_printing(capsys, tmp_path):

@@ -1,9 +1,12 @@
 """Bounded temporal-logic evaluation, safety predicates, parsing, trace CSV."""
 
 import csv
+import gc
 import io
 import random
+import re
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +38,7 @@ from sdcap import (
     vehicle_safe,
     write_traces_csv,
 )
+import sdcap.ltl
 from sdcap.ltl import MAX_NESTING, TRACE_CSV_COLUMNS, _truth, traces_to_csv
 from conftest import (
     random_formula,
@@ -696,6 +700,19 @@ def test_reader_matches_reference_reader(case):
     assert (got != "invalid") == valid, text
 
 
+@settings(max_examples=200, deadline=None)
+@given(trace_csvs(), st.integers(1, 3))
+def test_reader_matches_reference_reader_in_tiny_chunks(case, chunk_rows):
+    # Chunk edges then fall on blank lines, CRLF endings, quoted fields and
+    # interleaved vehicles.
+    text, valid = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdcap.ltl, "_CHUNK_ROWS", chunk_rows)
+        got = _read_outcome(read_traces_csv, text)
+    assert got == _read_outcome(reference_read_traces_csv, text)
+    assert (got != "invalid") == valid, text
+
+
 def test_reader_names_the_bad_line():
     header = ",".join(TRACE_CSV_COLUMNS) + "\n"
     rows = [f"{k * 0.1!r},a,{k}.0,1.0,0,0,0\n" for k in range(5)]
@@ -723,6 +740,77 @@ def test_reader_names_the_bad_line_of_a_long_crlf_file(position, ber, message):
     text = "\r\n".join(lines) + "\r\n"
     with pytest.raises(InvalidInputError, match=f"^trace CSV line {len(lines)}: .*{message}"):
         read_traces_csv(io.StringIO(text, newline=""))
+
+
+def test_a_malformed_row_in_a_later_chunk_beats_a_bad_value_in_the_first(monkeypatch):
+    monkeypatch.setattr(sdcap.ltl, "_CHUNK_ROWS", 2)
+    header = ",".join(TRACE_CSV_COLUMNS) + "\n"
+    rows = [f"{k * 0.1!r},a,{k}.0,1.0,0,0,0\n" for k in range(8)]
+    rows[0] = "0.0,a,nan,1.0,0,0,0\n"  # chunk 1, line 2
+    rows[6] = "0.6,a,1.0,1.0,x,0,0\n"  # chunk 4, line 8
+    with pytest.raises(InvalidInputError, match="^trace CSV line 8: could not convert"):
+        read_traces_csv(io.StringIO(header + "".join(rows)))
+    rows[6] = "0.6,a,6.0,1.0,0,0,0\n"
+    with pytest.raises(InvalidInputError, match="^trace CSV line 2: .*must be finite"):
+        read_traces_csv(io.StringIO(header + "".join(rows)))
+
+
+def test_reader_refuses_a_required_column_named_twice():
+    # With the last copy winning, the extra t column (5, 6) would give dt = 1.
+    text = (",".join(TRACE_CSV_COLUMNS) + ",t\n"
+            "0.0,a,0.0,1.0,0,0,0,5\n0.1,a,0.1,1.0,0,0,0,6\n")
+    with pytest.raises(InvalidInputError, match=r"repeats columns: \['t'\]"):
+        read_traces_csv(io.StringIO(text))
+    # An extra column named twice is ignored, as any extra column is.
+    text = ",".join(TRACE_CSV_COLUMNS) + ",x,x\n0.0,a,0.0,1.0,0,0,0,,\n0.1,a,0.1,1.0,0,0,0,,\n"
+    assert len(read_traces_csv(io.StringIO(text))[0]) == 2
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.1,a,0.1,1.0,0,0", "missing field 'responsible'"),
+    ("0.1,a,0.1", "missing fields 'velocity_mps', 'ber', 'collided', 'responsible'"),
+])
+def test_reader_names_the_missing_fields_of_a_short_row(row, message):
+    text = ",".join(TRACE_CSV_COLUMNS) + f"\n0.0,a,0.0,1.0,0,0,0\n{row}\n"
+    with pytest.raises(InvalidInputError, match=f"^trace CSV line 3: {message}$"):
+        read_traces_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_reader_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    lines = [",".join(TRACE_CSV_COLUMNS).encode()]
+    lines += [f"{k * 0.1!r},a,{k}.0,1.0,0,0,0".encode() for k in range(2000)]
+    # Far enough in that the stream decodes it ahead of the row being read.
+    lines[1500] = lines[1500].replace(b",a,", b",\xff,")
+    path = tmp_path / "bad.csv"
+    path.write_bytes(newline.join(lines) + newline)
+    with open(path, encoding="utf-8", newline="") as handle:
+        with pytest.raises(InvalidInputError, match=(
+            f"^trace CSV {re.escape(str(path))} line 1501: byte 0xff is not utf-8 text"
+        )):
+            read_traces_csv(handle)
+
+
+def test_reader_holds_at_most_64_bytes_per_row(tmp_path):
+    # 20 vehicles x 8,000 steps. The kept columns take about 35 B per row:
+    # t, position and velocity as float64, three bool flags, and one
+    # column's copy while the chunks are joined. A row table or a string
+    # per row would take more than 100.
+    path = tmp_path / "traces.csv"
+    traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
+    path.write_text(traces_to_csv(traces), encoding="utf-8", newline="")
+    del traces
+    gc.collect()
+    with open(path, encoding="utf-8", newline="") as handle:
+        tracemalloc.start()
+        try:
+            read = read_traces_csv(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    rows = sum(len(trace) for trace in read)
+    assert rows == 160_000
+    assert peak <= 64 * rows, peak / rows
 
 
 def test_reader_traces_are_read_only_views_of_its_columns():
