@@ -30,7 +30,13 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import EvaluationError, FormulaError, InvalidInputError, undecodable_line
+from .errors import (
+    EvaluationError,
+    FormulaError,
+    InvalidInputError,
+    decoded_lines,
+    undecodable_line,
+)
 from .params import require_finite
 
 
@@ -716,6 +722,21 @@ def _load_rows(lines, usecols, max_rows) -> np.ndarray:
         )
 
 
+def _rows_read(lines: _CountedLines, usecols, rows=math.inf) -> ValueError | None:
+    """Parse up to `rows` data rows of `lines` a chunk at a time, keeping
+    none; the error of the row that fails to parse, if one does. lines.count
+    then tells how many lines were read."""
+    try:
+        while rows > 0:
+            size = min(rows, _CHUNK_ROWS)
+            if len(_load_rows(lines, usecols, size)) < size:
+                break
+            rows -= size
+    except ValueError as exc:
+        return exc
+    return None
+
+
 def _line_of_row(stream, usecols, row: int | None = None) -> int:
     """File line number of data row `row` (0-based) or, with no row, of the
     row that fails to parse; found by re-reading the stream in chunks and
@@ -723,16 +744,19 @@ def _line_of_row(stream, usecols, row: int | None = None) -> int:
     stream.seek(0)
     stream.readline()
     lines = _CountedLines(stream)
-    left = math.inf if row is None else row + 1
-    try:
-        while left > 0:
-            size = min(left, _CHUNK_ROWS)
-            if len(_load_rows(lines, usecols, size)) < size:
-                break
-            left -= size
-    except ValueError:
-        pass  # the read stopped at the row that fails to parse
+    _rows_read(lines, usecols, math.inf if row is None else row + 1)
     return 1 + lines.count
+
+
+def _refuse_malformed(lines, usecols):
+    """Refuse the first row of `lines`, the lines after the header, that
+    fails to parse, naming its file line; return if none does."""
+    lines = _CountedLines(lines)
+    exc = _rows_read(lines, usecols)
+    if exc is not None:
+        raise InvalidInputError(
+            f"trace CSV line {1 + lines.count}: {_parse_failure(exc, usecols)}"
+        ) from None
 
 
 def _parse_failure(exc: ValueError, usecols) -> str:
@@ -744,6 +768,19 @@ def _parse_failure(exc: ValueError, usecols) -> str:
     fields = int(short[1])
     missing = [name for name, col in zip(TRACE_CSV_COLUMNS, usecols) if col >= fields]
     return f"missing field{'s' * (len(missing) > 1)} {', '.join(map(repr, missing))}"
+
+
+def _usecols(header: str) -> list[int]:
+    """Each TRACE_CSV_COLUMNS column's index in the header line; a missing
+    or repeated one is refused."""
+    fieldnames = next(csv.reader([header]))
+    missing = [c for c in TRACE_CSV_COLUMNS if c not in fieldnames]
+    if missing:
+        raise InvalidInputError(f"trace CSV missing columns: {missing}")
+    repeated = [c for c in TRACE_CSV_COLUMNS if fieldnames.count(c) > 1]
+    if repeated:
+        raise InvalidInputError(f"trace CSV repeats columns: {repeated}")
+    return [fieldnames.index(c) for c in TRACE_CSV_COLUMNS]
 
 
 def _read_columns(stream, usecols):
@@ -826,9 +863,9 @@ def read_traces_csv(stream) -> list[Trace]:
     required column named twice is refused. Each vehicle's rows are sorted
     by t (stably) and must be uniformly sampled. Numbers are decimal
     literals, flags integers (0 is false). Raises InvalidInputError naming
-    the line of a malformed row, the file and line of a byte that does not
-    decode, or the vehicle whose samples are bad; a line is found by
-    reading the stream again.
+    the line of a malformed row or the file and line of a byte that does
+    not decode, whichever comes first, or the vehicle whose samples are
+    bad; a line is found by reading the stream again.
 
     Rows are parsed _CHUNK_ROWS at a time, and a chunk keeps only compact
     columns: t, position and velocity as float64, the flags as bool, and
@@ -840,17 +877,18 @@ def read_traces_csv(stream) -> list[Trace]:
         header = stream.readline()
         if not header:
             raise InvalidInputError("empty trace CSV")
-        fieldnames = next(csv.reader([header]))
-        missing = [c for c in TRACE_CSV_COLUMNS if c not in fieldnames]
-        if missing:
-            raise InvalidInputError(f"trace CSV missing columns: {missing}")
-        repeated = [c for c in TRACE_CSV_COLUMNS if fieldnames.count(c) > 1]
-        if repeated:
-            raise InvalidInputError(f"trace CSV repeats columns: {repeated}")
-        usecols = [fieldnames.index(c) for c in TRACE_CSV_COLUMNS]
+        usecols = _usecols(header)
         columns, ids, run_codes, run_lengths = _read_columns(stream, usecols)
     except UnicodeDecodeError:
-        raise InvalidInputError(f"trace CSV {undecodable_line(stream)}") from None
+        where = undecodable_line(stream)
+        # The stream decodes ahead of the row it reads, so a bad header or
+        # row before the undecodable line may not have been seen yet: that
+        # one comes first in the file.
+        lines = decoded_lines(stream)
+        header = next(lines, None)  # None: the header does not decode
+        if header is not None:
+            _refuse_malformed((line + "\n" for line in lines), _usecols(header))
+        raise InvalidInputError(f"trace CSV {where}") from None
 
     t = columns.pop("t")
     if not _grouped(t, run_codes, run_lengths):

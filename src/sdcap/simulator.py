@@ -26,14 +26,14 @@ with a phase switch strictly inside, the step that reaches the speed cap
 and the step that comes to a halt.
 
 Each lane is computed to the episode's step bound; the first step where a
-rear vehicle is closer to its front than a body length is found over the
-whole lane at once. That step is applied as a collision scan (freeze both
-vehicles, snap the rear to contact, reschedule the followers), the
-vehicles it changed are recomputed from there to the step bound, and the
-search repeats after that step. A collision is recorded at the grid step
-that detects it: its time is that step's time, not the exact contact time
-between two samples. The run ends one step after every braking vehicle
-stands still.
+rear vehicle is closer to its front than a body length is then searched
+one rear at a time, each only up to the earliest contact found so far.
+That step is applied as a collision scan (freeze both vehicles, snap the
+rear to contact, reschedule the followers), the vehicles it changed are
+recomputed from there to the step bound, and the search repeats after
+that step. A collision is recorded at the grid step that detects it: its
+time is that step's time, not the exact contact time between two samples.
+The run ends one step after every braking vehicle stands still.
 
 `run_scenario` returns a `Run`, the list of traces, which also carries the
 run's contacts and each vehicle's info source. The summary's collisions
@@ -42,9 +42,14 @@ that only touch are not a collision.
 
 The cost is O(vehicles x steps) numpy work per contact and once without
 one, with Python only at the switch, cap, halt and contact steps. A run
-holds its columns for the whole step bound, and its traces adopt them as
-read-only views, so a scenario of more than MAX_VEHICLE_STEPS
-vehicle-steps (about 0.5 GB) is refused before it starts.
+holds its float64 position and velocity samples for the whole step bound,
+16 bytes per vehicle-step, and its traces adopt them as read-only views.
+Every flag (ber, collided, responsible) is off before its switch step and
+on from it, so each is a view of one run-wide bool array. Past the
+samples, a run holds a few rows of its step count at a time: the contact
+search one gap row, the halt test one flag row. A scenario of more than
+MAX_VEHICLE_STEPS vehicle-steps (about 0.4 GB) is refused before it
+starts.
 """
 
 import math
@@ -77,9 +82,9 @@ from .protocol import (
 _EPS = 1e-9
 
 # The most vehicle-steps (step bound x vehicles) one run may hold. A run
-# holds about 21 bytes per vehicle-step at its peak (its float64 position
-# and velocity columns, which its traces adopt, and their flags), so this
-# is about 0.5 GB. run_scenario refuses a larger scenario before it
+# holds about 17 bytes per vehicle-step at its peak (its float64 position
+# and velocity columns, which its traces adopt, and a few rows of scratch),
+# so this is about 0.4 GB. run_scenario refuses a larger scenario before it
 # allocates.
 MAX_VEHICLE_STEPS = 25_000_000
 
@@ -477,12 +482,18 @@ class _Lane:
 
     def _next_contact(self, after: int) -> Optional[int]:
         """First step past `after` where a moving rear is closer to its
-        front than a body length (the `_scan_collisions` test), or None."""
-        rears = self.vehicles[1:]
-        live = np.array([veh.collision_time is None for veh in rears], dtype=bool)[:, None]
-        contact = np.array([veh.params.length for veh in rears])[:, None] - _EPS
-        gaps = self.position[:-1, after + 1:] - self.position[1:, after + 1:]
-        return _first(((gaps < contact) & live).any(axis=0), after + 1)
+        front than a body length (the `_scan_collisions` test), or None.
+
+        Searched one rear at a time, each only up to the earliest contact
+        found so far, so the search holds one gap row, not the lane's."""
+        found, end = None, self.horizon + 1
+        for i, rear in enumerate(self.vehicles[1:], start=1):
+            if rear.collision_time is None:
+                gap = self.position[i - 1, after + 1:end] - self.position[i, after + 1:end]
+                step = _first(gap < rear.params.length - _EPS, after + 1)
+                if step is not None:
+                    found = end = step
+        return found
 
     def _apply_contact(self, step: int):
         """Step `step`'s collision scan and rescheduling, and the changed
@@ -512,8 +523,10 @@ class _Lane:
             step = self._next_contact(step)
         first = len(self.vehicles) - len(self.affected)
         onset = max((veh.onset for veh in self.affected), default=-math.inf)
-        still = (self.velocity[first:, 1:] == 0.0).all(axis=0)
-        return _first(still & (self.times[1:] >= onset), 1)
+        still = self.times[1:] >= onset
+        for velocity in self.velocity[first:, 1:]:  # one row at a time
+            still &= velocity == 0.0
+        return _first(still, 1)
 
 
 def _start_run(cfg: ScenarioConfig):
@@ -622,24 +635,24 @@ def _traces(cfg, lanes, positions, velocities, contacts, last) -> Run:
     decided.
 
     The sample arrays are frozen, and the traces adopt steps 0..last of
-    them as read-only views, not copies; every flag that never turns on is
-    one shared all-False array."""
-    steps = np.arange(last + 1)
+    them as read-only views, not copies. Every flag is off before its switch
+    step and on from it, so each is a view of one read-only ramp of n False
+    then n True (n = last + 1): the flag switching at step k is
+    ramp[n - k:2n - k], and every flag that never turns on is the one shared
+    array ramp[:n]."""
+    n = last + 1
     # Step k's grid time k * dt: the same double in numpy as in Python.
-    times = steps * cfg.dt
+    times = np.arange(n) * cfg.dt
     blamed = assign_responsibility(lanes, positions, velocities, contacts, cfg, times)
     for samples in (*positions, *velocities):
         samples.setflags(write=False)
-    never = np.zeros(last + 1, dtype=bool)
-    never.setflags(write=False)
+    ramp = np.repeat([False, True], n)
+    ramp.setflags(write=False)
+    never = ramp[:n]
 
-    def flag(on: np.ndarray) -> np.ndarray:
-        """on, read-only; `never` if it never turns on (each flag here stays
-        on once set, so its last step tells)."""
-        if not on[-1]:
-            return never
-        on.setflags(write=False)
-        return on
+    def flag(step: Optional[int]) -> np.ndarray:
+        """The flag that turns on at `step` (never if None or past last)."""
+        return never if step is None or step >= n else ramp[n - step:2 * n - step]
 
     traces = []
     for lane_idx, lane in enumerate(lanes):
@@ -648,22 +661,24 @@ def _traces(cfg, lanes, positions, velocities, contacts, last) -> Run:
                 Trace.from_columns(
                     vehicle_id(lane_idx, idx),
                     cfg.dt,
-                    position=positions[lane_idx][idx, :last + 1],
-                    velocity=velocities[lane_idx][idx, :last + 1],
-                    ber=flag(_since(times, veh.onset)),
-                    collided=flag(_since(times, veh.collision_time)),
+                    position=positions[lane_idx][idx, :n],
+                    velocity=velocities[lane_idx][idx, :n],
+                    ber=flag(_switch_step(times, veh.onset)),
+                    collided=flag(_switch_step(times, veh.collision_time)),
                     # Flagged from the contact step; never if not blamed.
-                    responsible=flag(steps >= blamed.get((lane_idx, idx), len(steps))),
+                    responsible=flag(blamed.get((lane_idx, idx))),
                 )
             )
     return Run(traces, sorted(contacts), _labels([[veh.link for veh in lane] for lane in lanes]))
 
 
-def _since(times: np.ndarray, event: Optional[float]) -> np.ndarray:
-    """Per-step flag: the event (if any) has happened by this grid time."""
+def _switch_step(times: np.ndarray, event: Optional[float]) -> Optional[int]:
+    """The first step whose grid time has reached the event (less 1e-9 s),
+    or None if there is no event or no such step."""
     if event is None:
-        return np.zeros(len(times), dtype=bool)
-    return times >= event - _EPS
+        return None
+    step = int(np.searchsorted(times, event - _EPS))
+    return step if step < len(times) else None
 
 
 def _first(flags: np.ndarray, offset: int = 0) -> Optional[int]:
@@ -697,7 +712,7 @@ def assign_responsibility(
     for lane_idx, rear_idx, hit_step in contacts:
         rear = lanes[lane_idx][rear_idx]
         front = lanes[lane_idx][rear_idx - 1]
-        cause_step = _first(_since(times, front.sudden_stop_time()))
+        cause_step = _switch_step(times, front.sudden_stop_time())
         if cause_step is None:
             continue
         v_rear = float(velocities[lane_idx][rear_idx, cause_step])
@@ -713,7 +728,7 @@ def assign_responsibility(
         gap_at_cause = float(position[rear_idx - 1, cause_step] - position[rear_idx, cause_step])
         spaced_too_close = gap_at_cause < threshold - 1e-9
 
-        onset_step = _first(_since(times, rear.onset))
+        onset_step = _switch_step(times, rear.onset)
         late_braking = (
             onset_step is None
             or onset_step * cfg.dt

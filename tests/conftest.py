@@ -34,12 +34,12 @@ from sdcap import (
 from sdcap.ltl import TRACE_CSV_COLUMNS
 from sdcap.errors import InvalidParameterError, SdcapError
 from sdcap.simulator import (
+    Run,
     _advance,
     _first,
     _reschedule,
     _scan_collisions,
     _start_run,
-    _traces,
     link_resolutions,
     vehicle_id,
 )
@@ -387,7 +387,9 @@ def reference_assign_responsibility(traces, cfg):
 # trajectories along the time axis. Every step advances every vehicle with
 # the scalar `_advance`, scans each lane for contacts and reschedules a lane
 # that has one; the run ends one step after every affected vehicle has
-# passed its onset and stands still.
+# passed its onset and stands still. Its traces are its own: `ber` and
+# `collided` are recorded at every step from the vehicles' state, and
+# `responsible` comes from the reference blame rule above.
 
 
 def reference_run_scenario(cfg):
@@ -398,12 +400,20 @@ def reference_run_scenario(cfg):
         if first is not None
         for veh in lane[first:]
     ]
-    positions = [[[veh.x] for veh in lane] for lane in lanes]
-    velocities = [[[veh.v] for veh in lane] for lane in lanes]
+    samples = {}  # vehicle: [(position, velocity, ber, collided) per step]
+
+    def record(t):
+        for veh in (veh for lane in lanes for veh in lane):
+            ber = veh.onset is not None and t >= veh.onset - 1e-9
+            samples.setdefault(veh, []).append(
+                (veh.x, veh.v, ber, veh.collision_time is not None)
+            )
+
     dt = cfg.dt
     contacts = []  # (lane, rear index, step)
     extra_steps = 0
     step = 0
+    record(0.0)
     while True:
         step += 1
         if step > max_steps + 2:
@@ -416,17 +426,24 @@ def reference_run_scenario(cfg):
             if hits:
                 contacts.extend((lane_idx, rear, step) for rear in hits)
                 _reschedule(lane)
-        for lane_idx, lane in enumerate(lanes):
-            for idx, veh in enumerate(lane):
-                positions[lane_idx][idx].append(veh.x)
-                velocities[lane_idx][idx].append(veh.v)
+        record(t1)
         if extra_steps:
             break
         current_max_onset = max(v.onset for v in affected)
         if t1 >= current_max_onset and all(v.v == 0.0 for v in affected):
             extra_steps = 1  # one trailing step past the halt
 
-    def columns(samples):
-        return [np.array(lane, dtype=float).reshape(len(lane), step + 1) for lane in samples]
-
-    return _traces(cfg, lanes, columns(positions), columns(velocities), contacts, step)
+    traces = []
+    for lane_idx, lane in enumerate(lanes):
+        for idx, veh in enumerate(lane):
+            position, velocity, ber, collided = zip(*samples[veh])
+            traces.append(Trace.from_columns(
+                vehicle_id(lane_idx, idx), dt, position=position, velocity=velocity,
+                ber=ber, collided=collided, responsible=[False] * len(ber),
+            ))
+    info_sources = {
+        vehicle_id(lane_idx, idx): "none" if veh.link is None else veh.link.source.value
+        for lane_idx, lane in enumerate(lanes)
+        for idx, veh in enumerate(lane)
+    }
+    return Run(reference_assign_responsibility(traces, cfg), sorted(contacts), info_sources)

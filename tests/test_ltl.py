@@ -776,18 +776,57 @@ def test_reader_names_the_missing_fields_of_a_short_row(row, message):
         read_traces_csv(io.StringIO(text))
 
 
-@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
-def test_reader_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+def write_latin_csv(path, newline=b"\n", bad_byte_line=1501, bad_flag_line=None):
+    """A 2,001-line trace CSV with a 0xff byte on one line and, optionally,
+    a flag 'x' on another."""
     lines = [",".join(TRACE_CSV_COLUMNS).encode()]
     lines += [f"{k * 0.1!r},a,{k}.0,1.0,0,0,0".encode() for k in range(2000)]
-    # Far enough in that the stream decodes it ahead of the row being read.
-    lines[1500] = lines[1500].replace(b",a,", b",\xff,")
-    path = tmp_path / "bad.csv"
+    lines[bad_byte_line - 1] = lines[bad_byte_line - 1].replace(b",a,", b",\xff,")
+    if bad_flag_line is not None:
+        lines[bad_flag_line - 1] = lines[bad_flag_line - 1][:-5] + b"x,0,0"
     path.write_bytes(newline.join(lines) + newline)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_reader_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, newline):
+    # Far enough in that the stream decodes it ahead of the row being read.
+    path = tmp_path / "bad.csv"
+    write_latin_csv(path, newline)
     with open(path, encoding="utf-8", newline="") as handle:
         with pytest.raises(InvalidInputError, match=(
             f"^trace CSV {re.escape(str(path))} line 1501: byte 0xff is not utf-8 text"
         )):
+            read_traces_csv(handle)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r"])
+@pytest.mark.parametrize("byte_line, flag_line", [
+    (1501, 1301), (1501, 1481), (1501, 1496), (1501, 1500), (50, 10), (1501, 1502),
+])
+def test_reader_names_whichever_of_a_bad_row_and_a_bad_byte_comes_first(
+    tmp_path, newline, byte_line, flag_line
+):
+    # The stream decodes about 8 KB ahead of the row being read, so a bad
+    # byte can fail the read before an earlier malformed row is parsed.
+    path = tmp_path / "bad.csv"
+    write_latin_csv(path, newline, byte_line, flag_line)
+    if flag_line < byte_line:
+        expected = f"^trace CSV line {flag_line}: could not convert string 'x'"
+    else:
+        expected = f"^trace CSV {re.escape(str(path))} line {byte_line}: byte 0xff"
+    with open(path, encoding="utf-8", newline="") as handle:
+        with pytest.raises(InvalidInputError, match=expected):
+            read_traces_csv(handle)
+
+
+def test_reader_names_a_bad_header_before_a_bad_byte(tmp_path):
+    # The byte is in the stream's first decoded block, so even the header
+    # read fails on it.
+    path = tmp_path / "bad.csv"
+    write_latin_csv(path, bad_byte_line=50)
+    path.write_bytes(path.read_bytes().replace(b"velocity_mps", b"speed", 1))
+    with open(path, encoding="utf-8", newline="") as handle:
+        with pytest.raises(InvalidInputError, match=r"missing columns: \['velocity_mps'\]"):
             read_traces_csv(handle)
 
 

@@ -629,27 +629,54 @@ def test_run_columns_are_read_only_views_of_the_lane_samples(monkeypatch):
     # The rear of the contact has every flag on; each flag that never
     # turns on is one array shared by the whole run.
     assert run[1].ber[-1] and run[1].collided[-1] and run[1].responsible[-1]
-    never = [flag for trace in run for flag in trace._columns()[2:] if not flag.any()]
+    flags = [flag for trace in run for flag in trace._columns()[2:]]
+    never = [flag for flag in flags if not flag.any()]
     assert len(never) > 1 and all(flag is never[0] for flag in never)
+    # Every flag is a view of one run-wide array.
+    assert all(flag.base is never[0].base is not None for flag in flags)
 
 
-def test_run_holds_at_most_26_bytes_per_vehicle_step():
-    # 2 lanes x 20 cars at the safe gap, dt = 1 ms (about 510k vehicle-steps).
-    # The lanes' float64 position and velocity samples take 16 B per
-    # vehicle-step and the traces adopt them; a copy of either would add 8.
-    lane = (SpawnSpec(REFERENCE, None),) + (SpawnSpec(REFERENCE, D_SAFE),) * 19
-    cfg = replace(single_lane([]), road=RoadSpec(10.0, 2, 100.0), lanes=(lane, lane),
-                  triggers=(BrakeTrigger(0, 0, 0.0), BrakeTrigger(1, 0, 0.0)))
+def safe_road(per_lane):
+    """2 lanes of `per_lane` cars at the safe gap, both leads braking at 0."""
+    lane = (SpawnSpec(REFERENCE, None),) + (SpawnSpec(REFERENCE, D_SAFE),) * (per_lane - 1)
+    return replace(single_lane([]), road=RoadSpec(10.0, 2, 100.0), lanes=(lane, lane),
+                   triggers=(BrakeTrigger(0, 0, 0.0), BrakeTrigger(1, 0, 0.0)))
+
+
+def traced_run(cfg):
+    """The Run of cfg, the tracemalloc peak of making it, and what the Run
+    still holds once made."""
     gc.collect()
     tracemalloc.start()
     try:
         run = run_scenario(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return run, peak, held
+
+
+def test_run_holds_at_most_18_bytes_per_vehicle_step():
+    # 2 lanes x 20 cars at the safe gap, dt = 1 ms (about 510k vehicle-steps).
+    # The lanes' float64 position and velocity samples take 16 B per
+    # vehicle-step and the traces adopt them; a copy of either, or a bool
+    # array per flag, would take more.
+    run, peak, _ = traced_run(safe_road(20))
     vehicle_steps = sum(len(trace) for trace in run)
     assert vehicle_steps > 400_000 and not run.contacts
-    assert peak <= 26 * vehicle_steps, peak / vehicle_steps
+    assert peak <= 18 * vehicle_steps, peak / vehicle_steps
+
+
+@pytest.mark.parametrize("per_lane", [20, 40])
+def test_run_scratch_memory_is_a_few_rows_whatever_the_lane_size(per_lane):
+    # Beyond the samples it keeps, a run holds a few rows of its step count
+    # at a time (the grid, one gap row, one halt row, a trajectory's
+    # increments): not an array over the whole lane, which would grow with
+    # the cars in it.
+    run, peak, held = traced_run(safe_road(per_lane))
+    assert not run.contacts
+    rows = (peak - held) / (8 * len(run[0]))
+    assert rows < 8, rows
 
 
 def test_summary_rejects_traces_of_different_horizons():
