@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import InvalidInputError, InvalidParameterError, SdcapError
 from .kinematics import safe_longitudinal_distance
-from .params import KMH_TO_MPS, VehicleParams, require_finite
+from .params import KMH_TO_MPS, VehicleParams, require_closed_form, require_finite
 from .perception import DeviationSet, Regime
 from .protocol import corrected_safe_distance
 
@@ -97,7 +97,11 @@ def sdc(road: RoadSpec, expected_distance: float, vehicle_length: float) -> int:
             "vehicle_length must be in (0, road length), got "
             f"{vehicle_length} vs {road.length_m}"
         )
-    return math.floor(road.lanes * (road.length_m - vehicle_length) / expected_distance) + 1
+    try:
+        quotient = road.lanes * (road.length_m - vehicle_length) / expected_distance
+    except OverflowError:  # lanes too large to convert to a float
+        quotient = math.inf
+    return math.floor(require_closed_form("packing quotient", quotient)) + 1
 
 
 def sdc_per_lane(road: RoadSpec, expected_distance: float, vehicle_length: float) -> int:

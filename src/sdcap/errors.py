@@ -1,5 +1,5 @@
-"""Exception types shared across the package, where a text file fails to
-decode, and the lines before that."""
+"""Exception types shared across the package, and the lines of a text file
+read again, one decoded line at a time, to say where it was refused."""
 
 
 class SdcapError(Exception):
@@ -35,37 +35,48 @@ class ConfigError(SdcapError, ValueError):
     """A scenario configuration file failed validation; carries a line hint."""
 
 
-def _byte_lines(stream):
-    """The lines of a text stream over a file, read again from its bytes
-    without their ends. Lines end where a text stream's do, at b"\\n",
-    b"\\r\\n" or a lone b"\\r", bytes that no multi-byte UTF-8 character
-    holds."""
-    binary = stream.buffer
-    binary.seek(0)
-    for chunk in binary:
-        yield from chunk.removesuffix(b"\n").removesuffix(b"\r").split(b"\r")
+class DecodedLines:
+    """The lines of a text stream, with their ends, read again from its start
+    and counted (`count`) as they are handed out. A file is re-read from its
+    bytes a line at a time, each decoded on its own, so no read-ahead passes
+    the line read; lines end, as in a text stream with newline="", at
+    b"\\n", b"\\r\\n" or a lone b"\\r", bytes no multi-byte UTF-8 character
+    holds. The lines stop before the first one that fails to decode."""
 
+    def __init__(self, stream):
+        self.count = 0
+        self._name = getattr(stream, "name", "input")
+        self._failure = f"{self._name}: not {stream.encoding} text"
+        self._lines = self._read(stream)
 
-def undecodable_line(stream) -> str:
-    """Where a text stream over a file first fails to decode, as
-    '<file> line N: ...'. The file's bytes are read again one line at a
-    time, so only a failed read pays for it."""
-    name = getattr(stream, "name", "input")
-    for lineno, line in enumerate(_byte_lines(stream), start=1):
-        try:
-            line.decode(stream.encoding)
-        except UnicodeDecodeError as exc:
-            return (f"{name} line {lineno}: byte {line[exc.start]:#04x} is not "
-                    f"{stream.encoding} text ({exc.reason})")
-    return f"{name}: not {stream.encoding} text"
-
-
-def decoded_lines(stream):
-    """The lines of a text stream over a file before the first one that
-    fails to decode, read again from its bytes and decoded one at a time,
-    without their ends."""
-    for line in _byte_lines(stream):
-        try:
-            yield line.decode(stream.encoding)
-        except UnicodeDecodeError:
+    def _read(self, stream):
+        if not hasattr(stream, "buffer"):  # a StringIO: no bytes to decode
+            stream.seek(0)
+            for line in stream:
+                self.count += 1
+                yield line
             return
+        stream.buffer.seek(0)
+        for chunk in stream.buffer:
+            for line in chunk.splitlines(keepends=True):
+                body = line.rstrip(b"\r\n")  # the codec judges the line's own bytes
+                try:
+                    text = body.decode(stream.encoding)
+                except UnicodeDecodeError as exc:
+                    self._failure = (
+                        f"{self._name} line {self.count + 1}: byte {body[exc.start]:#04x} "
+                        f"is not {stream.encoding} text ({exc.reason})"
+                    )
+                    return
+                self.count += 1
+                yield text + line[len(body):].decode()
+
+    def __iter__(self):  # the generator itself, so np.loadtxt pulls from it
+        return self._lines
+
+    def undecodable(self) -> str:
+        """Where the stream first fails to decode, as '<file> line N: ...',
+        reading on past the lines handed out so far."""
+        for _ in self:
+            pass
+        return self._failure

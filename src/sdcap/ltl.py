@@ -30,13 +30,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    EvaluationError,
-    FormulaError,
-    InvalidInputError,
-    decoded_lines,
-    undecodable_line,
-)
+from .errors import DecodedLines, EvaluationError, FormulaError, InvalidInputError
 from .params import require_finite
 
 
@@ -448,9 +442,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("sym", ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        # Bounds are ASCII digits: str.isdigit also takes '²', which int()
+        # refuses, and '٣' or '１', which it reads as digits.
+        if "0" <= ch <= "9":
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             tokens.append(("int", text[start:pos], start))
             continue
@@ -503,6 +499,15 @@ class _Parser:
         finally:
             self.depth -= 1
 
+    def bound(self) -> int:
+        _, digits, pos = self.take("int")
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            raise FormulaError(
+                f"interval bound at position {pos} has too many digits ({len(digits)})"
+            ) from None
+
     def parse(self) -> Formula:
         f = self.formula()
         tok = self.peek()
@@ -548,9 +553,9 @@ class _Parser:
         if tok[0] == "name" and tok[1] in ("G", "F"):
             op = self.take()[1]
             self.take("sym", "[")
-            lo = int(self.take("int")[1])
+            lo = self.bound()
             self.take("sym", ",")
-            hi = int(self.take("int")[1])
+            hi = self.bound()
             self.take("sym", "]")
             child = self.nested(self.unary)
             return Globally(lo, hi, child) if op == "G" else Finally(lo, hi, child)
@@ -602,8 +607,9 @@ _ROW_DTYPE = np.dtype(
 
 
 def _csv_field(text: str) -> str:
-    """A CSV field: quoted, inner quotes doubled, if it holds ',' or '"'."""
-    if "," in text or '"' in text:
+    """A CSV field: quoted, inner quotes doubled, if it holds ',', '"' or a
+    line break, as RFC 4180 asks."""
+    if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -678,22 +684,6 @@ def traces_to_csv(traces: Sequence[Trace], info_sources=None) -> str:
     return buffer.getvalue()
 
 
-class _CountedLines:
-    """Iterator over a stream's lines that counts the lines handed out."""
-
-    def __init__(self, stream):
-        self._lines = iter(stream)
-        self.count = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        line = next(self._lines)
-        self.count += 1
-        return line
-
-
 # Rows parsed by one np.loadtxt call. Only one chunk's row table and its
 # vehicle_id strings are alive at a time; what a chunk leaves behind is
 # compact columns.
@@ -722,41 +712,32 @@ def _load_rows(lines, usecols, max_rows) -> np.ndarray:
         )
 
 
-def _rows_read(lines: _CountedLines, usecols, rows=math.inf) -> ValueError | None:
-    """Parse up to `rows` data rows of `lines` a chunk at a time, keeping
-    none; the error of the row that fails to parse, if one does. lines.count
-    then tells how many lines were read."""
-    try:
-        while rows > 0:
-            size = min(rows, _CHUNK_ROWS)
-            if len(_load_rows(lines, usecols, size)) < size:
-                break
-            rows -= size
-    except ValueError as exc:
-        return exc
-    return None
-
-
-def _line_of_row(stream, usecols, row: int | None = None) -> int:
-    """File line number of data row `row` (0-based) or, with no row, of the
-    row that fails to parse; found by re-reading the stream in chunks and
-    counting its lines, which only a failed read pays for."""
-    stream.seek(0)
-    stream.readline()
-    lines = _CountedLines(stream)
-    _rows_read(lines, usecols, math.inf if row is None else row + 1)
-    return 1 + lines.count
-
-
-def _refuse_malformed(lines, usecols):
-    """Refuse the first row of `lines`, the lines after the header, that
-    fails to parse, naming its file line; return if none does."""
-    lines = _CountedLines(lines)
-    exc = _rows_read(lines, usecols)
-    if exc is not None:
-        raise InvalidInputError(
-            f"trace CSV line {1 + lines.count}: {_parse_failure(exc, usecols)}"
-        ) from None
+def _locate(stream, row: int | None = None) -> int:
+    """Read the stream again from its start, one decoded line at a time
+    (DecodedLines), and parse it as the fast pass does: the header, then the
+    data rows in _CHUNK_ROWS chunks, keeping none. Given a data row index
+    (0-based), return that row's file line number. Otherwise refuse what
+    comes first in the file: a bad header, a row that fails to parse, or a
+    line that fails to decode."""
+    lines = DecodedLines(stream)
+    header = next(iter(lines), None)  # None: the header does not decode
+    if header is not None:
+        usecols = _usecols(header)
+        rows = math.inf if row is None else row + 1
+        try:
+            while rows > 0:
+                size = min(rows, _CHUNK_ROWS)
+                if len(_load_rows(lines, usecols, size)) < size:
+                    break
+                rows -= size
+        except ValueError as exc:
+            raise InvalidInputError(
+                f"trace CSV line {lines.count}: {_parse_failure(exc, usecols)}"
+            ) from None
+        if rows == 0:
+            return lines.count
+    # The lines stopped before one that fails to decode.
+    raise InvalidInputError(f"trace CSV {lines.undecodable()}") from None
 
 
 def _parse_failure(exc: ValueError, usecols) -> str:
@@ -786,9 +767,9 @@ def _usecols(header: str) -> list[int]:
 def _read_columns(stream, usecols):
     """Parse the data rows chunk by chunk into the _KEPT_FIELDS columns, the
     vehicle ids in order of first appearance, and each run of rows of one
-    vehicle as its code and length. A malformed row is refused at once; a
-    non-finite value or negative velocity only once every row has parsed,
-    so a malformed row anywhere wins."""
+    vehicle as its code and length. A row that fails to parse raises at
+    once; a non-finite value or negative velocity is refused only once
+    every row has parsed, so a malformed row anywhere wins."""
     parts: dict[str, list] = {name: [] for name in _KEPT_FIELDS}
     run_codes, run_lengths = [], []
     ids: dict[str, int] = {}
@@ -796,15 +777,7 @@ def _read_columns(stream, usecols):
     lines = iter(stream)
     parsed = 0
     while True:
-        try:
-            rows = _load_rows(lines, usecols, _CHUNK_ROWS)
-        except UnicodeDecodeError:
-            raise
-        except ValueError as exc:
-            raise InvalidInputError(
-                f"trace CSV line {_line_of_row(stream, usecols)}: "
-                f"{_parse_failure(exc, usecols)}"
-            ) from None
+        rows = _load_rows(lines, usecols, _CHUNK_ROWS)
         t, position, velocity = (np.array(rows[name]) for name in _KEPT_FIELDS[:3])
         if first_bad is None:
             bad = np.flatnonzero(~(
@@ -834,7 +807,7 @@ def _read_columns(stream, usecols):
     if first_bad is not None:
         k, t_k, position_k, velocity_k = first_bad
         raise InvalidInputError(
-            f"trace CSV line {_line_of_row(stream, usecols, k)}: t, position_m and "
+            f"trace CSV line {_locate(stream, k)}: t, position_m and "
             f"velocity_mps must be finite and velocity_mps >= 0, got "
             f"{t_k}, {position_k}, {velocity_k}"
         )
@@ -856,16 +829,18 @@ def _grouped(t: np.ndarray, run_codes: np.ndarray, run_lengths: np.ndarray) -> b
 
 
 def read_traces_csv(stream) -> list[Trace]:
-    """Parse a trace CSV from a seekable text stream (an open file or a
-    StringIO) into one trace per vehicle, in order of first appearance.
+    """Parse a trace CSV from a seekable text stream (a file opened with
+    newline="", which keeps a quoted line break as written, or a StringIO)
+    into one trace per vehicle, in order of first appearance.
 
     Columns are found by header name; extra columns are ignored, and a
     required column named twice is refused. Each vehicle's rows are sorted
     by t (stably) and must be uniformly sampled. Numbers are decimal
     literals, flags integers (0 is false). Raises InvalidInputError naming
     the line of a malformed row or the file and line of a byte that does
-    not decode, whichever comes first, or the vehicle whose samples are
-    bad; a line is found by reading the stream again.
+    not decode, whichever comes first, else that of the first bad value,
+    or the vehicle whose samples are bad; only a refused read finds its
+    line, reading the stream again one decoded line at a time (_locate).
 
     Rows are parsed _CHUNK_ROWS at a time, and a chunk keeps only compact
     columns: t, position and velocity as float64, the flags as bool, and
@@ -877,18 +852,11 @@ def read_traces_csv(stream) -> list[Trace]:
         header = stream.readline()
         if not header:
             raise InvalidInputError("empty trace CSV")
-        usecols = _usecols(header)
-        columns, ids, run_codes, run_lengths = _read_columns(stream, usecols)
-    except UnicodeDecodeError:
-        where = undecodable_line(stream)
-        # The stream decodes ahead of the row it reads, so a bad header or
-        # row before the undecodable line may not have been seen yet: that
-        # one comes first in the file.
-        lines = decoded_lines(stream)
-        header = next(lines, None)  # None: the header does not decode
-        if header is not None:
-            _refuse_malformed((line + "\n" for line in lines), _usecols(header))
-        raise InvalidInputError(f"trace CSV {where}") from None
+        columns, ids, run_codes, run_lengths = _read_columns(stream, _usecols(header))
+    except InvalidInputError:  # refused already, saying where
+        raise
+    except ValueError:  # a row that fails to parse, or a byte that fails to decode
+        _locate(stream)  # raises, naming the line
 
     t = columns.pop("t")
     if not _grouped(t, run_codes, run_lengths):

@@ -62,10 +62,10 @@ import numpy as np
 from .capacity import RoadSpec, safe_distance
 from .errors import (
     ConfigError,
+    DecodedLines,
     InvalidInputError,
     InvalidParameterError,
     SdcapError,
-    undecodable_line,
 )
 # perfbench reads simulator.vehicle_safe, so the name stays importable here.
 from .ltl import Trace, safety_verdicts, vehicle_safe  # noqa: F401
@@ -1006,5 +1006,5 @@ def scenario_from_file(path) -> ScenarioConfig:
         try:
             text = handle.read()
         except UnicodeDecodeError:
-            raise ConfigError(f"config file {undecodable_line(handle)}") from None
+            raise ConfigError(f"config file {DecodedLines(handle).undecodable()}") from None
     return scenario_from_text(text)

@@ -264,7 +264,7 @@ def reference_read_traces_csv(stream):
 
 def reference_write_traces_csv(traces, stream, info_sources=None):
     def field(text):
-        if "," in text or '"' in text:
+        if "," in text or '"' in text or "\n" in text or "\r" in text:
             return '"' + text.replace('"', '""') + '"'
         return text
 

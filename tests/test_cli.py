@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 
@@ -68,6 +69,11 @@ OVERFLOW = "the parameters overflow the closed form"
          f"front stopping time is inf: {OVERFLOW}"),
         (["distance", "--vr", "30", "--vf", "30", "--mode", "cbv", "--e-brake", "1e-320"],
          f"front stopping time is inf: {OVERFLOW}"),
+        # The road length in metres, or lanes x length, overflows a double.
+        (["sdc", "--M-km", "1e306"], f"packing quotient is inf: {OVERFLOW}"),
+        (["sweep", "--M-km", "1e306", "--out", os.devnull],
+         f"packing quotient is inf: {OVERFLOW}"),
+        (["sdc", "--lanes", "9" * 400], f"packing quotient is inf: {OVERFLOW}"),
     ],
 )
 def test_overflowing_closed_form_is_refused(capsys, argv, named):

@@ -234,6 +234,16 @@ def test_trace_csv_quotes_fields_holding_commas_or_quotes():
     assert read_traces_csv(io.StringIO(text)) == traces
     rows = list(csv.DictReader(io.StringIO(text)))
     assert {row["vehicle_id"]: row["info_source"] for row in rows} == sources
+    # A line break is quoted too, and reads back from a stream that keeps
+    # line ends as they are (newline="").
+    ids = ("l\nv0", "l\rv1", "l\r\nv2")
+    traces = [columnar(5, k, vehicle_id=vid) for k, vid in enumerate(ids)]
+    sources = {vid: vid.replace("l", "res", 1) for vid in ids}
+    text = traces_to_csv(traces, sources)
+    assert '\n0.0,"l\nv0",' in text and ',"res\r\nv2"\n' in text
+    assert read_traces_csv(io.StringIO(text, newline="")) == traces
+    rows = list(csv.DictReader(io.StringIO(text, newline="")))
+    assert {row["vehicle_id"]: row["info_source"] for row in rows} == sources
 
 
 def test_trace_csv_missing_column_rejected():
@@ -279,7 +289,10 @@ def test_parsed_formula_evaluates_like_the_ast():
 
 @pytest.mark.parametrize(
     "bad",
-    ["G[0,", "BER &", "(BER", "G[2,1] BER", "G[a,b] BER", "BER @ C", "", "->", "G BER"],
+    ["G[0,", "BER &", "(BER", "G[2,1] BER", "G[a,b] BER", "BER @ C", "", "->", "G BER",
+     # Bounds are ASCII decimal integers that int() converts.
+     "G[0,²] BER", "G[0,٣] BER", "G[0,１０] BER",
+     pytest.param("G[0," + "9" * 5000 + "] BER", id="G[0,<5000 digits>] BER")],
 )
 def test_malformed_formulas_rejected(bad):
     with pytest.raises(FormulaError):
@@ -289,6 +302,18 @@ def test_malformed_formulas_rejected(bad):
 def test_parser_reports_positions():
     with pytest.raises(FormulaError, match="position"):
         parse_formula("BER @@ C")
+
+
+@pytest.mark.parametrize("bound, named", [
+    ("²", "unexpected character '²' at position 4"),
+    ("٣", "unexpected character '٣' at position 4"),
+    ("１０", "unexpected character '１' at position 4"),
+    pytest.param("9" * 5000, "interval bound at position 4 has too many digits (5000)",
+                 id="5000 digits"),
+])
+def test_formula_bounds_are_ascii_integers_refused_with_a_position(bound, named):
+    with pytest.raises(FormulaError, match=re.escape(named)):
+        parse_formula(f"G[0,{bound}] BER")
 
 
 def test_deeply_nested_formula_is_refused_by_the_parser():
@@ -536,7 +561,7 @@ def test_long_traces_and_wide_windows_match_reference(data, n, seed, switch, bou
 # Few distinct values, so that runs form and -0.0 meets 0.0.
 _POSITIONS = st.sampled_from((0.0, -0.0, -2.5, 0.1 + 0.2, 5e-324, 27.78, 1e22))
 _VELOCITIES = st.sampled_from((0.0, -0.0, 0.1 + 0.2, 5e-324, 27.78))
-_NAMES = st.sampled_from(("v", "car,1", 'a"b', '"', ","))
+_NAMES = st.sampled_from(("v", "car,1", 'a"b', '"', ",", "l\nv", "l\r\nv", "\r"))
 
 
 def _columns(position, velocity, ber=None, collided=None, responsible=None):
@@ -550,8 +575,8 @@ def _columns(position, velocity, ber=None, collided=None, responsible=None):
 def hand_built_traces(draw):
     """(traces, info_sources): 1-3 traces, each with its own length and dt
     (an int dt among them), of few distinct values and a repeated tail, as
-    a halted car has; ids and sources may hold ',' or '"', and the sources
-    may leave a vehicle out, or be empty or absent."""
+    a halted car has; ids and sources may hold ',', '"' or a line break,
+    and the sources may leave a vehicle out, or be empty or absent."""
     traces = []
     for k in range(draw(st.integers(1, 3))):
         n = draw(st.one_of(st.sampled_from((2, 40)), st.integers(1, 60)))
@@ -850,6 +875,39 @@ def test_reader_holds_at_most_64_bytes_per_row(tmp_path):
     rows = sum(len(trace) for trace in read)
     assert rows == 160_000
     assert peak <= 64 * rows, peak / rows
+
+
+@pytest.mark.parametrize("field, fault, message", [
+    (1, b"\xff", "{path} line {line}: byte 0xff is not utf-8 text"),
+    (2, b"nan", "line {line}: t, position_m and velocity_mps must be finite"),
+    (4, b"x", "line {line}: could not convert string 'x'"),
+])
+def test_a_refused_read_holds_at_most_64_bytes_per_row(tmp_path, field, fault, message):
+    # 20 vehicles x 8,000 steps with one bad byte, value or flag on the last
+    # line but one. The read keeps compact columns up to the fault, and the
+    # re-read that finds its line holds one chunk of rows at a time.
+    path = tmp_path / "traces.csv"
+    traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
+    lines = traces_to_csv(traces).encode().split(b"\n")
+    del traces
+    line = len(lines) - 2  # the last line but one; the split's last item is empty
+    fields = lines[line - 1].split(b",")
+    fields[field] = fault
+    lines[line - 1] = b",".join(fields)
+    path.write_bytes(b"\n".join(lines))
+    del lines, fields
+    gc.collect()
+    expected = "^trace CSV " + re.escape(message.format(path=path, line=line))
+    with open(path, encoding="utf-8", newline="") as handle:
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match=expected):
+                read_traces_csv(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert line == 160_000
+    assert peak <= 64 * 160_000, peak / 160_000
 
 
 def test_reader_traces_are_read_only_views_of_its_columns():
