@@ -38,10 +38,12 @@ class ConfigError(SdcapError, ValueError):
 class DecodedLines:
     """The lines of a text stream, with their ends, read again from its start
     and counted (`count`) as they are handed out. A file is re-read from its
-    bytes a line at a time, each decoded on its own, so no read-ahead passes
-    the line read; lines end, as in a text stream with newline="", at
-    b"\\n", b"\\r\\n" or a lone b"\\r", bytes no multi-byte UTF-8 character
-    holds. The lines stop before the first one that fails to decode."""
+    bytes in fixed-size blocks and handed out a line at a time, each decoded
+    on its own, so no decoder read-ahead passes the line read and no line
+    holds more than its own bytes; lines end, as in a text stream with
+    newline="", at b"\\n", b"\\r\\n" or a lone b"\\r", bytes no multi-byte
+    UTF-8 character holds. The lines stop before the first one that fails
+    to decode."""
 
     def __init__(self, stream):
         self.count = 0
@@ -57,19 +59,18 @@ class DecodedLines:
                 yield line
             return
         stream.buffer.seek(0)
-        for chunk in stream.buffer:
-            for line in chunk.splitlines(keepends=True):
-                body = line.rstrip(b"\r\n")  # the codec judges the line's own bytes
-                try:
-                    text = body.decode(stream.encoding)
-                except UnicodeDecodeError as exc:
-                    self._failure = (
-                        f"{self._name} line {self.count + 1}: byte {body[exc.start]:#04x} "
-                        f"is not {stream.encoding} text ({exc.reason})"
-                    )
-                    return
-                self.count += 1
-                yield text + line[len(body):].decode()
+        for line in _byte_lines(stream.buffer):
+            body = line.rstrip(b"\r\n")  # the codec judges the line's own bytes
+            try:
+                text = body.decode(stream.encoding)
+            except UnicodeDecodeError as exc:
+                self._failure = (
+                    f"{self._name} line {self.count + 1}: byte {body[exc.start]:#04x} "
+                    f"is not {stream.encoding} text ({exc.reason})"
+                )
+                return
+            self.count += 1
+            yield text + line[len(body):].decode()
 
     def __iter__(self):  # the generator itself, so np.loadtxt pulls from it
         return self._lines
@@ -80,3 +81,21 @@ class DecodedLines:
         for _ in self:
             pass
         return self._failure
+
+
+# Bytes read at a time when a file is re-read.
+_READ_BYTES = 1 << 16
+
+
+def _byte_lines(buffer):
+    """The lines of a binary file, with their ends, read _READ_BYTES at a
+    time. The last piece of a block is carried over to the next, since a
+    line may go on there, and a b"\\r" ending a block may be the first half
+    of a b"\\r\\n"."""
+    rest = b""
+    while block := buffer.read(_READ_BYTES):
+        lines = (rest + block).splitlines(keepends=True)
+        rest = lines.pop()
+        yield from lines
+    if rest:
+        yield rest

@@ -18,7 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, OracleError
-from .params import VehicleParams, require_closed_form, require_finite
+from .params import (
+    VehicleParams,
+    require_closed_form,
+    require_finite,
+    require_response_kept,
+)
 
 
 def max_speed_after_response(rear: VehicleParams, tau: float) -> float:
@@ -62,15 +67,18 @@ def safe_longitudinal_distance(
     branch boundary).
 
     Each car brakes at its own max_brake; with a homogeneous fleet both
-    values coincide.
+    values coincide. Parameters whose rounding loses the response-time
+    travel, or overflows the closed form, are refused.
     """
     length = _require_equal_lengths(rear, front)
     t_front = time_to_stop_front(front)
     t_rear = require_closed_form("rear stopping time", time_to_stop_rear(rear, tau))
+    v_peak = max_speed_after_response(rear, tau)
+    response_travel = 0.5 * (rear.speed + v_peak) * tau
+    rear_travel = response_travel + 0.5 * (t_rear - tau) * v_peak
+    require_response_kept(response_travel, rear_travel, length)
     if t_front >= t_rear:
         return length
-    v_peak = max_speed_after_response(rear, tau)
-    rear_travel = 0.5 * (rear.speed + v_peak) * tau + 0.5 * (t_rear - tau) * v_peak
     front_travel = 0.5 * front.speed * t_front
     distance = require_closed_form("safe distance", length + rear_travel - front_travel)
     return max(length, distance)

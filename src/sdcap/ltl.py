@@ -127,6 +127,21 @@ _COLUMNS = (
 )
 
 
+def first_bad_sample(position: np.ndarray, velocity: np.ndarray) -> int | None:
+    """The index of the first sample a trace refuses (a position or
+    velocity that is not finite, or a negative velocity), or None."""
+    bad = np.flatnonzero(~(np.isfinite(position) & np.isfinite(velocity) & (velocity >= 0)))
+    return int(bad[0]) if bad.size else None
+
+
+def bad_sample_error(vehicle_id: str, step: int, position, velocity) -> InvalidInputError:
+    """The error that refuses a trace's sample at `step`."""
+    return InvalidInputError(
+        f"trace {vehicle_id}: step {step}: position and velocity must be finite "
+        f"and velocity >= 0, got {position}, {velocity}"
+    )
+
+
 class Trace:
     """Uniformly sampled state sequence of one vehicle, stored as columns.
 
@@ -182,15 +197,9 @@ class Trace:
             raise InvalidInputError("Trace.steps must be non-empty")
         if not (isinstance(dt, (int, float)) and dt > 0 and math.isfinite(dt)):
             raise InvalidInputError(f"Trace.dt must be a finite positive number, got {dt}")
-        bad = np.flatnonzero(
-            ~(np.isfinite(self.position) & np.isfinite(self.velocity) & (self.velocity >= 0))
-        )
-        if bad.size:
-            k = bad[0]
-            raise InvalidInputError(
-                f"trace {vehicle_id}: step {k}: position and velocity must be finite "
-                f"and velocity >= 0, got {self.position[k]}, {self.velocity[k]}"
-            )
+        k = first_bad_sample(self.position, self.velocity)
+        if k is not None:
+            raise bad_sample_error(vehicle_id, k, self.position[k], self.velocity[k])
         # A collision is permanent within the horizon.
         if np.any(self.collided[:-1] & ~self.collided[1:]):
             raise InvalidInputError(f"trace {vehicle_id}: collided flag must be monotone")
@@ -642,7 +651,8 @@ def write_traces_csv(
     stream,
     info_sources: dict[str, str] | None = None,
 ) -> None:
-    """Write the traces as CSV, one write per trace.
+    """Write the traces as CSV, one write per trace, reading each trace's
+    columns once.
 
     Each row is assembled from per-column strings: a time value is
     formatted once per (length, dt), a position or velocity once per run of
@@ -664,16 +674,13 @@ def write_traces_csv(
             )
         source = info_sources.get(trace.vehicle_id, "") if info_sources else None
         end = "\n" if source is None else f",{_csv_field(source)}\n"
-        flags = (
-            trace.ber.view(np.uint8) << 2
-            | trace.collided.view(np.uint8) << 1
-            | trace.responsible.view(np.uint8)
-        )
+        position, velocity, ber, collided, responsible = trace._columns()
+        flags = ber.view(np.uint8) << 2 | collided.view(np.uint8) << 1 | responsible.view(np.uint8)
         fields = np.empty((n, 5), dtype=object)
         fields[:, 0] = times[key]
         fields[:, 1] = _csv_field(trace.vehicle_id) + ","
-        fields[:, 2] = _float_fields(trace.position)
-        fields[:, 3] = _float_fields(trace.velocity)
+        fields[:, 2] = _float_fields(position)
+        fields[:, 3] = _float_fields(velocity)
         fields[:, 4] = np.array([f + end for f in _FLAG_FIELDS], dtype=object)[flags]
         stream.write("".join(fields.ravel().tolist()))
 

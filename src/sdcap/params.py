@@ -33,6 +33,26 @@ def require_closed_form(name: str, value: float) -> float:
     return value
 
 
+# The least part of itself, in relative terms, that a response-time travel
+# must keep through the rounding of the travel it is summed into.
+_RESPONSE_RESOLUTION = 2.0 ** -20
+
+
+def require_response_kept(response: float, total: float, contact: float):
+    """Refuse a response-time travel (m) lost to rounding in the travel
+    `total` it is part of. At huge speeds the rounding unit of the braking
+    travel passes it, and the closed form answers as if the rear car had a
+    shorter response time, or none. A response-time travel below a millionth
+    of the contact distance (tau = 0 among them) decides nothing and is
+    never refused."""
+    if (response > _RESPONSE_RESOLUTION * contact
+            and math.ulp(total) > _RESPONSE_RESOLUTION * response):
+        raise InvalidParameterError(
+            f"response-time travel is lost to rounding ({response!r} m in {total!r} m): "
+            "the parameters overflow the closed form"
+        )
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Parameters of one vehicle.

@@ -14,7 +14,12 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from .errors import InvalidParameterError
-from .params import VehicleParams, require_closed_form, require_finite
+from .params import (
+    VehicleParams,
+    require_closed_form,
+    require_finite,
+    require_response_kept,
+)
 from .perception import (
     DeviationSet,
     MetricKind,
@@ -154,6 +159,9 @@ def corrected_safe_distance(
     t_front = require_closed_form("front stopping time", front_speed / front_brake)
 
     contact = 0.5 * rear.length * (1.0 + dev.length)
+    response_travel = 0.5 * (rear.speed + v_peak) * tau_eff
+    braking_travel = 0.5 * v_peak * v_peak / rear.max_brake
+    require_response_kept(response_travel, response_travel + braking_travel, contact)
     if t_front >= t_rear:
         return contact
     distance = 0.5 * (

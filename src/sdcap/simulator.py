@@ -25,37 +25,54 @@ byte the same. Only a few steps per vehicle go through `_advance`: those
 with a phase switch strictly inside, the step that reaches the speed cap
 and the step that comes to a halt.
 
-Each lane is computed to the episode's step bound; the first step where a
-rear vehicle is closer to its front than a body length is then searched
-one rear at a time, each only up to the earliest contact found so far.
-That step is applied as a collision scan (freeze both vehicles, snap the
-rear to contact, reschedule the followers), the vehicles it changed are
-recomputed from there to the step bound, and the search repeats after
-that step. A collision is recorded at the grid step that detects it: its
-time is that step's time, not the exact contact time between two samples.
-The run ends one step after every braking vehicle stands still.
+The lanes are computed in step, in blocks of _BLOCK_STEPS steps. Each
+lane's block goes into scratch rows reused from block to block; only each
+vehicle's last sample and its schedule carry over to the next. Inside a
+block, the first step where a rear vehicle is closer to its front than a
+body length is searched one rear at a time, each only up to the earliest
+contact found so far. That step is applied as a collision scan (freeze
+both vehicles, snap the rear to contact, reschedule the followers), the
+vehicles it changed are recomputed from there to the end of the block, and
+the search repeats after that step. A collision is recorded at the grid
+step that detects it: its time is that step's time, not the exact contact
+time between two samples. The run ends one step after every braking
+vehicle stands still, and stepping stops with the block that holds that
+step.
+
+As each block passes, the run keeps what a summary needs: each adjacent
+pair's smallest gap, the contacts, the halt test and the first sample, if
+any, that is not finite or has a negative speed (a run holding one is
+refused, naming the vehicle and step). It also logs each vehicle's
+restarts: the step, position, speed and schedule at which its trajectory
+was computed afresh (at step 0, and wherever a contact changed its
+schedule, with the snapped position at a contact). A trajectory split at a
+block edge is the same left fold, so the samples are the same doubles in
+any block size, and a trace's position and velocity are replayed from the
+restarts through the same helpers each time they are read, never kept.
+Every flag (ber, collided, responsible) is off before its switch step and
+on from it, so each is a view of one run-wide bool array.
 
 `run_scenario` returns a `Run`, the list of traces, which also carries the
-run's contacts and each vehicle's info source. The summary's collisions
-are those contacts: one rule, an overlap of more than 1e-9 m, so two cars
-that only touch are not a collision.
+run's contacts, each vehicle's info source and the pairs' smallest gaps.
+The summary's collisions are those contacts: one rule, an overlap of more
+than 1e-9 m, so two cars that only touch are not a collision.
 
-The cost is O(vehicles x steps) numpy work per contact and once without
-one, with Python only at the switch, cap, halt and contact steps. A run
-holds its float64 position and velocity samples for the whole step bound,
-16 bytes per vehicle-step, and its traces adopt them as read-only views.
-Every flag (ber, collided, responsible) is off before its switch step and
-on from it, so each is a view of one run-wide bool array. Past the
-samples, a run holds a few rows of its step count at a time: the contact
-search one gap row, the halt test one flag row. A scenario of more than
-MAX_VEHICLE_STEPS vehicle-steps (about 0.4 GB) is refused before it
-starts.
+The cost is O(vehicles x steps) numpy work, plus O(vehicles x block) per
+contact, with Python only at block edges and at the switch, cap, halt and
+contact steps; a vehicle standing still fills its block at once, and a
+pair of cars standing still is not searched. A run holds its scratch
+blocks, 16 bytes per vehicle per block step, and a few arrays of its step
+count (the grid, its spans and the flag ramp): no array over vehicles and
+steps. Reading a column replays one vehicle. A scenario of more than
+MAX_VEHICLE_STEPS vehicle-steps, or whose arrays would take more than
+MAX_RUN_BYTES, is refused before anything is allocated.
 """
 
+import copy
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,7 +85,13 @@ from .errors import (
     SdcapError,
 )
 # perfbench reads simulator.vehicle_safe, so the name stays importable here.
-from .ltl import Trace, safety_verdicts, vehicle_safe  # noqa: F401
+from .ltl import (  # noqa: F401
+    Trace,
+    bad_sample_error,
+    first_bad_sample,
+    safety_verdicts,
+    vehicle_safe,
+)
 from .params import KMH_TO_MPS, VehicleParams, require_finite
 from .perception import DeviationSet, Regime
 from .protocol import (
@@ -81,12 +104,19 @@ from .protocol import (
 
 _EPS = 1e-9
 
-# The most vehicle-steps (step bound x vehicles) one run may hold. A run
-# holds about 17 bytes per vehicle-step at its peak (its float64 position
-# and velocity columns, which its traces adopt, and a few rows of scratch),
-# so this is about 0.4 GB. run_scenario refuses a larger scenario before it
+# Steps per block: each lane is computed this many steps at a time.
+_BLOCK_STEPS = 4096
+
+# The work cap: the most vehicle-steps (step bound x vehicles) one run may
+# take. It admits the paper's headline road at dt = 1 ms (176M) and refuses
+# ten times that. run_scenario refuses a larger scenario before it
 # allocates.
-MAX_VEHICLE_STEPS = 25_000_000
+MAX_VEHICLE_STEPS = 1_000_000_000
+
+# The memory cap: the most bytes a run's arrays may take, its scratch blocks
+# (16 B per vehicle per block step) and its arrays of the step count (the
+# grid and its spans, 8 B a step each, and the flag ramp, 2 B a step).
+MAX_RUN_BYTES = 400_000_000
 
 
 @dataclass(frozen=True)
@@ -358,17 +388,19 @@ def _scan_collisions(lane: list[_VehicleRT], t: float) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Trajectories along the time axis. Sample k is the state at t = k * dt, and
-# step k runs from (k - 1) * dt to k * dt. The helpers below fill samples
-# lo + 1 .. hi of one vehicle's position row x and velocity row v from sample
-# lo, forming the increments of `_advance` in its operation order and summing
-# them with np.add.accumulate (see the module docstring).
+# Trajectories along the time axis. Sample k is the state at t = times[k],
+# and step k runs from times[k - 1] to times[k]. The helpers below fill
+# samples lo + 1 .. hi of one vehicle's position row x and velocity row v
+# from sample lo, forming the increments of `_advance` in its operation
+# order and summing them with np.add.accumulate (see the module docstring).
+# times and spans may be views that start at any step of the run's grid;
+# x and v are indexed as they are.
 
 
-def _step(veh: _VehicleRT, x, v, k: int, dt: float, speed_cap: Optional[float]):
+def _step(veh: _VehicleRT, x, v, k: int, times, speed_cap: Optional[float]):
     """Step k through the scalar `_advance`."""
     veh.x, veh.v = float(x[k - 1]), float(v[k - 1])
-    _advance(veh, (k - 1) * dt, k * dt, speed_cap)
+    _advance(veh, float(times[k - 1]), float(times[k]), speed_cap)
     x[k], v[k] = veh.x, veh.v
 
 
@@ -379,7 +411,7 @@ def _coast(x, v, lo: int, hi: int, spans):
     np.add.accumulate(x[lo:hi + 1], out=x[lo:hi + 1])
 
 
-def _accelerate(veh, x, v, lo: int, hi: int, spans, dt: float, speed_cap):
+def _accelerate(veh, x, v, lo: int, hi: int, spans, times, speed_cap):
     """Full acceleration up to the speed cap, then constant speed."""
     accel = veh.params.max_accel
     np.multiply(accel, spans[lo + 1:hi + 1], out=v[lo + 1:hi + 1])
@@ -395,38 +427,55 @@ def _accelerate(veh, x, v, lo: int, hi: int, spans, dt: float, speed_cap):
     np.add.accumulate(x[lo:last + 1], out=x[lo:last + 1])
     if last < hi:
         if v[last] < speed_cap:
-            _step(veh, x, v, last + 1, dt, speed_cap)  # reaches the cap
+            _step(veh, x, v, last + 1, times, speed_cap)  # reaches the cap
             last += 1
         _coast(x, v, last, hi, spans)
 
 
-def _brake(veh, x, v, lo: int, hi: int, spans, dt: float):
-    """Full braking to a halt, then standing still."""
+def _brake(veh, x, v, lo: int, hi: int, spans, times):
+    """Full braking to a halt, then standing still. The speeds are
+    accumulated to two steps past the halt's estimate, and on to hi only if
+    the halt is not found there."""
     brake = veh.params.max_brake
-    np.multiply(brake, spans[lo + 1:hi + 1], out=v[lo + 1:hi + 1])
-    np.subtract.accumulate(v[lo:hi + 1], out=v[lo:hi + 1])
-    before = v[lo:hi]
-    halts = _first((before <= 0) | (before / brake <= spans[lo + 1:hi + 1]), lo)
+    steps = v[lo] / (brake * spans[lo + 1]) + 2  # about the steps to the halt
+    top, stop = lo, lo + int(steps) if steps < hi - lo else hi
+    while True:
+        np.multiply(brake, spans[top + 1:stop + 1], out=v[top + 1:stop + 1])
+        np.subtract.accumulate(v[top:stop + 1], out=v[top:stop + 1])
+        before = v[top:stop]
+        halts = _first((before <= 0) | (before / brake <= spans[top + 1:stop + 1]), top)
+        if halts is not None or stop == hi:
+            break
+        top, stop = stop, hi
     last = hi if halts is None else halts  # the last sample of plain braking
     span = spans[lo + 1:last + 1]
     x[lo + 1:last + 1] = v[lo:last] * span - 0.5 * brake * span * span
     np.add.accumulate(x[lo:last + 1], out=x[lo:last + 1])
     if last < hi:
-        _step(veh, x, v, last + 1, dt, None)  # comes to a halt
+        _step(veh, x, v, last + 1, times, None)  # comes to a halt
         x[last + 2:hi + 1] = x[last + 1]
         v[last + 2:hi + 1] = 0.0
 
 
-def _trajectory(veh: _VehicleRT, x, v, k: int, end: int, times, spans, dt: float, speed_cap):
+def _standing(veh: _VehicleRT, t: float, v: float) -> bool:
+    """Whether the vehicle, at speed v at time t, stands still from then
+    on: frozen at a contact, or braking at a halt."""
+    return veh.collision_time is not None or (
+        veh.onset is not None and t >= veh.onset and v <= 0
+    )
+
+
+def _trajectory(veh: _VehicleRT, x, v, k: int, end: int, times, spans, speed_cap):
     """Fill x[k + 1:end + 1] and v[k + 1:end + 1] from sample k under the
     vehicle's current schedule (cause, onset, collision_time).
 
     The steps between two phase switches form one run. A step with a
-    switch strictly inside it goes through `_advance`.
+    switch strictly inside it goes through `_advance`. A vehicle standing
+    still is one fill, the samples `_advance` would give it.
     """
-    if veh.collision_time is not None:
+    if _standing(veh, times[k], v[k]):
         x[k + 1:end + 1] = x[k]
-        v[k + 1:end + 1] = v[k]
+        v[k + 1:end + 1] = v[k] if veh.collision_time is not None else 0.0
         return
     while k < end:
         phase = _phase_at(veh, times[k])
@@ -443,90 +492,186 @@ def _trajectory(veh: _VehicleRT, x, v, k: int, end: int, times, spans, dt: float
             if phase == _CRUISE:
                 _coast(x, v, k, stop, spans)
             elif phase == _ACCEL:
-                _accelerate(veh, x, v, k, stop, spans, dt, speed_cap)
+                _accelerate(veh, x, v, k, stop, spans, times, speed_cap)
             else:
-                _brake(veh, x, v, k, stop, spans, dt)
+                _brake(veh, x, v, k, stop, spans, times)
         k = stop
         if straddled is not None:
-            _step(veh, x, v, straddled, dt, speed_cap)
+            _step(veh, x, v, straddled, times, speed_cap)
             k = straddled
 
 
-class _Lane:
-    """One lane's samples on the step grid, settled contact by contact.
+class _Restart(NamedTuple):
+    """Where a vehicle's trajectory was computed afresh: the step, its
+    sample there, and the schedule it follows from there."""
 
-    `position` and `velocity` ([vehicle, sample]) hold each vehicle's
-    trajectory under its current schedule up to the step bound. A contact
-    changes the schedule of the vehicles it freezes or reschedules; they are
-    recomputed from the contact step on, and the search for the next
-    contact starts after it.
+    step: int
+    x: float
+    v: float
+    cause: Optional[float]
+    onset: Optional[float]
+    collision_time: Optional[float]
+
+
+def _restart(veh: _VehicleRT, step: int) -> _Restart:
+    return _Restart(step, veh.x, veh.v, veh.cause, veh.onset, veh.collision_time)
+
+
+def _replay(veh: _VehicleRT, restarts: Sequence[_Restart], lo: int, hi: int,
+            times, spans, speed_cap):
+    """Samples lo..hi of the vehicle's position and velocity, as read-only
+    arrays: from its last restart at or before lo, each restart's sample
+    and schedule computed on to the next one by `_trajectory`."""
+    first = max(j for j, r in enumerate(restarts) if r.step <= lo)
+    start = restarts[first].step
+    segments = [r for r in restarts[first:] if r.step <= hi]
+    x, v = np.empty(hi + 1 - start), np.empty(hi + 1 - start)
+    times, spans = times[start:hi + 1], spans[start:hi + 1]
+    ghost = copy.copy(veh)  # follows each logged schedule in turn
+    for r, end in zip(segments, [r.step for r in segments[1:]] + [hi]):
+        ghost.cause, ghost.onset, ghost.collision_time = r.cause, r.onset, r.collision_time
+        x[r.step - start], v[r.step - start] = r.x, r.v
+        _trajectory(ghost, x, v, r.step - start, end - start, times, spans, speed_cap)
+    x, v = x[lo - start:], v[lo - start:]
+    x.setflags(write=False)
+    v.setflags(write=False)
+    return x, v
+
+
+class _Lane:
+    """One lane of a run, computed one block of steps at a time.
+
+    `position` and `velocity` ([vehicle, sample]) are scratch rows: column
+    0 holds the sample the block starts from, and `advance` fills the
+    block's steps under each vehicle's current schedule and settles the
+    block's contacts. A contact changes the schedule of the vehicles it
+    freezes or reschedules; they are recomputed from the contact step to
+    the end of the block, each with a restart logged, and the search for
+    the next contact starts after it. `record` then keeps the block's
+    summary facts and carries its last sample over to column 0.
     """
 
-    def __init__(self, vehicles, first_affected, times, spans, cfg: ScenarioConfig):
+    def __init__(self, vehicles, first_affected, width, grid):
         self.vehicles = vehicles
-        self.affected = [] if first_affected is None else vehicles[first_affected:]
-        self.times, self.spans = times, spans
-        self.dt, self.speed_cap = cfg.dt, cfg.speed_cap
-        self.horizon = len(times) - 1
-        self.position = np.empty((len(vehicles), len(times)))
+        self.affected = range(len(vehicles) if first_affected is None else first_affected,
+                              len(vehicles))
+        self.times, self.spans, self.speed_cap = grid
+        self.position = np.empty((len(vehicles), width + 1))
         self.velocity = np.empty_like(self.position)
-        for i, veh in enumerate(vehicles):
-            self.position[i, 0], self.velocity[i, 0] = veh.x, veh.v
-            self._recompute(i, 0)
+        self.position[:, 0] = [veh.x for veh in vehicles]
+        self.velocity[:, 0] = [veh.v for veh in vehicles]
+        self.restarts = [[_restart(veh, 0)] for veh in vehicles]
         self.contacts: list[tuple[int, int]] = []  # (rear index, step)
+        self.halt: Optional[int] = None
+        self.min_gaps = (self.position[:-1, 0] - self.position[1:, 0]).tolist()
+        self.faults: dict[int, tuple] = {}  # vehicle index: its first bad (step, x, v)
+        self.still = [False] * len(vehicles)
+        self.start = self.width = 0
 
-    def _recompute(self, i: int, step: int):
-        """Vehicle i's samples after `step` under its current schedule."""
-        _trajectory(self.vehicles[i], self.position[i], self.velocity[i], step,
-                    self.horizon, self.times, self.spans, self.dt, self.speed_cap)
+    def advance(self, start: int, end: int):
+        """Steps start + 1 .. end from sample start (column 0), their
+        contacts settled, and the halt searched if not found before."""
+        self.start, self.width = start, end - start
+        times = self.times[start:end + 1]
+        spans = self.spans[start:end + 1]
+        x, v = self.position, self.velocity
+        # Standing still at the block's start, so for all of it. Sample 0
+        # is searched for contacts like any other, so none stands still in
+        # the first block.
+        self.still = [start > 0 and _standing(veh, times[0], v[i, 0])
+                      for i, veh in enumerate(self.vehicles)]
+        for i, veh in enumerate(self.vehicles):
+            _trajectory(veh, x[i], v[i], 0, self.width, times, spans, self.speed_cap)
+        step = self._next_contact(0)
+        while step is not None:
+            self._apply_contact(step, times, spans)
+            step = self._next_contact(step)
+        if self.halt is None:
+            self.halt = self._halt(times)
 
     def _next_contact(self, after: int) -> Optional[int]:
-        """First step past `after` where a moving rear is closer to its
+        """First column past `after` where a moving rear is closer to its
         front than a body length (the `_scan_collisions` test), or None.
 
         Searched one rear at a time, each only up to the earliest contact
-        found so far, so the search holds one gap row, not the lane's."""
-        found, end = None, self.horizon + 1
+        found so far, so the search holds one gap row. A pair standing still
+        keeps the gap it had at the block's start, searched in the block
+        before."""
+        found, end = None, self.width + 1
+        x = self.position
         for i, rear in enumerate(self.vehicles[1:], start=1):
-            if rear.collision_time is None:
-                gap = self.position[i - 1, after + 1:end] - self.position[i, after + 1:end]
+            if rear.collision_time is None and not (self.still[i - 1] and self.still[i]):
+                gap = x[i - 1, after + 1:end] - x[i, after + 1:end]
                 step = _first(gap < rear.params.length - _EPS, after + 1)
                 if step is not None:
                     found = end = step
         return found
 
-    def _apply_contact(self, step: int):
-        """Step `step`'s collision scan and rescheduling, and the changed
-        vehicles recomputed from there."""
+    def _apply_contact(self, step: int, times, spans):
+        """Column `step`'s collision scan and rescheduling, and the changed
+        vehicles recomputed from there, each with a restart logged."""
+        x, v = self.position, self.velocity
         for i, veh in enumerate(self.vehicles):
-            veh.x, veh.v = float(self.position[i, step]), float(self.velocity[i, step])
+            veh.x, veh.v = float(x[i, step]), float(v[i, step])
         before = [(veh.cause, veh.onset, veh.collision_time) for veh in self.vehicles]
-        hits = _scan_collisions(self.vehicles, step * self.dt)
-        self.contacts.extend((rear, step) for rear in hits)
+        hits = _scan_collisions(self.vehicles, float(times[step]))
+        self.contacts.extend((rear, self.start + step) for rear in hits)
         _reschedule(self.vehicles)
         for i, veh in enumerate(self.vehicles):
             if (veh.cause, veh.onset, veh.collision_time) != before[i]:
-                self.position[i, step], self.velocity[i, step] = veh.x, veh.v
-                self._recompute(i, step)
+                x[i, step], v[i, step] = veh.x, veh.v
+                self.restarts[i].append(_restart(veh, self.start + step))
+                _trajectory(veh, x[i], v[i], step, self.width, times, spans, self.speed_cap)
 
-    def settle(self) -> Optional[int]:
-        """Apply the lane's contacts in step order; return the first step at
-        which every affected vehicle stands still and has passed its brake
-        onset (None if none does by the step bound).
+    def _halt(self, times) -> Optional[int]:
+        """The first step of the block at which every affected vehicle
+        stands still and has passed its brake onset, or None.
 
         Past that step no contact can change the lane's samples up to it,
-        so the halt is searched once, on the settled samples.
-        """
-        step = self._next_contact(0)
-        while step is not None:
-            self._apply_contact(step)
-            step = self._next_contact(step)
-        first = len(self.vehicles) - len(self.affected)
-        onset = max((veh.onset for veh in self.affected), default=-math.inf)
-        still = self.times[1:] >= onset
-        for velocity in self.velocity[first:, 1:]:  # one row at a time
-            still &= velocity == 0.0
-        return _first(still, 1)
+        so the first block that holds it decides it. A halt in the block
+        leaves every affected vehicle at speed 0 at the block's end."""
+        if not self.affected:
+            return self.start + 1
+        v = self.velocity
+        onset = max(self.vehicles[i].onset for i in self.affected)
+        if times[-1] < onset or np.any(v[self.affected.start:, self.width] != 0.0):
+            return None
+        still = times[1:] >= onset
+        for i in self.affected:
+            if not self.still[i]:
+                still &= v[i, 1:self.width + 1] == 0.0  # one row at a time
+        return _first(still, self.start + 1)
+
+    def record(self, last: int):
+        """Keep the block's facts over its steps up to `last` (all of them
+        if the run goes on): each pair's smallest gap and each vehicle's
+        first sample that a trace refuses. Then carry the block's last
+        sample over to column 0."""
+        count = min(last, self.start + self.width) - self.start
+        x, v = self.position, self.velocity
+        for i in range(1, len(self.vehicles)):
+            if not (self.still[i - 1] and self.still[i]):
+                gap = float(np.min(x[i - 1, 1:count + 1] - x[i, 1:count + 1]))
+                if gap < self.min_gaps[i - 1]:
+                    self.min_gaps[i - 1] = gap
+        # Column 0 is sample 0, or was checked as the block before's last
+        # sample: whole scratch rows are checked in one contiguous pass.
+        if count + 1 < x.shape[1]:
+            x, v = x[:, :count + 1], v[:, :count + 1]
+        if x.size and not (-math.inf < x.min() and x.max() < math.inf
+                           and 0 <= v.min() and v.max() < math.inf):
+            for i in range(len(self.vehicles)):
+                k = first_bad_sample(x[i], v[i])
+                if k is not None and i not in self.faults:
+                    self.faults[i] = (self.start + k, x[i, k], v[i, k])
+        self.position[:, 0] = self.position[:, self.width]
+        self.velocity[:, 0] = self.velocity[:, self.width]
+
+
+def _run_bytes(vehicles: int, horizon) -> float:
+    """The bytes of a run's arrays: two scratch rows of a block per vehicle,
+    and the grid, its spans and the flag ramp (18 B per step)."""
+    return 16 * vehicles * (min(_BLOCK_STEPS, horizon) + 1) + 18 * (horizon + 1)
 
 
 def _start_run(cfg: ScenarioConfig):
@@ -534,7 +679,8 @@ def _start_run(cfg: ScenarioConfig):
     its Link, and their first schedule, the index of each lane's first
     braking vehicle (None in a lane without a trigger), and a generous
     bound on the number of steps the episode takes. A scenario whose bound
-    times its vehicle count exceeds MAX_VEHICLE_STEPS is refused here."""
+    times its vehicle count exceeds MAX_VEHICLE_STEPS, or whose arrays
+    would take more than MAX_RUN_BYTES, is refused here."""
     links = link_resolutions(cfg)
     lanes: list[list[_VehicleRT]] = []
     for lane_idx, lane_spec in enumerate(cfg.lanes):
@@ -582,70 +728,127 @@ def _start_run(cfg: ScenarioConfig):
             f"vehicles exceeds the cap of {MAX_VEHICLE_STEPS} vehicle-steps; "
             "use a coarser dt or fewer vehicles"
         )
+    size = _run_bytes(cfg.vehicle_count, horizon)
+    if not size <= MAX_RUN_BYTES:
+        raise SdcapError(
+            f"scenario too large: {cfg.vehicle_count} vehicles over up to {horizon:.10g} "
+            f"steps need {size:.10g} bytes of arrays, over the cap of {MAX_RUN_BYTES}; "
+            "use a coarser dt or fewer vehicles"
+        )
     return lanes, first_affected, int(max_steps)
 
 
 class Run(list):
-    """A finished run's traces in lane-major order, with two facts the run
-    decided: `contacts`, its rear-end contacts as (lane, rear index, step)
-    sorted by lane and rear, and `info_sources`, each vehicle's front-car
-    information source from the run's one draw of the links."""
+    """A finished run's traces in lane-major order, with three facts the
+    run decided: `contacts`, its rear-end contacts as (lane, rear index,
+    step) sorted by lane and rear; `info_sources`, each vehicle's front-car
+    information source from the run's one draw of the links; and
+    `min_gaps`, each adjacent pair's smallest gap over the run, keyed
+    'front->rear' by vehicle id in lane-major order."""
 
-    def __init__(self, traces, contacts, info_sources):
+    def __init__(self, traces, contacts, info_sources, min_gaps):
         super().__init__(traces)
         self.contacts = contacts
         self.info_sources = info_sources
+        self.min_gaps = min_gaps
+
+
+class _ReplayedTrace(Trace):
+    """A run's trace. Its flags are views of the run's ramp; its position
+    and velocity are replayed from the vehicle's restarts each time they
+    are read, and never kept. The run checked its samples as it went."""
+
+    __slots__ = ("_vehicle", "_restarts", "_grid")
+
+    def __init__(self, vehicle_id, dt, vehicle, restarts, grid, *, ber, collided, responsible):
+        self.vehicle_id, self.dt = vehicle_id, dt
+        self.ber, self.collided, self.responsible = ber, collided, responsible
+        self._vehicle, self._restarts, self._grid = vehicle, restarts, grid
+
+    @property
+    def position(self) -> np.ndarray:
+        return self._columns()[0]
+
+    @property
+    def velocity(self) -> np.ndarray:
+        return self._columns()[1]
+
+    def __len__(self) -> int:
+        return len(self.ber)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        position, velocity = _replay(self._vehicle, self._restarts, 0, len(self) - 1,
+                                     *self._grid)
+        return position, velocity, self.ber, self.collided, self.responsible
 
 
 def run_scenario(cfg: ScenarioConfig) -> Run:
     """Execute the scenario and return its Run: the fully annotated traces,
-    which also carry the run's contacts and info sources.
+    which also carry the run's contacts, info sources and smallest gaps.
 
-    Deterministic for a fixed config and seed. Each lane's trajectories are
-    computed to the step bound, and its contacts are then applied one at a
-    time, each at the first step it occurs. The run ends one step after
-    every affected vehicle has passed its brake onset and stands still.
-    Blame is decided from the contacts the run detected, and each trace is
-    built with its responsibility flags set. A run whose step bound times
-    its vehicle count exceeds MAX_VEHICLE_STEPS is refused before any
-    column is allocated.
+    Deterministic for a fixed config and seed. The lanes are computed in
+    step, a block of steps at a time, and each lane's contacts are applied
+    one at a time, each at the first step it occurs. The run ends one step
+    after every affected vehicle has passed its brake onset and stands
+    still. Blame is decided from the contacts the run detected, and each
+    trace is built with its responsibility flags set. A run over
+    MAX_VEHICLE_STEPS or MAX_RUN_BYTES is refused before anything is
+    allocated, and one with a sample that is not finite, or a negative
+    speed, is refused once it ends, as Trace refuses such a column.
     """
     lanes, first_affected, max_steps = _start_run(cfg)
     horizon = max_steps + 2  # the last step the episode may take
     times = np.arange(horizon + 1) * cfg.dt
-    spans = np.diff(times, prepend=0.0)
-    runs = [
-        _Lane(lane, first, times, spans, cfg) for lane, first in zip(lanes, first_affected)
-    ]
-    halts = [run.settle() for run in runs]
-    if None in halts or max(halts) >= horizon:
-        raise SdcapError("simulation failed to reach a halt state")
-    last = max(halts) + 1  # one trailing step past the halt
-    contacts = [  # (lane, rear index, step)
-        (lane_idx, rear, step) for lane_idx, run in enumerate(runs) for rear, step in run.contacts
-    ]
-    return _traces(
-        cfg, lanes, [run.position for run in runs], [run.velocity for run in runs], contacts, last
+    grid = (times, np.diff(times, prepend=0.0), cfg.speed_cap)
+    width = min(_BLOCK_STEPS, horizon)
+    runs = [_Lane(lane, first, width, grid) for lane, first in zip(lanes, first_affected)]
+    start = 0
+    while True:
+        end = min(start + width, horizon)
+        for run in runs:
+            run.advance(start, end)
+        halts = [run.halt for run in runs]
+        done = None not in halts and max(halts) < end
+        last = max(halts) + 1 if done else end  # one trailing step past the halt
+        for run in runs:
+            run.record(last)
+        if done:
+            break
+        if end == horizon:
+            raise SdcapError("simulation failed to reach a halt state")
+        start = end
+    for lane_idx, run in enumerate(runs):
+        if run.faults:
+            idx = min(run.faults)
+            raise bad_sample_error(vehicle_id(lane_idx, idx), *run.faults[idx])
+    contacts = sorted(  # (lane, rear index, step)
+        (lane_idx, rear, step)
+        for lane_idx, run in enumerate(runs) for rear, step in run.contacts if step <= last
     )
+    min_gaps = {
+        f"{vehicle_id(lane_idx, idx - 1)}->{vehicle_id(lane_idx, idx)}": gap
+        for lane_idx, run in enumerate(runs) for idx, gap in enumerate(run.min_gaps, start=1)
+    }
+    return _traces(cfg, lanes, [run.restarts for run in runs], grid, contacts, min_gaps, last)
 
 
-def _traces(cfg, lanes, positions, velocities, contacts, last) -> Run:
-    """The run's traces, from its samples (positions[lane][vehicle, step],
-    for steps 0..last at least) and the contacts it detected, with blame
-    decided.
+def _traces(cfg, lanes, restarts, grid, contacts, min_gaps, last) -> Run:
+    """The run's traces, steps 0..last, from each vehicle's restarts
+    (restarts[lane][vehicle]) and the contacts the run detected, with
+    blame decided.
 
-    The sample arrays are frozen, and the traces adopt steps 0..last of
-    them as read-only views, not copies. Every flag is off before its switch
-    step and on from it, so each is a view of one read-only ramp of n False
-    then n True (n = last + 1): the flag switching at step k is
-    ramp[n - k:2n - k], and every flag that never turns on is the one shared
-    array ramp[:n]."""
+    Every flag is off before its switch step and on from it, so each is a
+    view of one read-only ramp of n False then n True (n = last + 1): the
+    flag switching at step k is ramp[n - k:2n - k], and every flag that
+    never turns on is the one shared array ramp[:n]."""
     n = last + 1
-    # Step k's grid time k * dt: the same double in numpy as in Python.
-    times = np.arange(n) * cfg.dt
-    blamed = assign_responsibility(lanes, positions, velocities, contacts, cfg, times)
-    for samples in (*positions, *velocities):
-        samples.setflags(write=False)
+    times = grid[0][:n]
+
+    def sample(lane_idx, idx, step):
+        x, v = _replay(lanes[lane_idx][idx], restarts[lane_idx][idx], step, step, *grid)
+        return float(x[0]), float(v[0])
+
+    blamed = assign_responsibility(lanes, sample, contacts, cfg, times)
     ramp = np.repeat([False, True], n)
     ramp.setflags(write=False)
     never = ramp[:n]
@@ -654,22 +857,23 @@ def _traces(cfg, lanes, positions, velocities, contacts, last) -> Run:
         """The flag that turns on at `step` (never if None or past last)."""
         return never if step is None or step >= n else ramp[n - step:2 * n - step]
 
-    traces = []
-    for lane_idx, lane in enumerate(lanes):
-        for idx, veh in enumerate(lane):
-            traces.append(
-                Trace.from_columns(
-                    vehicle_id(lane_idx, idx),
-                    cfg.dt,
-                    position=positions[lane_idx][idx, :n],
-                    velocity=velocities[lane_idx][idx, :n],
-                    ber=flag(_switch_step(times, veh.onset)),
-                    collided=flag(_switch_step(times, veh.collision_time)),
-                    # Flagged from the contact step; never if not blamed.
-                    responsible=flag(blamed.get((lane_idx, idx))),
-                )
-            )
-    return Run(traces, sorted(contacts), _labels([[veh.link for veh in lane] for lane in lanes]))
+    traces = [
+        _ReplayedTrace(
+            vehicle_id(lane_idx, idx),
+            cfg.dt,
+            veh,
+            restarts[lane_idx][idx],
+            grid,
+            ber=flag(_switch_step(times, veh.onset)),
+            collided=flag(_switch_step(times, veh.collision_time)),
+            # Flagged from the contact step; never if not blamed.
+            responsible=flag(blamed.get((lane_idx, idx))),
+        )
+        for lane_idx, lane in enumerate(lanes)
+        for idx, veh in enumerate(lane)
+    ]
+    links = [[veh.link for veh in lane] for lane in lanes]
+    return Run(traces, contacts, _labels(links), min_gaps)
 
 
 def _switch_step(times: np.ndarray, event: Optional[float]) -> Optional[int]:
@@ -691,8 +895,7 @@ def _first(flags: np.ndarray, offset: int = 0) -> Optional[int]:
 
 def assign_responsibility(
     lanes: Sequence[Sequence[_VehicleRT]],
-    positions: Sequence[np.ndarray],
-    velocities: Sequence[np.ndarray],
+    sample: Callable[[int, int, int], tuple[float, float]],
     contacts: Sequence[tuple[int, int, int]],
     cfg: ScenarioConfig,
     times: np.ndarray,
@@ -703,8 +906,8 @@ def assign_responsibility(
     moment its predecessor's sudden stop began was below the safe distance
     applicable to its link's information source, or (b) it failed to start
     braking within its link's effective response time of that moment. The
-    front vehicle is never blamed for braking. positions[lane] and
-    velocities[lane] hold the run's samples as [vehicle, step]. Returns
+    front vehicle is never blamed for braking. sample(lane, index, step)
+    gives the run's position and velocity of a vehicle at a step. Returns
     {(lane, index): contact step} for the blamed vehicles; without
     collisions it is empty.
     """
@@ -715,8 +918,8 @@ def assign_responsibility(
         cause_step = _switch_step(times, front.sudden_stop_time())
         if cause_step is None:
             continue
-        v_rear = float(velocities[lane_idx][rear_idx, cause_step])
-        v_front = float(velocities[lane_idx][rear_idx - 1, cause_step])
+        x_rear, v_rear = sample(lane_idx, rear_idx, cause_step)
+        x_front, v_front = sample(lane_idx, rear_idx - 1, cause_step)
         threshold = safe_distance(
             rear.params.with_speed(v_rear),
             front.params.with_speed(v_front),
@@ -724,8 +927,7 @@ def assign_responsibility(
             cfg.dev,
             rear.link.eta,
         )
-        position = positions[lane_idx]
-        gap_at_cause = float(position[rear_idx - 1, cause_step] - position[rear_idx, cause_step])
+        gap_at_cause = x_front - x_rear
         spaced_too_close = gap_at_cause < threshold - 1e-9
 
         onset_step = _switch_step(times, rear.onset)
@@ -759,22 +961,14 @@ def info_source_labels(cfg: ScenarioConfig) -> dict[str, str]:
 
 def scenario_summary(run: Run, cfg: ScenarioConfig) -> dict:
     """Collision, throughput and spacing summary of a finished run: the
-    Run that run_scenario(cfg) returned, whose contacts and info sources it
-    reports. A plain list of traces, or traces out of order, is refused."""
+    Run that run_scenario(cfg) returned, whose contacts, info sources and
+    smallest gaps it reports; it reads no samples. A plain list of traces,
+    or traces out of order, is refused."""
     ids = [vehicle_id(lane, i) for lane, cars in enumerate(cfg.lanes) for i in range(len(cars))]
     if not isinstance(run, Run) or [t.vehicle_id for t in run] != ids:
         raise InvalidInputError("scenario_summary needs the Run of run_scenario(cfg): "
                                 "cfg's vehicles in lane-major order, with their contacts")
     verdicts = safety_verdicts(run)
-    min_gaps = {}
-    start = 0
-    for lane in cfg.lanes:
-        column = run[start:start + len(lane)]
-        start += len(lane)
-        for front, rear in zip(column, column[1:]):
-            min_gaps[f"{front.vehicle_id}->{rear.vehicle_id}"] = float(
-                np.min(front.position - rear.position)
-            )
     collisions = [
         {
             "lane": lane_idx,
@@ -793,7 +987,7 @@ def scenario_summary(run: Run, cfg: ScenarioConfig) -> dict:
         "road_safe": all(verdicts),
         "collisions": collisions,
         "responsible": responsible,
-        "min_gaps_m": min_gaps,
+        "min_gaps_m": dict(run.min_gaps),
         "unsafe_vehicles": sorted(
             t.vehicle_id for t, safe in zip(run, verdicts) if not safe
         ),

@@ -119,6 +119,28 @@ def scenarios(draw):
     )
 
 
+@st.composite
+def dense_chains(draw):
+    """One lane of 5-30 cars at 0.2-0.5 x the PBV gap (a body length at
+    least), whose lead brakes at t = 0, PBV or CBV, with a step of 5-20 ms:
+    nearly every follower hits its front, one contact after another."""
+    column = [SpawnSpec(REFERENCE)]
+    for _ in range(draw(st.integers(4, 29))):
+        gap = max(draw(st.floats(0.2, 0.5)) * D_SAFE, REFERENCE.length)
+        column.append(SpawnSpec(REFERENCE, gap))
+    return ScenarioConfig(
+        road=RoadSpec(10.0, 1, 100.0),
+        lanes=(tuple(column),),
+        triggers=(BrakeTrigger(0, 0, 0.0),),
+        mode=draw(st.sampled_from(("pbv", "cbv"))),
+        dev=DeviationSet(0.96, 1.03, 0.97, 0.95),
+        latency=LatencyModel.uniform(0.05, 0.15),
+        dt=draw(st.floats(0.005, 0.02)),
+        rng_seed=draw(st.integers(0, 2**31)),
+        request_timeout=0.1,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Independent temporal-logic reference: the bounded operators expanded as
 # explicit loops over concrete step indices.
@@ -446,4 +468,16 @@ def reference_run_scenario(cfg):
         for lane_idx, lane in enumerate(lanes)
         for idx, veh in enumerate(lane)
     }
-    return Run(reference_assign_responsibility(traces, cfg), sorted(contacts), info_sources)
+    min_gaps = {
+        f"{front.vehicle_id}->{rear.vehicle_id}": float(np.min(front.position - rear.position))
+        for lane in lanes_of(traces, cfg)
+        for front, rear in zip(lane, lane[1:])
+    }
+    return Run(reference_assign_responsibility(traces, cfg), sorted(contacts), info_sources,
+               min_gaps)
+
+
+def lanes_of(traces, cfg):
+    """The lane-major traces split into lanes."""
+    starts = np.cumsum([0] + [len(lane) for lane in cfg.lanes])
+    return [traces[a:b] for a, b in zip(starts, starts[1:])]

@@ -74,6 +74,14 @@ OVERFLOW = "the parameters overflow the closed form"
         (["sweep", "--M-km", "1e306", "--out", os.devnull],
          f"packing quotient is inf: {OVERFLOW}"),
         (["sdc", "--lanes", "9" * 400], f"packing quotient is inf: {OVERFLOW}"),
+        # The response time is lost to rounding at these speeds: the first
+        # was answered with the contact distance, the second 1.3 % long.
+        (["distance", "--vr", "1e20", "--vf", "1e20"],
+         f"response-time travel is lost to rounding (5e+19 m in 5.555555555555555e+38 m): "
+         f"{OVERFLOW}"),
+        (["distance", "--vr", "1e16", "--vf", "1e16"],
+         f"response-time travel is lost to rounding (5000000000000000.0 m in "
+         f"5.555555555555563e+30 m): {OVERFLOW}"),
     ],
 )
 def test_overflowing_closed_form_is_refused(capsys, argv, named):

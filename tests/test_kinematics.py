@@ -20,6 +20,17 @@ from sdcap import (
 from conftest import REFERENCE, random_pair
 
 
+@pytest.mark.parametrize("speed", [1e16, 1e20])
+def test_response_time_lost_to_rounding_is_refused_but_zero_is_not(speed):
+    fast = REFERENCE.with_speed(speed)
+    with pytest.raises(InvalidParameterError, match="response-time travel is lost to rounding"):
+        safe_longitudinal_distance(fast, fast, 0.5)
+    # No response-time travel, or one far below the contact distance, has
+    # nothing to lose: equal speeds then need the contact distance.
+    for tau in (0.0, 5e-324):
+        assert safe_longitudinal_distance(fast, fast, tau) == REFERENCE.length
+
+
 def test_max_speed_after_response_reference_point():
     assert max_speed_after_response(REFERENCE, 0.5) == pytest.approx(29.28)
 

@@ -877,15 +877,20 @@ def test_reader_holds_at_most_64_bytes_per_row(tmp_path):
     assert peak <= 64 * rows, peak / rows
 
 
-@pytest.mark.parametrize("field, fault, message", [
-    (1, b"\xff", "{path} line {line}: byte 0xff is not utf-8 text"),
-    (2, b"nan", "line {line}: t, position_m and velocity_mps must be finite"),
-    (4, b"x", "line {line}: could not convert string 'x'"),
+_BAD_BYTE = (1, b"\xff", "{path} line {line}: byte 0xff is not utf-8 text")
+_BAD_VALUE = (2, b"nan", "line {line}: t, position_m and velocity_mps must be finite")
+_BAD_FLAG = (4, b"x", "line {line}: could not convert string 'x'")
+
+
+@pytest.mark.parametrize("field, fault, message, end", [
+    (*_BAD_BYTE, b"\n"), (*_BAD_VALUE, b"\n"), (*_BAD_FLAG, b"\n"),
+    (*_BAD_BYTE, b"\r"), (*_BAD_VALUE, b"\r\n"), (*_BAD_FLAG, b"\r"),
 ])
-def test_a_refused_read_holds_at_most_64_bytes_per_row(tmp_path, field, fault, message):
+def test_a_refused_read_holds_at_most_64_bytes_per_row(tmp_path, field, fault, message, end):
     # 20 vehicles x 8,000 steps with one bad byte, value or flag on the last
-    # line but one. The read keeps compact columns up to the fault, and the
-    # re-read that finds its line holds one chunk of rows at a time.
+    # line but one, lines ending in LF, CR or CRLF. The read keeps compact
+    # columns up to the fault, and the re-read that finds its line holds one
+    # chunk of rows at a time.
     path = tmp_path / "traces.csv"
     traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
     lines = traces_to_csv(traces).encode().split(b"\n")
@@ -894,7 +899,7 @@ def test_a_refused_read_holds_at_most_64_bytes_per_row(tmp_path, field, fault, m
     fields = lines[line - 1].split(b",")
     fields[field] = fault
     lines[line - 1] = b",".join(fields)
-    path.write_bytes(b"\n".join(lines))
+    path.write_bytes(end.join(lines))
     del lines, fields
     gc.collect()
     expected = "^trace CSV " + re.escape(message.format(path=path, line=line))

@@ -31,6 +31,7 @@ from sdcap import (
     scenario_from_text,
     scenario_summary,
     sdt,
+    vehicle_safe,
 )
 from sdcap.capacity import safe_distance
 from sdcap.ltl import traces_to_csv
@@ -39,6 +40,7 @@ from sdcap.simulator import Link, info_source_labels, link_resolutions
 from conftest import (
     D_SAFE,
     REFERENCE,
+    dense_chains,
     rear_end_pairs,
     reference_assign_responsibility,
     reference_run_scenario,
@@ -344,6 +346,72 @@ def test_chain_crash_of_a_dense_lane_matches_the_stepping_loop():
     assert len(scenario_summary(traces, cfg)["collisions"]) == 29
 
 
+def run_in_blocks(cfg, block):
+    """run_scenario(cfg) computed in blocks of `block` steps."""
+    import sdcap.simulator
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdcap.simulator, "_BLOCK_STEPS", block)
+        return run_scenario(cfg)
+
+
+def assert_block_sizes_match_the_stepping_loop(cfg):
+    # Blocks of 1-3 steps put contacts, halts, speed caps and straddled
+    # switches on block edges.
+    reference = reference_run_scenario(cfg)
+    summary = scenario_summary(reference, cfg)
+    for block in (1, 2, 3, 64):
+        run = run_in_blocks(cfg, block)
+        assert_bit_identical(run, reference)
+        assert run.contacts == reference.contacts
+        assert scenario_summary(run, cfg) == summary
+
+
+@settings(max_examples=12, deadline=None)
+@given(scenarios())
+def test_runs_in_any_block_size_match_the_stepping_loop(cfg):
+    assert_block_sizes_match_the_stepping_loop(cfg)
+
+
+@settings(max_examples=12, deadline=None)
+@given(dense_chains())
+def test_dense_chain_crashes_in_any_block_size_match_the_stepping_loop(cfg):
+    assert_block_sizes_match_the_stepping_loop(cfg)
+
+
+
+def test_cars_standing_from_step_0_are_searched_for_contacts_in_the_first_block():
+    # Three parked cars braking at t = 0, the last one spawned one body
+    # length behind a car 1e8 m back: rounding its position leaves a gap
+    # 6e-9 m short of a body length, which the stepping loop finds at step
+    # 1. A pair standing still is skipped only once the block before has
+    # searched its gap.
+    fleet = replace(REFERENCE, speed=0.0, length=5.1)
+    lane = (SpawnSpec(fleet), SpawnSpec(fleet, 1e8 + 0.1), SpawnSpec(fleet, 5.1))
+    cfg = ScenarioConfig(road=RoadSpec(10.0, 1, 100.0), lanes=(lane,),
+                         triggers=tuple(BrakeTrigger(0, i, 0.0) for i in range(3)), dt=0.01)
+    assert run_scenario(cfg).contacts == [(0, 2, 1)]
+    assert_block_sizes_match_the_stepping_loop(cfg)
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block", [1, 3, 64, 4096])
+def test_a_run_whose_samples_overflow_is_refused_as_its_trace_would_be(block):
+    # Lane 1's lead cruises, and its position overflows first; lane 0's
+    # lead starts braking 0.3 s before that and overflows some steps
+    # later. The run names the first vehicle in lane-major order, at its
+    # first bad step, as Trace.from_columns does the stepping loop's.
+    fleet = VehicleParams(5.0, 1e308, 3.0, 1e308, 0.5)
+    cfg = ScenarioConfig(road=RoadSpec(10.0, 2, 100.0),
+                         lanes=((SpawnSpec(fleet),), (SpawnSpec(fleet), SpawnSpec(fleet, 5.0))),
+                         triggers=(BrakeTrigger(0, 0, 1.5), BrakeTrigger(1, 1, 0.0)), dt=0.01)
+    with pytest.raises(InvalidInputError) as expected:
+        reference_run_scenario(cfg)
+    assert str(expected.value).startswith("trace l0v0: step 18")
+    with pytest.raises(InvalidInputError) as refused:
+        run_in_blocks(cfg, block)
+    assert str(refused.value) == str(expected.value)
+
+
 def test_summary_lists_only_the_contacts_the_run_recorded():
     # The second car starts exactly one length behind the lead and brakes
     # with it, so the two touch but never overlap. The third car, at 0.7 x
@@ -400,6 +468,34 @@ def test_oversized_run_is_refused_before_it_starts(monkeypatch):
     monkeypatch.setattr(sdcap.simulator, "MAX_VEHICLE_STEPS", 2 * (max_steps + 2) - 1)
     with pytest.raises(SdcapError, match="exceeds the cap of"):
         run_scenario(cfg)
+
+
+def test_run_over_the_memory_cap_is_refused_before_it_starts(monkeypatch):
+    import sdcap.simulator
+
+    cfg = single_lane([D_SAFE])
+    _, _, max_steps = sdcap.simulator._start_run(cfg)
+    size = sdcap.simulator._run_bytes(2, max_steps + 2)
+    monkeypatch.setattr(sdcap.simulator, "MAX_RUN_BYTES", size)
+    run_scenario(cfg)  # exactly at the cap
+    monkeypatch.setattr(sdcap.simulator, "MAX_RUN_BYTES", size - 1)
+    monkeypatch.setattr(sdcap.simulator, "_Lane", lambda *args: pytest.fail("lane allocated"))
+    with pytest.raises(SdcapError, match=f"bytes of arrays, over the cap of {size - 1};"):
+        run_scenario(cfg)
+
+
+def test_work_cap_admits_the_headline_road_at_1_ms_and_refuses_ten_times_that():
+    import sdcap.simulator
+
+    # The paper's road: 833 cars in two lanes at the safe gap, about 176M
+    # vehicle-steps at dt = 1 ms. Only the vehicles are made here.
+    lane = (SpawnSpec(REFERENCE),) + (SpawnSpec(REFERENCE, D_SAFE),) * 416
+    cfg = ScenarioConfig(road=RoadSpec(10.0, 2, 100.0), lanes=(lane, lane[:-1]),
+                         triggers=(BrakeTrigger(0, 0, 0.0), BrakeTrigger(1, 0, 0.0)))
+    _, _, max_steps = sdcap.simulator._start_run(cfg)
+    assert 175e6 < (max_steps + 2) * 833 < 177e6
+    with pytest.raises(SdcapError, match="exceeds the cap of 1000000000 vehicle-steps"):
+        sdcap.simulator._start_run(replace(cfg, dt=1e-4))
 
 
 def test_config_validation_errors():
@@ -611,21 +707,16 @@ def test_summary_evaluates_the_safety_formula_once_per_vehicle(monkeypatch):
     assert summary["unsafe_vehicles"] == ["l0v1"]
 
 
-def test_run_columns_are_read_only_views_of_the_lane_samples(monkeypatch):
-    import sdcap.simulator
-
-    calls = []
-    original = sdcap.simulator._traces
-    monkeypatch.setattr(sdcap.simulator, "_traces",
-                        lambda *args: calls.append(args) or original(*args))
+def test_run_columns_are_replayed_read_only_and_flags_are_views_of_one_ramp():
     cfg = single_lane([0.9 * D_SAFE, D_SAFE])
     run = run_scenario(cfg)
-    _, _, positions, velocities, _, _ = calls[0]
-    columns = [column for trace in run for column in trace._columns()]
-    assert not any(column.flags.writeable for column in columns + positions + velocities)
-    for rear in run[1:]:
-        assert np.shares_memory(rear.position, positions[0])
-        assert np.shares_memory(rear.velocity, velocities[0])
+    reference = reference_run_scenario(cfg)
+    for trace, want in zip(run, reference):
+        for got, expected in zip(trace._columns(), want._columns()):
+            assert not got.flags.writeable
+            assert got.tobytes() == expected.tobytes()
+        # Each read replays afresh: no column is kept.
+        assert trace.position is not trace.position
     # The rear of the contact has every flag on; each flag that never
     # turns on is one array shared by the whole run.
     assert run[1].ber[-1] and run[1].collided[-1] and run[1].responsible[-1]
@@ -636,47 +727,66 @@ def test_run_columns_are_read_only_views_of_the_lane_samples(monkeypatch):
     assert all(flag.base is never[0].base is not None for flag in flags)
 
 
-def safe_road(per_lane):
+def test_length_verdicts_and_summary_replay_no_samples(monkeypatch):
+    import sdcap.simulator
+
+    cfg = single_lane([0.9 * D_SAFE, D_SAFE])
+    run = run_scenario(cfg)
+    replays = []
+    original = sdcap.simulator._replay
+    monkeypatch.setattr(sdcap.simulator, "_replay",
+                        lambda *args: replays.append(args) or original(*args))
+    assert [len(trace) for trace in run] == [len(trace.steps) for trace in run]
+    assert [vehicle_safe(trace) for trace in run] == [True, False, True]
+    assert scenario_summary(run, cfg)["sdt"] == 2
+    assert not replays
+    run[1].velocity
+    assert len(replays) == 1
+    # The trace CSV writer replays each vehicle once, for both columns.
+    traces_to_csv(run, run.info_sources)
+    assert len(replays) == 1 + len(run)
+
+
+def safe_road(per_lane, dt=1e-3):
     """2 lanes of `per_lane` cars at the safe gap, both leads braking at 0."""
     lane = (SpawnSpec(REFERENCE, None),) + (SpawnSpec(REFERENCE, D_SAFE),) * (per_lane - 1)
-    return replace(single_lane([]), road=RoadSpec(10.0, 2, 100.0), lanes=(lane, lane),
+    return replace(single_lane([], dt=dt), road=RoadSpec(10.0, 2, 100.0), lanes=(lane, lane),
                    triggers=(BrakeTrigger(0, 0, 0.0), BrakeTrigger(1, 0, 0.0)))
 
 
-def traced_run(cfg):
-    """The Run of cfg, the tracemalloc peak of making it, and what the Run
-    still holds once made."""
+def summary_peak(cfg):
+    """The Run of cfg and the tracemalloc peak of making it and its
+    summary."""
     gc.collect()
     tracemalloc.start()
     try:
         run = run_scenario(cfg)
-        held, peak = tracemalloc.get_traced_memory()
+        scenario_summary(run, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return run, peak, held
-
-
-def test_run_holds_at_most_18_bytes_per_vehicle_step():
-    # 2 lanes x 20 cars at the safe gap, dt = 1 ms (about 510k vehicle-steps).
-    # The lanes' float64 position and velocity samples take 16 B per
-    # vehicle-step and the traces adopt them; a copy of either, or a bool
-    # array per flag, would take more.
-    run, peak, _ = traced_run(safe_road(20))
-    vehicle_steps = sum(len(trace) for trace in run)
-    assert vehicle_steps > 400_000 and not run.contacts
-    assert peak <= 18 * vehicle_steps, peak / vehicle_steps
+    return run, peak
 
 
 @pytest.mark.parametrize("per_lane", [20, 40])
-def test_run_scratch_memory_is_a_few_rows_whatever_the_lane_size(per_lane):
-    # Beyond the samples it keeps, a run holds a few rows of its step count
-    # at a time (the grid, one gap row, one halt row, a trajectory's
-    # increments): not an array over the whole lane, which would grow with
-    # the cars in it.
-    run, peak, held = traced_run(safe_road(per_lane))
-    assert not run.contacts
-    rows = (peak - held) / (8 * len(run[0]))
-    assert rows < 8, rows
+def test_run_and_summary_peak_at_most_8_bytes_per_vehicle_step(per_lane):
+    # 2 lanes at the safe gap, dt = 1 ms (about 510k and 2M vehicle-steps).
+    # A run keeps no samples: its peak is a block of scratch rows per lane
+    # (16 B per vehicle and block step) and a few arrays of its step count.
+    # Holding the samples would take 16 B per vehicle-step.
+    run, peak = summary_peak(safe_road(per_lane))
+    vehicle_steps = sum(len(trace) for trace in run)
+    assert vehicle_steps > 400_000 and not run.contacts
+    assert peak <= 8 * vehicle_steps, peak / vehicle_steps
+
+
+def test_run_peak_grows_little_with_the_step_count():
+    # Four times the steps: the block scratch stays, and only the arrays of
+    # the step count (the grid, its spans and the flag ramp) grow.
+    _, coarse = summary_peak(safe_road(20))
+    run, fine = summary_peak(safe_road(20, dt=2.5e-4))
+    assert len(run[0]) > 50_000
+    assert fine < 1.5 * coarse, fine / coarse
 
 
 def test_summary_rejects_traces_of_different_horizons():
@@ -685,7 +795,7 @@ def test_summary_rejects_traces_of_different_horizons():
     lead, rear = run
     short = Trace(rear.vehicle_id, rear.steps[:-1], rear.dt)
     with pytest.raises(InvalidInputError, match="horizon"):
-        scenario_summary(Run([lead, short], run.contacts, run.info_sources), cfg)
+        scenario_summary(Run([lead, short], run.contacts, run.info_sources, run.min_gaps), cfg)
 
 
 def test_summary_refuses_a_plain_list_or_reordered_traces():
@@ -694,7 +804,7 @@ def test_summary_refuses_a_plain_list_or_reordered_traces():
     # order, are refused rather than summarised wrongly.
     cfg = single_lane([0.9 * D_SAFE, D_SAFE])
     run = run_scenario(cfg)
-    for traces in (list(run), Run(run[::-1], run.contacts, run.info_sources),
-                   Run(run[:2], run.contacts, run.info_sources)):
+    for traces in (list(run), Run(run[::-1], run.contacts, run.info_sources, run.min_gaps),
+                   Run(run[:2], run.contacts, run.info_sources, run.min_gaps)):
         with pytest.raises(InvalidInputError, match="needs the Run of run_scenario"):
             scenario_summary(traces, cfg)
