@@ -23,6 +23,7 @@ import io
 import math
 import re
 import warnings
+from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from enum import Enum
@@ -615,6 +616,11 @@ _ROW_DTYPE = np.dtype(
 )
 
 
+# Rows parsed by one np.loadtxt call, and rows formatted by one write.
+# Only one chunk's row table and its strings are alive at a time.
+_CHUNK_ROWS = 4096
+
+
 def _csv_field(text: str) -> str:
     """A CSV field: quoted, inner quotes doubled, if it holds ',', '"' or a
     line break, as RFC 4180 asks."""
@@ -626,6 +632,15 @@ def _csv_field(text: str) -> str:
 # Each (ber, collided, responsible) triple as text, indexed by
 # ber << 2 | collided << 1 | responsible.
 _FLAG_FIELDS = tuple(f"{c >> 2},{c >> 1 & 1},{c & 1}" for c in range(8))
+
+# The flag columns, by their bit in a packed flags byte.
+_FLAG_BITS = (("ber", 4), ("collided", 2), ("responsible", 1))
+
+
+def _pack_flags(ber: np.ndarray, collided: np.ndarray, responsible: np.ndarray) -> np.ndarray:
+    """Each row's three bool flags as one byte: ber << 2 | collided << 1 |
+    responsible."""
+    return ber.view(np.uint8) << 2 | collided.view(np.uint8) << 1 | responsible.view(np.uint8)
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -646,43 +661,62 @@ def _float_fields(column: np.ndarray) -> np.ndarray:
     return np.repeat(fields, lengths)
 
 
+def _time_key(trace: Trace) -> tuple:
+    # An int dt writes int times, so 1 and 1.0 need their own entries.
+    return len(trace), trace.dt, type(trace.dt)
+
+
 def write_traces_csv(
     traces: Sequence[Trace],
     stream,
     info_sources: dict[str, str] | None = None,
 ) -> None:
-    """Write the traces as CSV, one write per trace, reading each trace's
-    columns once.
+    """Write the traces as CSV, reading each trace's columns once and
+    writing its rows _CHUNK_ROWS at a time.
 
-    Each row is assembled from per-column strings: a time value is
-    formatted once per (length, dt), a position or velocity once per run of
-    equal values, and the flags come from an 8-entry table, so the Python
-    work grows with the distinct values rather than the rows.
+    Each piece of rows is assembled from per-column strings: a position or
+    velocity is formatted once per run of equal values, and the flags come
+    from an 8-entry table, so the Python work grows with the distinct
+    values rather than the rows. The times of a (length, dt) that several
+    traces share are formatted once, kept as one string per piece, and
+    dropped once the last of those traces is written. So the writer holds
+    one piece of text at a time, not a table of a whole trace's rows.
     """
     columns = list(TRACE_CSV_COLUMNS)
     if info_sources:
         columns.append("info_source")
     stream.write(",".join(columns) + "\n")
-    times: dict[tuple, np.ndarray] = {}
+    uses = Counter(map(_time_key, traces))
+    times: dict[tuple, list[str]] = {}
     for trace in traces:
-        n = len(trace)
-        # An int dt writes int times, so 1 and 1.0 need their own entries.
-        key = (n, trace.dt, type(trace.dt))
-        if key not in times:
-            times[key] = np.array(
-                [f"{t!r}," for t in (np.arange(n) * trace.dt).tolist()], dtype=object
-            )
+        n, dt = len(trace), trace.dt
+        key = _time_key(trace)
+        uses[key] -= 1
+        cached = times.get(key) if uses[key] else times.pop(key, None)
+        # The first of several traces of one (length, dt) keeps its times.
+        kept = times.setdefault(key, []) if cached is None and uses[key] else None
         source = info_sources.get(trace.vehicle_id, "") if info_sources else None
         end = "\n" if source is None else f",{_csv_field(source)}\n"
+        ends = np.array([f + end for f in _FLAG_FIELDS], dtype=object)
+        vid = f",{_csv_field(trace.vehicle_id)},"
         position, velocity, ber, collided, responsible = trace._columns()
-        flags = ber.view(np.uint8) << 2 | collided.view(np.uint8) << 1 | responsible.view(np.uint8)
-        fields = np.empty((n, 5), dtype=object)
-        fields[:, 0] = times[key]
-        fields[:, 1] = _csv_field(trace.vehicle_id) + ","
-        fields[:, 2] = _float_fields(position)
-        fields[:, 3] = _float_fields(velocity)
-        fields[:, 4] = np.array([f + end for f in _FLAG_FIELDS], dtype=object)[flags]
-        stream.write("".join(fields.ravel().tolist()))
+        for piece, lo in enumerate(range(0, n, _CHUNK_ROWS)):
+            hi = min(lo + _CHUNK_ROWS, n)
+            if cached is None:
+                # Time reprs hold no ',', so one joined string keeps them.
+                text = ",".join(map(repr, (np.arange(lo, hi) * dt).tolist()))
+                if kept is not None:
+                    kept.append(text)
+            else:
+                text = cached[piece]
+            flags = _pack_flags(ber[lo:hi], collided[lo:hi], responsible[lo:hi])
+            fields = np.empty((hi - lo, 5), dtype=object)
+            fields[:, 0] = text.split(",")
+            fields[:, 1] = vid
+            fields[:, 2] = _float_fields(position[lo:hi])
+            fields[:, 3] = _float_fields(velocity[lo:hi])
+            fields[:, 4] = ends[flags]
+            stream.write("".join(fields.ravel().tolist()))
 
 
 def traces_to_csv(traces: Sequence[Trace], info_sources=None) -> str:
@@ -691,16 +725,12 @@ def traces_to_csv(traces: Sequence[Trace], info_sources=None) -> str:
     return buffer.getvalue()
 
 
-# Rows parsed by one np.loadtxt call. Only one chunk's row table and its
-# vehicle_id strings are alive at a time; what a chunk leaves behind is
-# compact columns.
-_CHUNK_ROWS = 16_384
-
 # numpy's message for a row with fewer fields than a column it reads.
 _SHORT_ROW = re.compile(r"invalid column index \d+ at row \d+ with (\d+) columns")
 
-# The columns a read keeps, by _ROW_DTYPE field; vehicle_id is kept as runs.
-_KEPT_FIELDS = ("t", "position", "velocity", "ber", "collided", "responsible")
+# The float columns a read keeps, by _ROW_DTYPE field. It keeps the flags
+# packed in one byte per row, and each chunk's vehicle ids as a table.
+_FLOAT_FIELDS = ("t", "position", "velocity")
 
 
 def _load_rows(lines, usecols, max_rows) -> np.ndarray:
@@ -771,68 +801,131 @@ def _usecols(header: str) -> list[int]:
     return [fieldnames.index(c) for c in TRACE_CSV_COLUMNS]
 
 
-def _read_columns(stream, usecols):
-    """Parse the data rows chunk by chunk into the _KEPT_FIELDS columns, the
-    vehicle ids in order of first appearance, and each run of rows of one
-    vehicle as its code and length. A row that fails to parse raises at
-    once; a non-finite value or negative velocity is refused only once
-    every row has parsed, so a malformed row anywhere wins."""
-    parts: dict[str, list] = {name: [] for name in _KEPT_FIELDS}
-    run_codes, run_lengths = [], []
+def _read_chunks(stream, usecols) -> tuple[list[dict], dict[str, int], list[tuple]]:
+    """Parse the data rows chunk by chunk. A chunk keeps the _FLOAT_FIELDS
+    columns of its rows and their packed flags, the rows stably grouped by
+    vehicle, and a table of the vehicles it holds: each one's code (its
+    index in order of first appearance in the file), and the start and
+    end of its rows. Returns the chunks' columns, the codes by vehicle
+    id, and the tables. A row that fails to parse raises at once; a
+    non-finite value or negative velocity is refused only once every row
+    has parsed, so a malformed row anywhere wins."""
+    chunks, tables = [], []
     ids: dict[str, int] = {}
     first_bad = None  # (row, t, position, velocity)
     lines = iter(stream)
     parsed = 0
     while True:
         rows = _load_rows(lines, usecols, _CHUNK_ROWS)
-        t, position, velocity = (np.array(rows[name]) for name in _KEPT_FIELDS[:3])
+        n = len(rows)
+        if not n:
+            break
         if first_bad is None:
+            t, position, velocity = (rows[name] for name in _FLOAT_FIELDS)
             bad = np.flatnonzero(~(
                 np.isfinite(t) & np.isfinite(position) & np.isfinite(velocity) & (velocity >= 0)
             ))
             if bad.size:
                 k = bad[0]
                 first_bad = (parsed + k, t[k], position[k], velocity[k])
-        for name, column in zip(_KEPT_FIELDS, (t, position, velocity)):
-            parts[name].append(column)
-        for name in _KEPT_FIELDS[3:]:
-            parts[name].append(rows[name] != 0)
+            del t, position, velocity  # views that would keep the row table
         # One dict lookup per run of rows with the same id.
         vehicle_ids = rows["vehicle_id"]
         starts, lengths = _runs(vehicle_ids)
-        run_codes.append(np.array(
-            [ids.setdefault(vid, len(ids)) for vid in vehicle_ids[starts].tolist()],
-            dtype=np.intp,
-        ))
-        run_lengths.append(lengths)
-        n = len(rows)
+        codes = np.fromiter((ids.setdefault(vid, len(ids)) for vid in vehicle_ids[starts]),
+                            dtype=np.intp, count=len(starts))
+        distinct = np.sort(codes)
+        if np.any(distinct[1:] == distinct[:-1]):  # a vehicle in several runs
+            row_codes = np.repeat(codes, lengths)
+            order = np.argsort(row_codes, kind="stable")
+            rows, row_codes = rows[order], row_codes[order]
+            starts, lengths = _runs(row_codes)
+            codes = row_codes[starts]
+        columns = {name: rows[name].copy() for name in _FLOAT_FIELDS}
+        columns["flags"] = _pack_flags(*(rows[name] != 0 for name, _ in _FLAG_BITS))
+        chunks.append(columns)
+        tables.append((codes, starts, starts + lengths))
         del rows, vehicle_ids
         parsed += n
         if n < _CHUNK_ROWS:
             break
 
     if first_bad is not None:
+        del chunks  # not needed to find the line
         k, t_k, position_k, velocity_k = first_bad
         raise InvalidInputError(
             f"trace CSV line {_locate(stream, k)}: t, position_m and "
             f"velocity_mps must be finite and velocity_mps >= 0, got "
             f"{t_k}, {position_k}, {velocity_k}"
         )
-    # One column at a time, so only one column is held twice.
-    columns = {name: np.concatenate(parts.pop(name)) for name in _KEPT_FIELDS}
-    return columns, ids, np.concatenate(run_codes), np.concatenate(run_lengths)
+    return chunks, ids, tables
 
 
-def _grouped(t: np.ndarray, run_codes: np.ndarray, run_lengths: np.ndarray) -> bool:
-    """Whether rows are already in np.lexsort((t, codes)) order, as the writer
-    lays them out: each vehicle's rows together, vehicles in order of first
-    appearance, and t non-decreasing within a vehicle."""
-    if np.any(run_codes[1:] < run_codes[:-1]):
-        return False
-    ascending = t[1:] >= t[:-1]
-    # t may fall from one vehicle's last row to the next one's first.
-    ascending[np.cumsum(run_lengths)[:-1][run_codes[1:] != run_codes[:-1]] - 1] = True
-    return bool(ascending.all())
+def _check_sampling(vid: str, steps: np.ndarray) -> float:
+    """The sampling step of a vehicle, given the steps between its sorted
+    times, which must be uniform. Overwrites `steps`."""
+    if not len(steps):
+        raise InvalidInputError(f"trace {vid}: need at least two samples")
+    dt = float(steps[0])
+    if dt <= 0:
+        raise InvalidInputError(f"trace {vid}: non-increasing timestamps")
+    steps -= dt
+    np.abs(steps, out=steps)
+    if (steps > 1e-9 * max(1.0, abs(dt))).any():
+        raise InvalidInputError(f"trace {vid}: non-uniform sampling step")
+    return dt
+
+
+def _gather(chunks: list[dict], slices: list, done: list, name: str, order=None) -> np.ndarray:
+    """One vehicle's `name` column from its (chunk, start, end) slices,
+    taken in `order` if given. The chunks in `done` release their column."""
+    column = np.concatenate([chunks[c][name][lo:hi] for c, lo, hi in slices])
+    for c in done:
+        del chunks[c][name]
+    return column if order is None else column[order]
+
+
+def _build_traces(chunks: list[dict], ids: dict[str, int], tables: list[tuple]) -> list[Trace]:
+    """One trace per vehicle, in order of first appearance, each built from
+    its own slices of the chunks. Only a vehicle whose rows are out of order
+    is sorted, stably by t. A chunk's column is released once the last
+    vehicle the chunk holds has taken its slice of it."""
+    if not tables:
+        return []
+    last = [int(table[0].max()) for table in tables]  # each chunk's last vehicle
+    chunk_of = np.repeat(np.arange(len(tables)), [len(table[0]) for table in tables])
+    codes, starts, ends = (np.concatenate(parts) for parts in zip(*tables))
+    del tables
+    # Every (chunk, start, end) slice, by vehicle and then in file order.
+    by_vehicle = np.argsort(codes, kind="stable")
+    chunk_of, starts, ends = chunk_of[by_vehicle], starts[by_vehicle], ends[by_vehicle]
+    bounds = np.searchsorted(codes[by_vehicle], np.arange(len(ids) + 1)).tolist()
+    del codes, by_vehicle
+
+    traces = []
+    for v, vid in enumerate(ids):
+        a, b = bounds[v], bounds[v + 1]
+        slices = list(zip(chunk_of[a:b].tolist(), starts[a:b].tolist(), ends[a:b].tolist()))
+        done = [c for c, _, _ in slices if last[c] == v]
+        times = _gather(chunks, slices, done, "t")
+        steps = times[1:] - times[:-1]
+        order = None
+        # Times are finite, so a step is negative exactly where t falls.
+        if (steps < 0).any():
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            steps = times[1:] - times[:-1]
+        del times
+        dt = _check_sampling(vid, steps)
+        del steps
+        columns = {name: _gather(chunks, slices, done, name, order) for name in _FLOAT_FIELDS[1:]}
+        flags = _gather(chunks, slices, done, "flags", order)
+        columns.update((name, (flags & bit) != 0) for name, bit in _FLAG_BITS)
+        del flags
+        for column in columns.values():
+            column.setflags(write=False)  # so the trace adopts it, not a copy
+        traces.append(Trace.from_columns(vid, dt, **columns))
+    return traces
 
 
 def read_traces_csv(stream) -> list[Trace]:
@@ -850,48 +943,24 @@ def read_traces_csv(stream) -> list[Trace]:
     line, reading the stream again one decoded line at a time (_locate).
 
     Rows are parsed _CHUNK_ROWS at a time, and a chunk keeps only compact
-    columns: t, position and velocity as float64, the flags as bool, and
-    vehicle ids as runs. So a read holds about 35 bytes per row plus one
-    chunk. Rows are re-sorted only when they are not already grouped by
-    vehicle in increasing t.
+    columns, its rows grouped by vehicle: t, position and velocity as
+    float64 and the three flags packed in one byte, 25 bytes per row, and
+    no string per row. Once every row has parsed, each vehicle's columns
+    are built from its own slices of the chunks; a vehicle's rows are
+    sorted only if they are out of order, and a chunk's column is released
+    as soon as no vehicle left to build needs it. So a read holds about 25
+    bytes per row plus one chunk's row table, never a whole-file column,
+    and its traces keep 19.
     """
     try:
         header = stream.readline()
         if not header:
             raise InvalidInputError("empty trace CSV")
-        columns, ids, run_codes, run_lengths = _read_columns(stream, _usecols(header))
+        read = _read_chunks(stream, _usecols(header))
     except InvalidInputError:  # refused already, saying where
         raise
     except ValueError:  # a row that fails to parse, or a byte that fails to decode
+        read = None
+    if read is None:  # out of the except clause, whose traceback keeps the chunks
         _locate(stream)  # raises, naming the line
-
-    t = columns.pop("t")
-    if not _grouped(t, run_codes, run_lengths):
-        order = np.lexsort((t, np.repeat(run_codes, run_lengths)))
-        t = t[order]
-        for name, column in columns.items():
-            columns[name] = column[order]
-    # Frozen, so each trace adopts its slices as views instead of copies.
-    for column in columns.values():
-        column.setflags(write=False)
-    counts = np.zeros(len(ids), dtype=np.intp)
-    np.add.at(counts, run_codes, run_lengths)
-
-    traces = []
-    start = 0
-    for vid, end in zip(ids, np.cumsum(counts).tolist()):
-        times = t[start:end]
-        if len(times) < 2:
-            raise InvalidInputError(f"trace {vid}: need at least two samples")
-        dt = float(times[1] - times[0])
-        if dt <= 0:
-            raise InvalidInputError(f"trace {vid}: non-increasing timestamps")
-        if np.any(np.abs(np.diff(times) - dt) > 1e-9 * max(1.0, abs(dt))):
-            raise InvalidInputError(f"trace {vid}: non-uniform sampling step")
-        traces.append(
-            Trace.from_columns(
-                vid, dt, **{name: c[start:end] for name, c in columns.items()}
-            )
-        )
-        start = end
-    return traces
+    return _build_traces(*read)

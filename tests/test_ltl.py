@@ -624,6 +624,19 @@ def test_writer_matches_reference_writer(case):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(hand_built_traces(), st.integers(1, 3))
+def test_writer_matches_reference_writer_in_pieces_of_1_to_3_rows(case, chunk_rows):
+    # Piece edges then split runs of equal values, and the traces written a
+    # second time, in reverse, share their times with the first.
+    traces, info_sources = case
+    traces = traces + traces[::-1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdcap.ltl, "_CHUNK_ROWS", chunk_rows)
+        got = _written(write_traces_csv, traces, info_sources)
+    assert got == _written(reference_write_traces_csv, traces, info_sources)
+
+
 # ---------------------------------------------------------------------------
 # Trace CSV reader against the reference reader
 
@@ -915,16 +928,96 @@ def test_a_refused_read_holds_at_most_64_bytes_per_row(tmp_path, field, fault, m
     assert peak <= 64 * 160_000, peak / 160_000
 
 
-def test_reader_traces_are_read_only_views_of_its_columns():
-    a, b = columnar(40, 1, vehicle_id="a"), columnar(30, 2, vehicle_id="b")
-    traces = read_traces_csv(io.StringIO(traces_to_csv([a, b])))
+def test_reader_holds_at_most_32_bytes_per_row(tmp_path):
+    # The 64 B test's file. Chunks keep about 25 B per row: t, position and
+    # velocity as float64 and the three flags packed in one byte. Each
+    # vehicle's columns are built from its own slices of them, which its
+    # chunks release as they go, so no whole-file column, concatenation
+    # copy or sort permutation is ever held.
+    path = tmp_path / "traces.csv"
+    traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
+    path.write_text(traces_to_csv(traces), encoding="utf-8", newline="")
+    gc.collect()
+    with open(path, encoding="utf-8", newline="") as handle:
+        tracemalloc.start()
+        try:
+            read = read_traces_csv(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert read == traces
+    assert peak <= 32 * 160_000, peak / 160_000
+
+
+def test_reader_of_interleaved_rows_holds_at_most_64_bytes_per_row(tmp_path):
+    # The same 20 vehicles x 8,000 steps, one row per vehicle in turn and
+    # the vehicles in a different order at each step, so every chunk is
+    # regrouped and every vehicle is built from 40 slices.
+    path = tmp_path / "traces.csv"
+    traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
+    header, *rows = traces_to_csv(traces).splitlines(keepends=True)
+    turns = np.random.default_rng(0).permuted(np.tile(np.arange(20), (8_000, 1)), axis=1)
+    path.write_text(header + "".join(rows[k * 8_000 + step]
+                                     for step, turn in enumerate(turns.tolist()) for k in turn),
+                    encoding="utf-8", newline="")
+    first = turns[0].tolist()
+    del rows, turns
+    gc.collect()
+    with open(path, encoding="utf-8", newline="") as handle:
+        tracemalloc.start()
+        try:
+            read = read_traces_csv(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert read == [traces[k] for k in first]
+    assert peak <= 64 * 160_000, peak / 160_000
+
+
+def test_reader_traces_equal_those_written_and_keep_only_their_columns():
+    a, b = columnar(4_000, 1, vehicle_id="a"), columnar(3_000, 2, vehicle_id="b")
+    text = traces_to_csv([a, b])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traces = read_traces_csv(io.StringIO(text))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
     assert traces == [a, b]
     for trace in traces:
         assert not any(column.flags.writeable for column in trace._columns())
-    # Each trace's slice of the reader's sorted columns is adopted, not copied.
-    for name in ("position", "velocity", "ber", "collided", "responsible"):
-        first, second = (getattr(trace, name) for trace in traces)
-        assert first.base is not None and first.base is second.base
+    # The columns take 19 B per row: each trace adopts the frozen columns
+    # the reader built for it, with no copy and no array they view.
+    assert kept <= 19 * 7_000 + 8_192, kept
+    for trace in traces:
+        assert all(column.base is None for column in trace._columns())
+
+
+def test_writer_holds_one_piece_of_text_whatever_the_trace_length():
+    # A lone trace's rows are formatted and written a piece at a time, and
+    # its times are not kept, as no other trace shares them. Holding a
+    # whole trace's rows would take well over 200 B per row.
+    class Sink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    peaks = []
+    for n in (50_000, 200_000):
+        trace = columnar(n, 3, vehicle_id="a")
+        sink = Sink()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            write_traces_csv([trace], sink)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 40 * n
+    assert peaks[1] <= 2_000_000, peaks
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_reader_rejects_empty_input_and_returns_no_traces_for_a_bare_header():

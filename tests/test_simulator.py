@@ -346,6 +346,36 @@ def test_chain_crash_of_a_dense_lane_matches_the_stepping_loop():
     assert len(scenario_summary(traces, cfg)["collisions"]) == 29
 
 
+def test_braking_past_a_short_halt_estimate_matches_the_scalar_steps():
+    # A span row whose first span (1 s) is longer than the rest (10 ms).
+    # The halt's estimate reads the first span alone, v / (brake * 1 s) + 2
+    # steps, so the first accumulate of the speeds ends short of the halt
+    # and a second one carries them on. Every sample must still be the
+    # scalar `_advance`'s, stepped one step at a time, bit for bit.
+    from sdcap.simulator import _VehicleRT, _advance, _brake
+
+    times = np.concatenate(([0.0], 1.0 + 0.01 * np.arange(300)))
+    spans = np.diff(times, prepend=0.0)
+    hi = len(times) - 1
+    vehicle = _VehicleRT(SpawnSpec(REFERENCE), 0.0, None)
+    vehicle.cause = vehicle.onset = 0.0  # braking from the first sample
+    x, v = np.zeros(hi + 1), np.zeros(hi + 1)
+    v[0] = REFERENCE.speed
+    _brake(vehicle, x, v, 0, hi, spans, times)
+
+    vehicle.x, vehicle.v = 0.0, REFERENCE.speed
+    stepped = [(vehicle.x, vehicle.v)]
+    for k in range(1, hi + 1):
+        _advance(vehicle, float(times[k - 1]), float(times[k]), None)
+        stepped.append((vehicle.x, vehicle.v))
+    expected_x, expected_v = np.array(stepped).T
+    estimate = int(REFERENCE.speed / (REFERENCE.max_brake * spans[1]) + 2)
+    halt = int(np.flatnonzero(expected_v == 0)[0])
+    assert estimate < halt < hi  # the second accumulate runs, and halts
+    assert x.tobytes() == expected_x.tobytes()
+    assert v.tobytes() == expected_v.tobytes()
+
+
 def run_in_blocks(cfg, block):
     """run_scenario(cfg) computed in blocks of `block` steps."""
     import sdcap.simulator
