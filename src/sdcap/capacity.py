@@ -16,7 +16,7 @@ from .errors import InvalidInputError, InvalidParameterError, SdcapError
 from .kinematics import safe_longitudinal_distance
 from .params import KMH_TO_MPS, VehicleParams, require_closed_form, require_finite
 from .perception import DeviationSet, Regime
-from .protocol import corrected_safe_distance
+from .protocol import corrected_safe_distance, effective_response_time
 
 
 @dataclass(frozen=True)
@@ -254,9 +254,10 @@ def check_capacity_bound(
     """Evaluate both capacities across the grid and look for bound violations.
 
     Every point must sit in the conservative regime and satisfy the delay
-    side condition (corrected response time + latency not above the
-    perception-mode response time); offending points are rejected with a
-    diagnostic and not counted. Both capacities are those of `road`, whose
+    side condition (the effective response time of the cooperative fleet,
+    protocol.effective_response_time, not above the perception-mode
+    response time, with 1e-12 s of slack); offending points are rejected
+    with a diagnostic and not counted. Both capacities are those of `road`, whose
     speed floor is the speed the fleet is evaluated at. The perception side
     does not depend on the grid and is computed once.
     """
@@ -280,7 +281,11 @@ def check_capacity_bound(
                 f"point (e_tau={e_tau}, e_brake={e_brake}, e_v={e_v}, eta={eta}): {exc}"
             )
             continue
-        if eta < 0 or e_tau * cbv_response_time + eta > fleet_pbv.response_time + 1e-12:
+        # An eta past the limit (inf among them) is refused before the sum.
+        limit = fleet_pbv.response_time + 1e-12
+        if eta < 0 or eta > limit or effective_response_time(
+            e_tau, cbv_response_time, eta
+        ) > limit:
             rejected.append(
                 f"point (e_tau={e_tau}, e_brake={e_brake}, e_v={e_v}, eta={eta}): "
                 "delay side condition violated "

@@ -21,6 +21,7 @@ from .errors import InvalidParameterError, OracleError
 from .params import (
     VehicleParams,
     require_closed_form,
+    require_equal_lengths,
     require_finite,
     require_response_kept,
 )
@@ -44,15 +45,6 @@ def time_to_stop_front(front: VehicleParams) -> float:
     return front.speed / front.max_brake
 
 
-def _require_equal_lengths(rear: VehicleParams, front: VehicleParams) -> float:
-    if rear.length != front.length:
-        raise InvalidParameterError(
-            "homogeneous fleet required: rear and front lengths differ "
-            f"({rear.length} vs {front.length})"
-        )
-    return rear.length
-
-
 def safe_longitudinal_distance(
     rear: VehicleParams, front: VehicleParams, tau: float
 ) -> float:
@@ -70,7 +62,7 @@ def safe_longitudinal_distance(
     values coincide. Parameters whose rounding loses the response-time
     travel, or overflows the closed form, are refused.
     """
-    length = _require_equal_lengths(rear, front)
+    length = require_equal_lengths(rear, front)
     t_front = time_to_stop_front(front)
     t_rear = require_closed_form("rear stopping time", time_to_stop_rear(rear, tau))
     v_peak = max_speed_after_response(rear, tau)
@@ -100,7 +92,7 @@ class BrakingScenario:
     speed_cap: Optional[float] = None
 
     def __post_init__(self):
-        _require_equal_lengths(self.rear, self.front)
+        require_equal_lengths(self.rear, self.front)
         require_finite("initial_gap", self.initial_gap)
         require_finite("response_time", self.response_time)
         if self.initial_gap < self.rear.length:
@@ -226,7 +218,7 @@ def min_safe_gap_oracle(
     simulated gap never drops below one body length. Independent check of
     `safe_longitudinal_distance`: it never touches the closed-form algebra.
     """
-    length = _require_equal_lengths(rear, front)
+    length = require_equal_lengths(rear, front)
     _, x_rear, x_front = simulate_displacements(rear, front, tau, dt)
     # gap(t_k; d0) = d0 + x_front[k] - x_rear[k]; feasible iff min >= length
     worst = float(np.min(x_front - x_rear))

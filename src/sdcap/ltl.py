@@ -10,16 +10,16 @@ state, which is absorbing once every vehicle has halted; strict mode
 instead drops out-of-range offsets (making G vacuous and F unwitnessable
 there).
 
-A trace is stored as columns (numpy arrays, one value per step), and a
-formula is evaluated bottom-up over the whole trace: each subformula
-becomes one boolean array, and G/F windows are counted from prefix sums,
-so a formula costs O(|f| * N) on an N-step trace whatever its window
-widths. A G/F root is decided at the requested step only, from its one
-window over its child's array.
+A trace is built from and stored as columns (numpy arrays, one value per
+step; `Trace.steps` gives them back as VehicleState rows), and a formula
+is evaluated bottom-up over the whole trace: each subformula becomes one
+boolean array, and G/F windows are counted from prefix sums, so a formula
+costs O(|f| * N) on an N-step trace whatever its window widths. A G/F
+root is decided at the requested step only, from its one window over its
+child's array.
 """
 
 import csv
-import io
 import math
 import re
 import warnings
@@ -146,11 +146,12 @@ def bad_sample_error(vehicle_id: str, step: int, position, velocity) -> InvalidI
 class Trace:
     """Uniformly sampled state sequence of one vehicle, stored as columns.
 
-    `position` and `velocity` are float64 arrays, `ber`, `collided` and
-    `responsible` bool arrays; all are read-only and have one entry per
-    step. A column given as a read-only ndarray of its dtype is adopted as
-    it is, not copied, so its owner must not write to it through another
-    view; any other column is copied once and frozen. `steps` is a
+    Built from its per-step columns, given by keyword: `position` and
+    `velocity` become float64 arrays, `ber`, `collided` and `responsible`
+    bool arrays; all are read-only and have one entry per step. A column
+    given as a read-only ndarray of its dtype is adopted as it is, not
+    copied, so its owner must not write to it through another view; any
+    other column is copied once and frozen. `steps` is a
     read-only sequence of VehicleState values built on demand. The trace is
     validated once, on construction: non-empty, finite positions and
     velocities, velocities >= 0, a collided flag that never turns off
@@ -159,31 +160,12 @@ class Trace:
 
     __slots__ = ("vehicle_id", "dt") + tuple(name for name, _ in _COLUMNS)
 
-    def __init__(self, vehicle_id: str, steps: Iterable[VehicleState], dt: float):
-        states = tuple(steps)
-        self._set(
-            vehicle_id,
-            dt,
-            [s.position for s in states],
-            [s.velocity for s in states],
-            [s.ber_active for s in states],
-            [s.collided for s in states],
-            [s.responsible for s in states],
-        )
-
-    @classmethod
-    def from_columns(
-        cls, vehicle_id: str, dt: float, *, position, velocity, ber, collided, responsible
-    ) -> "Trace":
-        """Build a trace from per-step columns (adopted when read-only
-        ndarrays of the column's dtype, copied otherwise)."""
-        trace = cls.__new__(cls)
-        trace._set(vehicle_id, dt, position, velocity, ber, collided, responsible)
-        return trace
-
-    def _set(self, vehicle_id, dt, *columns):
+    def __init__(
+        self, vehicle_id: str, dt: float, *, position, velocity, ber, collided, responsible
+    ):
         self.vehicle_id = vehicle_id
         self.dt = dt
+        columns = (position, velocity, ber, collided, responsible)
         for (name, dtype), values in zip(_COLUMNS, columns):
             if not (type(values) is np.ndarray and values.dtype == dtype
                     and not values.flags.writeable):
@@ -719,12 +701,6 @@ def write_traces_csv(
             stream.write("".join(fields.ravel().tolist()))
 
 
-def traces_to_csv(traces: Sequence[Trace], info_sources=None) -> str:
-    buffer = io.StringIO()
-    write_traces_csv(traces, buffer, info_sources)
-    return buffer.getvalue()
-
-
 # numpy's message for a row with fewer fields than a column it reads.
 _SHORT_ROW = re.compile(r"invalid column index \d+ at row \d+ with (\d+) columns")
 
@@ -924,7 +900,7 @@ def _build_traces(chunks: list[dict], ids: dict[str, int], tables: list[tuple]) 
         del flags
         for column in columns.values():
             column.setflags(write=False)  # so the trace adopts it, not a copy
-        traces.append(Trace.from_columns(vid, dt, **columns))
+        traces.append(Trace(vid, dt, **columns))
     return traces
 
 

@@ -93,3 +93,14 @@ class VehicleParams:
 
     def with_response_time(self, response_time: float) -> "VehicleParams":
         return replace(self, response_time=response_time)
+
+
+def require_equal_lengths(rear: VehicleParams, front: VehicleParams) -> float:
+    """The shared body length of a rear and a front car: the spacing rules
+    assume a homogeneous fleet, so cars of two lengths are refused."""
+    if rear.length != front.length:
+        raise InvalidParameterError(
+            "homogeneous fleet required: rear and front lengths differ "
+            f"({rear.length} vs {front.length})"
+        )
+    return rear.length

@@ -1,63 +1,17 @@
-"""Conservative observations and deviation ratios.
+"""Deviation ratios between actual and conservative vehicle parameters.
 
-A perception stack reports an ensemble average plus a worst-direction
-sensor bias: for the front car's speed the safety-preserving direction is
-low (a slower front car is harder on the rear), for braking power, body
-length and response time it is high. The deviation of a metric is the
-ratio of its actual value to that conservative estimate.
+A conservative estimate of a front car's metric errs the safe way: its
+speed low (a slower front car is harder on the rear), its braking power,
+body length and response time high. The deviation of a metric is the ratio
+of its actual value to that conservative estimate, and a DeviationSet's
+regime bounds the four ratios.
 """
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidDeviationError, InvalidInputError
+from .errors import InvalidDeviationError
 from .params import VehicleParams, require_finite
-
-
-class MetricKind(Enum):
-    """Which biasing direction a perceived metric takes."""
-
-    FRONT_SPEED = "front_speed"  # minimizing bias
-    MAX_BRAKE = "max_brake"      # maximizing bias
-    LENGTH = "length"            # maximizing bias
-    RESPONSE_TIME = "response_time"  # maximizing bias
-
-
-@dataclass(frozen=True)
-class ObservationSet:
-    """Raw measurements of one metric plus the sensor bias set."""
-
-    samples: tuple[float, ...]
-    biases: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(float(s) for s in self.samples))
-        object.__setattr__(self, "biases", tuple(float(b) for b in self.biases))
-        if not self.samples:
-            raise InvalidInputError("ObservationSet.samples must be non-empty")
-        if not self.biases:
-            raise InvalidInputError("ObservationSet.biases must be non-empty")
-        for v in (*self.samples, *self.biases):
-            if not math.isfinite(v):
-                raise InvalidInputError(f"observation values must be finite, got {v}")
-
-
-def conservative_observation(obs: ObservationSet, kind: MetricKind) -> float:
-    """Ensemble average shifted by the extreme bias in the safe direction."""
-    mean = sum(obs.samples) / len(obs.samples)
-    if kind is MetricKind.FRONT_SPEED:
-        return mean + min(obs.biases)
-    return mean + max(obs.biases)
-
-
-def inaccuracy(actual: float, conservative: float) -> float:
-    """Relative error of the conservative estimate: |1 - actual/conservative|."""
-    actual = require_finite("actual", actual)
-    conservative = require_finite("conservative", conservative)
-    if conservative == 0:
-        raise ZeroDivisionError("conservative estimate is zero")
-    return abs(1.0 - actual / conservative)
 
 
 class Regime(Enum):
@@ -115,14 +69,6 @@ class DeviationSet:
                 "good_perception regime (must be <= 1.05)"
             )
 
-    def is_conservative(self) -> bool:
-        return (
-            0 < self.length <= 1.0
-            and 0 < self.brake <= 1.0
-            and 0 < self.response <= 1.0
-            and self.front_speed >= 1.0
-        )
-
 
 def corrected_params(conservative: VehicleParams, dev: DeviationSet) -> VehicleParams:
     """Actual vehicle parameters implied by conservative estimates and ratios.
@@ -136,22 +82,3 @@ def corrected_params(conservative: VehicleParams, dev: DeviationSet) -> VehicleP
         speed=dev.front_speed * conservative.speed,
         response_time=dev.response * conservative.response_time,
     )
-
-
-def params_from_observations(
-    observations: dict[MetricKind, ObservationSet], defaults: VehicleParams
-) -> VehicleParams:
-    """Build front-car parameters from per-metric conservative observations.
-
-    Metrics without an observation set fall back to the defaults.
-    """
-    values = {}
-    for kind, field in (
-        (MetricKind.FRONT_SPEED, "speed"),
-        (MetricKind.MAX_BRAKE, "max_brake"),
-        (MetricKind.LENGTH, "length"),
-        (MetricKind.RESPONSE_TIME, "response_time"),
-    ):
-        if kind in observations:
-            values[field] = conservative_observation(observations[kind], kind)
-    return replace(defaults, **values) if values else defaults

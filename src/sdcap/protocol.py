@@ -1,31 +1,26 @@
-"""Cooperative front-car information resolution and corrected safe distance.
+"""Cooperative front-car information and the corrected safe distance.
 
 A cooperative rear car requests the front car's parameters over V2V. On a
-response it plans with the communicated actual values and an effective
-response time of (response ratio * machine response time + latency). On a
-timeout a simulated run takes predefined conservative defaults, while
-resolve_front_info models the full chain: perception observations first,
-then the defaults. The fallback paths carry no communication latency.
+response it plans with the communicated actual values and the effective
+response time e_tau * tau0 + eta (response ratio times machine response
+time, plus latency), formed in `effective_response_time` alone. On a
+timeout it takes predefined conservative defaults at its own machine
+response time, with no communication latency.
 """
 
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
 
 from .errors import InvalidParameterError
 from .params import (
     VehicleParams,
     require_closed_form,
+    require_equal_lengths,
     require_finite,
     require_response_kept,
 )
-from .perception import (
-    DeviationSet,
-    MetricKind,
-    ObservationSet,
-    params_from_observations,
-)
+from .perception import DeviationSet
 
 
 @dataclass(frozen=True)
@@ -69,65 +64,24 @@ def sample_latency(model: LatencyModel, rng: random.Random) -> float:
     return rng.uniform(model.lo, model.hi)
 
 
-def effective_response_time(tau0: float, eta: float) -> float:
-    """Machine response time plus communication latency (delays add)."""
+def effective_response_time(e_tau: float, tau0: float, eta: float) -> float:
+    """The cooperative effective response time: the machine response time
+    tau0 scaled by the response ratio e_tau, plus the latency eta (delays
+    add). The one place the sum is formed, so the simulator's links, the
+    corrected distance and the capacity sweep's side condition all get the
+    same double."""
+    e_tau = require_finite("e_tau", e_tau)
     tau0 = require_finite("tau0", tau0)
     eta = require_finite("eta", eta)
-    if tau0 < 0 or eta < 0:
-        raise InvalidParameterError("tau0 and eta must be >= 0")
-    return tau0 + eta
+    if e_tau < 0 or tau0 < 0 or eta < 0:
+        raise InvalidParameterError("e_tau, tau0 and eta must be >= 0")
+    return e_tau * tau0 + eta
 
 
 class InfoSource(Enum):
     RESPONSE = "response"
     PERCEPTION = "perception"
     DEFAULTS = "defaults"
-
-
-@dataclass(frozen=True)
-class FrontInfoResolution:
-    """Outcome of the information-request round for one leader/follower pair."""
-
-    source: InfoSource
-    params: VehicleParams
-    effective_tau: float
-
-
-def resolve_front_info(
-    response: Optional[VehicleParams],
-    perception: Optional[Mapping[MetricKind, ObservationSet]],
-    defaults: VehicleParams,
-    response_time: float,
-    response_ratio: float = 1.0,
-    eta: float = 0.0,
-) -> FrontInfoResolution:
-    """Resolve the front car's parameters through the fallback chain.
-
-    response -- communicated parameters, or None on timeout.
-    perception -- per-metric observation sets, or None/empty if the
-        perception system is down.
-    defaults -- predefined most-conservative parameters.
-    response_time -- the rear car's machine response time; the communicated
-        path scales it by response_ratio and adds eta, the fallback paths
-        use it as-is (no communication latency there).
-    """
-    if response is not None:
-        return FrontInfoResolution(
-            source=InfoSource.RESPONSE,
-            params=response,
-            effective_tau=response_ratio * response_time + eta,
-        )
-    if perception:
-        return FrontInfoResolution(
-            source=InfoSource.PERCEPTION,
-            params=params_from_observations(dict(perception), defaults),
-            effective_tau=response_time,
-        )
-    return FrontInfoResolution(
-        source=InfoSource.DEFAULTS,
-        params=defaults,
-        effective_tau=response_time,
-    )
 
 
 def corrected_safe_distance(
@@ -146,11 +100,8 @@ def corrected_safe_distance(
     eta = require_finite("eta", eta)
     if eta < 0:
         raise InvalidParameterError(f"eta must be >= 0, got {eta}")
-    if rear.length != front_conservative.length:
-        raise InvalidParameterError(
-            "homogeneous fleet required: rear and front lengths differ"
-        )
-    tau_eff = dev.response * rear.response_time + eta
+    require_equal_lengths(rear, front_conservative)
+    tau_eff = effective_response_time(dev.response, rear.response_time, eta)
     v_peak = rear.speed + tau_eff * rear.max_accel
     t_rear = require_closed_form("rear stopping time", tau_eff + v_peak / rear.max_brake)
 

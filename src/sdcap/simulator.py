@@ -99,6 +99,7 @@ from .protocol import (
     InfoSource,
     LATENCY_PRESETS,
     LatencyModel,
+    effective_response_time,
     sample_latency,
 )
 
@@ -239,8 +240,9 @@ class Link(NamedTuple):
 def link_resolutions(cfg: ScenarioConfig) -> dict[tuple[int, int], Link]:
     """The Link of every follower (lane, index), seeded by cfg. PBV: the
     onboard view at the follower's own tau0. CBV: one latency draw eta per
-    link; the response within the request timeout, with e_tau * tau0 + eta,
-    and past it the conservative defaults at tau0."""
+    link; the response within the request timeout, at the effective
+    response time of protocol.effective_response_time, and past it the
+    conservative defaults at tau0."""
     rng = random.Random(cfg.rng_seed)
     links = {}
     for lane_idx, lane in enumerate(cfg.lanes):
@@ -253,8 +255,8 @@ def link_resolutions(cfg: ScenarioConfig) -> dict[tuple[int, int], Link]:
                 if eta > cfg.request_timeout:
                     link = Link(InfoSource.DEFAULTS, tau, eta)
                 else:
-                    # The operation order of corrected_safe_distance.
-                    link = Link(InfoSource.RESPONSE, cfg.dev.response * tau + eta, eta)
+                    tau_eff = effective_response_time(cfg.dev.response, tau, eta)
+                    link = Link(InfoSource.RESPONSE, tau_eff, eta)
             links[(lane_idx, idx)] = link
     return links
 

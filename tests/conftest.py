@@ -1,6 +1,7 @@
 """Shared fixtures and independent reference implementations for the tests."""
 
 import csv
+import io
 import random
 from typing import Sequence
 
@@ -30,6 +31,7 @@ from sdcap import (
     VehicleState,
     corrected_safe_distance,
     safe_longitudinal_distance,
+    write_traces_csv,
 )
 from sdcap.ltl import TRACE_CSV_COLUMNS
 from sdcap.errors import InvalidParameterError, SdcapError
@@ -208,6 +210,27 @@ def random_formula(rng: random.Random, depth: int):
     return Finally(lo, hi, random_formula(rng, depth - 1))
 
 
+def trace_from_states(vehicle_id: str, states, dt: float) -> Trace:
+    """A Trace from a sequence of VehicleState rows."""
+    states = tuple(states)
+    return Trace(
+        vehicle_id,
+        dt,
+        position=[s.position for s in states],
+        velocity=[s.velocity for s in states],
+        ber=[s.ber_active for s in states],
+        collided=[s.collided for s in states],
+        responsible=[s.responsible for s in states],
+    )
+
+
+def traces_to_csv(traces: Sequence[Trace], info_sources=None) -> str:
+    """The trace CSV text write_traces_csv writes for the traces."""
+    buffer = io.StringIO()
+    write_traces_csv(traces, buffer, info_sources)
+    return buffer.getvalue()
+
+
 def random_trace(rng: random.Random, max_len: int = 20, vehicle_id: str = "t") -> Trace:
     n = rng.randrange(1, max_len + 1)
     collide_from = rng.randrange(0, n + 3)  # may be past the end: no collision
@@ -222,7 +245,7 @@ def random_trace(rng: random.Random, max_len: int = 20, vehicle_id: str = "t") -
                 responsible=rng.random() < 0.3,
             )
         )
-    return Trace(vehicle_id, tuple(steps), 0.1)
+    return trace_from_states(vehicle_id, steps, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +298,7 @@ def reference_read_traces_csv(stream):
         for (t0, _), (t1, _) in zip(rows, rows[1:]):
             if abs((t1 - t0) - dt) > 1e-9 * max(1.0, abs(dt)):
                 raise InvalidInputError(f"trace {vid}: non-uniform sampling step")
-        traces.append(Trace(vid, tuple(state for _, state in rows), dt))
+        traces.append(trace_from_states(vid, (state for _, state in rows), dt))
     return traces
 
 
@@ -387,7 +410,7 @@ def reference_assign_responsibility(traces, cfg):
             blamed[vid] = min(blamed.get(vid, hit_step), hit_step)
 
     return [
-        Trace.from_columns(
+        Trace(
             t.vehicle_id,
             t.dt,
             position=t.position,
@@ -459,7 +482,7 @@ def reference_run_scenario(cfg):
     for lane_idx, lane in enumerate(lanes):
         for idx, veh in enumerate(lane):
             position, velocity, ber, collided = zip(*samples[veh])
-            traces.append(Trace.from_columns(
+            traces.append(Trace(
                 vehicle_id(lane_idx, idx), dt, position=position, velocity=velocity,
                 ber=ber, collided=collided, responsible=[False] * len(ber),
             ))

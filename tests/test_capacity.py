@@ -1,5 +1,6 @@
 """Capacity formulas, reports, and the cooperative-vs-perception bound sweep."""
 
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from sdcap import (
     VehicleParams,
     capacity_report,
     check_capacity_bound,
+    effective_response_time,
     expected_safe_distance,
     safe_longitudinal_distance,
     sdc,
@@ -172,6 +174,19 @@ def test_check_capacity_bound_rejects_delay_side_condition():
     report = check_capacity_bound(grid, REFERENCE, 0.4)
     assert not report.rows
     assert "side condition" in report.rejected[0]
+
+
+@pytest.mark.parametrize(
+    "eta, kept", [(0.1, True), (0.1 + 0.5e-12, True), (0.1 + 2e-12, False), (math.inf, False)]
+)
+def test_side_condition_boundary_is_inclusive_to_1e12(eta, kept):
+    # 1.0 * 0.4 + 0.1 is 0.5, the PBV response time, exactly: the side
+    # condition keeps a point up to 1e-12 s past it and rejects one beyond.
+    assert effective_response_time(1.0, 0.4, 0.1) == REFERENCE.response_time == 0.5
+    grid = SweepGrid(e_tau=(1.0,), e_brake=(1.0,), e_v=(1.0,), eta=(eta,))
+    report = check_capacity_bound(grid, REFERENCE, 0.4)
+    assert len(report.rows) == kept
+    assert ["side condition" in r for r in report.rejected] == ([] if kept else [True])
 
 
 def test_sweep_rows_equal_capacity_report_at_each_point():

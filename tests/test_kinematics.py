@@ -2,12 +2,14 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdcap import (
     BrakingScenario,
+    DeviationSet,
     InvalidParameterError,
     VehicleParams,
     gap_at_time,
@@ -17,6 +19,7 @@ from sdcap import (
     time_to_stop_front,
     time_to_stop_rear,
 )
+from sdcap.capacity import safe_distance
 from conftest import REFERENCE, random_pair
 
 
@@ -116,10 +119,13 @@ def test_safe_distance_clamped_at_length_near_branch_boundary():
     assert safe_longitudinal_distance(rear, front, 1.0) == rear.length
 
 
-def test_safe_distance_length_mismatch_rejected():
+@pytest.mark.parametrize("mode", ["pbv", "cbv"])
+def test_safe_distance_length_mismatch_rejected(mode):
+    # The closed form and the corrected distance share one refusal, which
+    # names both lengths.
     other = VehicleParams(4.0, 9.0, 3.0, 27.78, 0.5)
-    with pytest.raises(InvalidParameterError):
-        safe_longitudinal_distance(REFERENCE, other, 0.5)
+    with pytest.raises(InvalidParameterError, match=re.escape("(5.0 vs 4.0)")):
+        safe_distance(REFERENCE, other, mode, DeviationSet(), 0.0)
 
 
 def test_gap_at_time_initial_condition():

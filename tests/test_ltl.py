@@ -39,7 +39,7 @@ from sdcap import (
     write_traces_csv,
 )
 import sdcap.ltl
-from sdcap.ltl import MAX_NESTING, TRACE_CSV_COLUMNS, _truth, traces_to_csv
+from sdcap.ltl import MAX_NESTING, TRACE_CSV_COLUMNS, _truth
 from conftest import (
     random_formula,
     random_trace,
@@ -47,6 +47,8 @@ from conftest import (
     reference_read_traces_csv,
     reference_write_traces_csv,
     scenarios,
+    trace_from_states,
+    traces_to_csv,
 )
 
 
@@ -56,7 +58,7 @@ def make_trace(flags, vehicle_id="t", dt=0.1):
         VehicleState(float(k), 1.0, ber, col, resp)
         for k, (ber, col, resp) in enumerate(flags)
     ]
-    return Trace(vehicle_id, tuple(steps), dt)
+    return trace_from_states(vehicle_id, steps, dt)
 
 
 def test_vacuous_implication_when_never_braking():
@@ -184,7 +186,7 @@ def test_sdt_never_exceeds_vehicle_count_and_matches_road_safe():
         traces = [random_trace(rng, max_len=8, vehicle_id=f"v{k}") for k in range(n)]
         # force a common horizon
         horizon = min((len(t) for t in traces), default=0)
-        traces = [Trace(t.vehicle_id, t.steps[:horizon], t.dt) for t in traces]
+        traces = [trace_from_states(t.vehicle_id, t.steps[:horizon], t.dt) for t in traces]
         count = sdt(traces)
         assert 0 <= count <= n
         assert road_safe(traces) == (count == n)
@@ -376,7 +378,7 @@ def columnar(n, seed, switch=0.05, vehicle_id="t"):
     def runs():
         return (np.cumsum(rng.random(n) < switch) + rng.integers(2)) % 2 == 1
 
-    return Trace.from_columns(
+    return Trace(
         vehicle_id, 0.1,
         position=rng.uniform(-100.0, 100.0, n),
         velocity=rng.uniform(0.0, 30.0, n),
@@ -395,17 +397,16 @@ def test_steps_view_builds_states_on_demand():
     assert trace.steps[::-7] == tuple(states[::-7])
     assert isinstance(trace.steps[3].position, float)
     assert isinstance(trace.steps[3].ber_active, bool)
-    assert Trace("t", trace.steps, 0.1) == trace
-    assert Trace("t", trace.steps[:49], 0.1) != trace
+    assert trace_from_states("t", trace.steps, 0.1) == trace
+    assert trace_from_states("t", trace.steps[:49], 0.1) != trace
     with pytest.raises(IndexError):
         trace.steps[50]
 
 
 def test_trace_columns_are_read_only_copies():
     position = np.zeros(3)
-    trace = Trace.from_columns("t", 0.1, position=position, velocity=[1.0] * 3,
-                               ber=[0, 1, 1], collided=[False] * 3,
-                               responsible=[False] * 3)
+    trace = Trace("t", 0.1, position=position, velocity=[1.0] * 3, ber=[0, 1, 1],
+                  collided=[False] * 3, responsible=[False] * 3)
     position[0] = 5.0
     assert trace.position[0] == 0.0
     with pytest.raises(ValueError):
@@ -413,7 +414,7 @@ def test_trace_columns_are_read_only_copies():
     assert trace.ber.dtype == bool and trace.ber.tolist() == [False, True, True]
 
 
-def test_from_columns_adopts_read_only_arrays_of_the_column_dtype():
+def test_trace_adopts_read_only_arrays_of_the_column_dtype():
     def frozen(array):
         array.setflags(write=False)
         return array
@@ -421,16 +422,15 @@ def test_from_columns_adopts_read_only_arrays_of_the_column_dtype():
     position = frozen(np.arange(3.0))
     ber = frozen(np.array([False, True, True]))
     velocity = frozen(np.ones(3, dtype=np.float32))  # read-only, but not float64
-    trace = Trace.from_columns("t", 0.1, position=position, velocity=velocity, ber=ber,
-                               collided=[False] * 3, responsible=[False] * 3)
+    trace = Trace("t", 0.1, position=position, velocity=velocity, ber=ber,
+                  collided=[False] * 3, responsible=[False] * 3)
     assert trace.position is position and trace.ber is ber
     assert trace.velocity.dtype == np.float64 and not trace.velocity.flags.writeable
     assert not np.shares_memory(trace.velocity, velocity)
     # An adopted column is validated like a copied one.
     with pytest.raises(InvalidInputError, match="step 1"):
-        Trace.from_columns("t", 0.1, position=frozen(np.array([0.0, np.nan, 0.0])),
-                           velocity=[1.0] * 3, ber=ber, collided=[False] * 3,
-                           responsible=[False] * 3)
+        Trace("t", 0.1, position=frozen(np.array([0.0, np.nan, 0.0])),
+              velocity=[1.0] * 3, ber=ber, collided=[False] * 3, responsible=[False] * 3)
 
 
 @pytest.mark.parametrize(
@@ -450,7 +450,7 @@ def test_trace_rejects_invalid_columns(changes):
     columns = dict(dt=0.1, position=[0.0] * 3, velocity=[1.0] * 3, ber=[False] * 3,
                    collided=[False] * 3, responsible=[False] * 3)
     with pytest.raises(InvalidInputError):
-        Trace.from_columns("t", **dict(columns, **changes))
+        Trace("t", **dict(columns, **changes))
 
 
 @st.composite
@@ -565,7 +565,7 @@ _NAMES = st.sampled_from(("v", "car,1", 'a"b', '"', ",", "l\nv", "l\r\nv", "\r")
 
 
 def _columns(position, velocity, ber=None, collided=None, responsible=None):
-    """Trace.from_columns keywords; flags not given are all false."""
+    """Trace column keywords; flags not given are all false."""
     false = [False] * len(position)
     return dict(position=position, velocity=velocity, ber=ber or false,
                 collided=collided or false, responsible=responsible or false)
@@ -595,7 +595,7 @@ def hand_built_traces(draw):
             draw(st.lists(st.booleans(), min_size=n, max_size=n)),
         )
         dt = draw(st.sampled_from((0.1, 0.001, 1, 1.0)))
-        traces.append(Trace.from_columns(draw(_NAMES) + str(k), dt, **columns))
+        traces.append(Trace(draw(_NAMES) + str(k), dt, **columns))
     ids = st.sampled_from([t.vehicle_id for t in traces])
     return traces, draw(st.one_of(st.none(), st.dictionaries(ids, _NAMES)))
 
@@ -608,11 +608,11 @@ def _written(writer, traces, info_sources) -> str:
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.tuples(scenarios(), st.booleans()), hand_built_traces()))
-@example(([Trace.from_columns("z", 0.5, **_columns([0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]))],
+@example(([Trace("z", 0.5, **_columns([0.0, -0.0, -0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]))],
           None))
-@example(([Trace.from_columns(f"same-n{k}", dt, **_columns([1.0] * 3, [0.0] * 3))
+@example(([Trace(f"same-n{k}", dt, **_columns([1.0] * 3, [0.0] * 3))
            for k, dt in enumerate((0.1, 0.2, 1, 1.0))]
-          + [Trace.from_columns("other-n", 0.1, **_columns([1.0] * 5, [0.0] * 5))],
+          + [Trace("other-n", 0.1, **_columns([1.0] * 5, [0.0] * 5))],
           {"same-n0": "x,y", "same-n1": 'say "hi"'}))
 def test_writer_matches_reference_writer(case):
     traces, info_sources = case

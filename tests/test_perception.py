@@ -1,4 +1,4 @@
-"""Conservative observation, inaccuracy ratios, and deviation regimes."""
+"""Deviation regimes and the corrected parameters they imply."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,54 +6,10 @@ from hypothesis import given, settings, strategies as st
 from sdcap import (
     DeviationSet,
     InvalidDeviationError,
-    InvalidInputError,
-    MetricKind,
-    ObservationSet,
     Regime,
     VehicleParams,
-    conservative_observation,
     corrected_params,
-    inaccuracy,
 )
-
-
-def test_front_speed_takes_minimizing_bias():
-    obs = ObservationSet(samples=(10.0, 10.0, 10.0), biases=(-0.5, 0.5))
-    assert conservative_observation(obs, MetricKind.FRONT_SPEED) == pytest.approx(9.5)
-
-
-def test_zero_bias_singleton_is_identity():
-    obs = ObservationSet(samples=(5.0,), biases=(0.0,))
-    for kind in MetricKind:
-        assert conservative_observation(obs, kind) == 5.0
-
-
-def test_max_brake_takes_maximizing_bias():
-    obs = ObservationSet(samples=(8.9, 9.1), biases=(-0.2, 0.3))
-    assert conservative_observation(obs, MetricKind.MAX_BRAKE) == pytest.approx(9.3)
-
-
-def test_observation_set_rejects_empty_inputs():
-    with pytest.raises(InvalidInputError):
-        ObservationSet(samples=(), biases=(0.0,))
-    with pytest.raises(InvalidInputError):
-        ObservationSet(samples=(1.0,), biases=())
-    with pytest.raises(InvalidInputError):
-        ObservationSet(samples=(float("nan"),), biases=(0.0,))
-
-
-def test_inaccuracy_exact_perception():
-    assert inaccuracy(9.0, 9.0) == 0.0
-
-
-def test_inaccuracy_five_percent_boundaries():
-    assert inaccuracy(1.05, 1.0) == pytest.approx(0.05)
-    assert inaccuracy(8.55, 9.0) == pytest.approx(0.05)
-
-
-def test_inaccuracy_zero_conservative_rejected():
-    with pytest.raises(ZeroDivisionError):
-        inaccuracy(1.0, 0.0)
 
 
 def test_corrected_params_identity_at_unit_deviations():
@@ -98,33 +54,13 @@ def test_good_perception_regime_is_tighter():
 
 def test_unchecked_regime_allows_out_of_regime_points():
     dev = DeviationSet(front_speed=0.9, regime=Regime.UNCHECKED)
-    assert not dev.is_conservative()
+    assert dev.front_speed == 0.9
     with pytest.raises(InvalidDeviationError):
         DeviationSet(front_speed=-1.0, regime=Regime.UNCHECKED)
 
 
 _ratio_down = st.floats(0.05, 1.0)
 _ratio_up = st.floats(1.0, 1.5)
-
-
-@settings(max_examples=300)
-@given(_ratio_down, _ratio_up, _ratio_down, _ratio_down)
-def test_inaccuracy_round_trips_each_deviation(e_l, e_v, e_brake, e_tau):
-    dev = DeviationSet(length=e_l, front_speed=e_v, brake=e_brake, response=e_tau)
-    conservative = VehicleParams(5.0, 9.0, 3.0, 27.78, 0.5)
-    actual = corrected_params(conservative, dev)
-    assert inaccuracy(actual.length, conservative.length) == pytest.approx(
-        abs(1 - e_l), abs=1e-12
-    )
-    assert inaccuracy(actual.speed, conservative.speed) == pytest.approx(
-        abs(1 - e_v), abs=1e-12
-    )
-    assert inaccuracy(actual.max_brake, conservative.max_brake) == pytest.approx(
-        abs(1 - e_brake), abs=1e-12
-    )
-    assert inaccuracy(actual.response_time, conservative.response_time) == pytest.approx(
-        abs(1 - e_tau), abs=1e-12
-    )
 
 
 @settings(max_examples=300)

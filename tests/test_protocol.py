@@ -1,5 +1,6 @@
-"""Cooperative information resolution, latency models, corrected distance."""
+"""Effective response time, latency models, corrected distance."""
 
+import math
 import random
 
 import pytest
@@ -7,33 +8,56 @@ from hypothesis import given, settings, strategies as st
 
 from sdcap import (
     DeviationSet,
-    InfoSource,
     InvalidParameterError,
     LATENCY_PRESETS,
     LatencyModel,
-    MetricKind,
-    ObservationSet,
     VehicleParams,
     corrected_safe_distance,
     effective_response_time,
-    resolve_front_info,
     safe_longitudinal_distance,
     sample_latency,
 )
 from conftest import REFERENCE, random_pair
 
 
-def test_effective_response_time_addition():
-    assert effective_response_time(0.4, 0.1) == pytest.approx(0.5)
-    assert effective_response_time(0.5, 0.0) == pytest.approx(0.5)
-    assert effective_response_time(0.4, 0.01) == pytest.approx(0.41)
+def test_effective_response_time_scales_then_adds():
+    # e_tau * tau0 + eta in that operation order; at e_tau = 1 it is the
+    # plain sum tau0 + eta bit for bit, as 1.0 * x is exact.
+    assert effective_response_time(1.0, 0.4, 0.1) == 0.4 + 0.1 == 0.5
+    assert effective_response_time(1.0, 0.5, 0.0) == 0.5
+    assert effective_response_time(1.0, 0.4, 0.01) == 0.4 + 0.01
+    assert effective_response_time(0.95, 0.4, 0.02) == 0.95 * 0.4 + 0.02
+    assert effective_response_time(0.95, 0.4, 0.02) == pytest.approx(0.4)
 
 
-def test_effective_response_time_rejects_negative():
+@pytest.mark.parametrize(
+    "args",
+    [
+        (-0.1, 0.4, 0.0),
+        (1.0, -0.1, 0.0),
+        (1.0, 0.1, -0.01),
+        (math.nan, 0.4, 0.0),
+        (1.0, math.inf, 0.0),
+        (1.0, 0.4, math.nan),
+    ],
+)
+def test_effective_response_time_rejects_negative_or_non_finite(args):
     with pytest.raises(InvalidParameterError):
-        effective_response_time(-0.1, 0.0)
-    with pytest.raises(InvalidParameterError):
-        effective_response_time(0.1, -0.01)
+        effective_response_time(*args)
+
+
+def test_corrected_distance_plans_with_the_effective_response_time():
+    # The corrected distance at (dev, eta) is the closed form at the same
+    # effective response time once every ratio but e_tau is 1.
+    rng = random.Random(5)
+    for _ in range(100):
+        rear, front, _ = random_pair(rng)
+        dev = DeviationSet(response=rng.uniform(0.5, 1.0))
+        eta = rng.uniform(0.0, 0.2)
+        tau_eff = effective_response_time(dev.response, rear.response_time, eta)
+        assert corrected_safe_distance(rear, front, dev, eta) == pytest.approx(
+            safe_longitudinal_distance(rear, front, tau_eff), abs=1e-9
+        )
 
 
 def test_corrected_distance_reference_point():
@@ -122,40 +146,6 @@ def test_corrected_distance_monotone_in_latency(seed, eta, bump):
 def test_corrected_distance_rejects_negative_latency():
     with pytest.raises(InvalidParameterError):
         corrected_safe_distance(REFERENCE, REFERENCE, DeviationSet(), -0.01)
-
-
-def test_resolve_front_info_response_branch():
-    communicated = REFERENCE.with_speed(25.0)
-    res = resolve_front_info(
-        communicated, None, REFERENCE, 0.4, response_ratio=0.95, eta=0.02
-    )
-    assert res.source is InfoSource.RESPONSE
-    assert res.params == communicated
-    assert res.effective_tau == pytest.approx(0.95 * 0.4 + 0.02)
-
-
-def test_resolve_front_info_perception_branch():
-    observations = {
-        MetricKind.FRONT_SPEED: ObservationSet((20.0, 22.0), (-0.5, 0.5)),
-        MetricKind.MAX_BRAKE: ObservationSet((8.8, 9.2), (-0.1, 0.4)),
-        MetricKind.LENGTH: ObservationSet((5.0,), (0.2,)),
-        MetricKind.RESPONSE_TIME: ObservationSet((0.45,), (0.05,)),
-    }
-    res = resolve_front_info(None, observations, REFERENCE, 0.5)
-    assert res.source is InfoSource.PERCEPTION
-    assert res.params.speed == pytest.approx(20.5)      # mean 21 + min bias -0.5
-    assert res.params.max_brake == pytest.approx(9.4)   # mean 9 + max bias 0.4
-    assert res.params.length == pytest.approx(5.2)
-    assert res.params.response_time == pytest.approx(0.5)
-    assert res.effective_tau == 0.5
-
-
-def test_resolve_front_info_defaults_branch():
-    for perception in (None, {}):
-        res = resolve_front_info(None, perception, REFERENCE, 0.5)
-        assert res.source is InfoSource.DEFAULTS
-        assert res.params == REFERENCE
-        assert res.effective_tau == 0.5
 
 
 def test_latency_presets():

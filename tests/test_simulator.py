@@ -34,7 +34,6 @@ from sdcap import (
     vehicle_safe,
 )
 from sdcap.capacity import safe_distance
-from sdcap.ltl import traces_to_csv
 from sdcap.protocol import InfoSource
 from sdcap.simulator import Link, info_source_labels, link_resolutions
 from conftest import (
@@ -45,6 +44,8 @@ from conftest import (
     reference_assign_responsibility,
     reference_run_scenario,
     scenarios,
+    trace_from_states,
+    traces_to_csv,
 )
 
 
@@ -303,7 +304,7 @@ def test_triggered_mid_chain_leaves_vehicles_ahead_cruising():
 def test_blame_at_contact_time_matches_the_trace_scan_reference(cfg):
     traces = run_scenario(cfg)
     cleared = [
-        Trace.from_columns(
+        Trace(
             t.vehicle_id,
             t.dt,
             position=t.position,
@@ -429,7 +430,7 @@ def test_a_run_whose_samples_overflow_is_refused_as_its_trace_would_be(block):
     # Lane 1's lead cruises, and its position overflows first; lane 0's
     # lead starts braking 0.3 s before that and overflows some steps
     # later. The run names the first vehicle in lane-major order, at its
-    # first bad step, as Trace.from_columns does the stepping loop's.
+    # first bad step, as Trace does the stepping loop's.
     fleet = VehicleParams(5.0, 1e308, 3.0, 1e308, 0.5)
     cfg = ScenarioConfig(road=RoadSpec(10.0, 2, 100.0),
                          lanes=((SpawnSpec(fleet),), (SpawnSpec(fleet), SpawnSpec(fleet, 5.0))),
@@ -823,7 +824,7 @@ def test_summary_rejects_traces_of_different_horizons():
     cfg = single_lane([D_SAFE])
     run = run_scenario(cfg)
     lead, rear = run
-    short = Trace(rear.vehicle_id, rear.steps[:-1], rear.dt)
+    short = trace_from_states(rear.vehicle_id, rear.steps[:-1], rear.dt)
     with pytest.raises(InvalidInputError, match="horizon"):
         scenario_summary(Run([lead, short], run.contacts, run.info_sources, run.min_gaps), cfg)
 
