@@ -281,9 +281,10 @@ def check_capacity_bound(
                 f"point (e_tau={e_tau}, e_brake={e_brake}, e_v={e_v}, eta={eta}): {exc}"
             )
             continue
-        # An eta past the limit (inf among them) is refused before the sum.
+        # An eta outside [0, limit] (inf and nan among them) is refused
+        # before the sum.
         limit = fleet_pbv.response_time + 1e-12
-        if eta < 0 or eta > limit or effective_response_time(
+        if not (0 <= eta <= limit) or effective_response_time(
             e_tau, cbv_response_time, eta
         ) > limit:
             rejected.append(

@@ -11,12 +11,13 @@ instead drops out-of-range offsets (making G vacuous and F unwitnessable
 there).
 
 A trace is built from and stored as columns (numpy arrays, one value per
-step; `Trace.steps` gives them back as VehicleState rows), and a formula
-is evaluated bottom-up over the whole trace: each subformula becomes one
-boolean array, and G/F windows are counted from prefix sums, so a formula
-costs O(|f| * N) on an N-step trace whatever its window widths. A G/F
-root is decided at the requested step only, from its one window over its
-child's array.
+step; `Trace.steps` gives them back as VehicleState rows). Formulas read
+only the flag columns, which the base class TraceFlags holds; Trace adds
+the position and velocity samples. A formula is evaluated bottom-up over
+the whole trace: each subformula becomes one boolean array, and G/F
+windows are counted from prefix sums, so a formula costs O(|f| * N) on
+an N-step trace whatever its window widths. A G/F root is decided at the
+requested step only, from its one window over its child's array.
 """
 
 import csv
@@ -118,7 +119,8 @@ class VehicleState:
             raise InvalidInputError(f"velocity must be >= 0, got {self.velocity}")
 
 
-# Trace columns, in VehicleState field order, with their dtypes.
+# Trace columns, in VehicleState field order, with their dtypes; a
+# TraceFlags holds the last three, the flags the atoms read.
 _COLUMNS = (
     ("position", np.float64),
     ("velocity", np.float64),
@@ -126,6 +128,7 @@ _COLUMNS = (
     ("collided", np.bool_),
     ("responsible", np.bool_),
 )
+_FLAG_COLUMNS = _COLUMNS[2:]
 
 
 def first_bad_sample(position: np.ndarray, velocity: np.ndarray) -> int | None:
@@ -143,75 +146,106 @@ def bad_sample_error(vehicle_id: str, step: int, position, velocity) -> InvalidI
     )
 
 
-class Trace:
-    """Uniformly sampled state sequence of one vehicle, stored as columns.
+class TraceFlags:
+    """The flags of one vehicle's uniformly sampled trace, stored as
+    columns: what a formula's atoms read, without the samples.
 
-    Built from its per-step columns, given by keyword: `position` and
-    `velocity` become float64 arrays, `ber`, `collided` and `responsible`
-    bool arrays; all are read-only and have one entry per step. A column
-    given as a read-only ndarray of its dtype is adopted as it is, not
+    Built from its per-step `ber`, `collided` and `responsible` columns,
+    given by keyword, each a read-only bool array with one entry per step.
+    A column given as a read-only bool ndarray is adopted as it is, not
     copied, so its owner must not write to it through another view; any
-    other column is copied once and frozen. `steps` is a
-    read-only sequence of VehicleState values built on demand. The trace is
-    validated once, on construction: non-empty, finite positions and
-    velocities, velocities >= 0, a collided flag that never turns off
-    again, and a finite positive dt.
+    other column is copied once and frozen. Validated once, on
+    construction: non-empty, a collided flag that never turns off again,
+    and a finite positive dt.
     """
 
-    __slots__ = ("vehicle_id", "dt") + tuple(name for name, _ in _COLUMNS)
+    __slots__ = ("vehicle_id", "dt") + tuple(name for name, _ in _FLAG_COLUMNS)
+    _COLUMNS = _FLAG_COLUMNS
 
-    def __init__(
-        self, vehicle_id: str, dt: float, *, position, velocity, ber, collided, responsible
-    ):
+    def __init__(self, vehicle_id: str, dt: float, *, ber, collided, responsible):
+        self._adopt(vehicle_id, dt, (ber, collided, responsible))
+
+    def _adopt(self, vehicle_id: str, dt: float, columns: tuple):
+        """Set the columns, given in _COLUMNS order, and validate the trace."""
         self.vehicle_id = vehicle_id
         self.dt = dt
-        columns = (position, velocity, ber, collided, responsible)
-        for (name, dtype), values in zip(_COLUMNS, columns):
+        for (name, dtype), values in zip(self._COLUMNS, columns):
             if not (type(values) is np.ndarray and values.dtype == dtype
                     and not values.flags.writeable):
                 values = np.array(values, dtype=dtype)
                 values.setflags(write=False)
             setattr(self, name, values)
-        if self.position.ndim != 1 or any(
-            getattr(self, name).shape != self.position.shape for name, _ in _COLUMNS
+        first = getattr(self, self._COLUMNS[0][0])
+        if first.ndim != 1 or any(
+            getattr(self, name).shape != first.shape for name, _ in self._COLUMNS
         ):
             raise InvalidInputError(f"trace {vehicle_id}: columns must be 1-D and equally long")
-        if not len(self.position):
+        if not len(first):
             raise InvalidInputError("Trace.steps must be non-empty")
         if not (isinstance(dt, (int, float)) and dt > 0 and math.isfinite(dt)):
             raise InvalidInputError(f"Trace.dt must be a finite positive number, got {dt}")
-        k = first_bad_sample(self.position, self.velocity)
-        if k is not None:
-            raise bad_sample_error(vehicle_id, k, self.position[k], self.velocity[k])
+        self._check_samples()
         # A collision is permanent within the horizon.
         if np.any(self.collided[:-1] & ~self.collided[1:]):
             raise InvalidInputError(f"trace {vehicle_id}: collided flag must be monotone")
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name, _ in _COLUMNS)
+    def _check_samples(self):
+        """Refuse a bad sample; flags alone hold none."""
 
-    @property
-    def steps(self) -> "TraceSteps":
-        return TraceSteps(self)
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name, _ in self._COLUMNS)
 
     def __len__(self) -> int:
-        return len(self.position)
+        return len(self.ber)
 
     @property
     def last_index(self) -> int:
         return len(self) - 1
 
     def __eq__(self, other):
-        if not isinstance(other, Trace):
+        if not isinstance(other, TraceFlags):
             return NotImplemented
+        mine, theirs = self._columns(), other._columns()
         return (
             self.vehicle_id == other.vehicle_id
             and self.dt == other.dt
-            and all(map(np.array_equal, self._columns(), other._columns()))
+            and len(mine) == len(theirs)
+            and all(map(np.array_equal, mine, theirs))
         )
 
     def __repr__(self) -> str:
-        return f"Trace(vehicle_id={self.vehicle_id!r}, steps={len(self)}, dt={self.dt!r})"
+        name = "Trace" if isinstance(self, Trace) else "TraceFlags"
+        return f"{name}(vehicle_id={self.vehicle_id!r}, steps={len(self)}, dt={self.dt!r})"
+
+
+class Trace(TraceFlags):
+    """A TraceFlags with its samples: uniformly sampled state sequence of
+    one vehicle, stored as columns.
+
+    Built from its per-step columns, given by keyword: `position` and
+    `velocity` become float64 arrays and the flags bool arrays, adopted or
+    copied as TraceFlags does. `steps` is a read-only sequence of
+    VehicleState values built on demand. Validated once, on construction,
+    as TraceFlags is, and also for finite positions and velocities and
+    velocities >= 0.
+    """
+
+    __slots__ = ("position", "velocity")
+    _COLUMNS = _COLUMNS
+
+    def __init__(
+        self, vehicle_id: str, dt: float, *, position, velocity, ber, collided, responsible
+    ):
+        self._adopt(vehicle_id, dt, (position, velocity, ber, collided, responsible))
+
+    def _check_samples(self):
+        k = first_bad_sample(self.position, self.velocity)
+        if k is not None:
+            raise bad_sample_error(self.vehicle_id, k, self.position[k], self.velocity[k])
+
+    @property
+    def steps(self) -> "TraceSteps":
+        return TraceSteps(self)
 
 
 def _states(columns: Iterable[np.ndarray]) -> Iterator[VehicleState]:
@@ -244,7 +278,7 @@ class TraceSteps(SequenceABC):
         return _states(self._trace._columns())
 
 
-# Atom name -> the Trace column holding its value at each step.
+# Atom name -> the TraceFlags column holding its value at each step.
 ATOMS: dict[str, str] = {"BER": "ber", "C": "collided", "Y": "responsible"}
 
 
@@ -254,7 +288,7 @@ class BoundaryMode(Enum):
 
 
 def evaluate(
-    trace: Trace,
+    trace: TraceFlags,
     i: int,
     formula: Formula,
     boundary: BoundaryMode = BoundaryMode.ABSORBING,
@@ -284,7 +318,7 @@ def _children(f: Formula) -> tuple:
     raise EvaluationError(f"unknown formula node {f!r}")
 
 
-def _truth(trace: Trace, formula: Formula, boundary: BoundaryMode) -> np.ndarray:
+def _truth(trace: TraceFlags, formula: Formula, boundary: BoundaryMode) -> np.ndarray:
     """The formula's truth value at every step of the trace.
 
     Children are evaluated before their parent from an explicit stack, so
@@ -308,7 +342,7 @@ def _truth(trace: Trace, formula: Formula, boundary: BoundaryMode) -> np.ndarray
     return values[id(formula)]
 
 
-def _combine(trace: Trace, f: Formula, args: list, boundary: BoundaryMode) -> np.ndarray:
+def _combine(trace: TraceFlags, f: Formula, args: list, boundary: BoundaryMode) -> np.ndarray:
     if isinstance(f, Atom):
         try:
             return getattr(trace, ATOMS[f.name])
@@ -366,12 +400,12 @@ def safety_formula(horizon: int) -> Formula:
     return Globally(0, horizon, Implies(Atom("BER"), Not(Atom("Y"))))
 
 
-def vehicle_safe(trace: Trace) -> bool:
+def vehicle_safe(trace: TraceFlags) -> bool:
     """True iff the vehicle is never responsible while holding max brake."""
     return evaluate(trace, 0, safety_formula(trace.last_index))
 
 
-def _check_common_horizon(traces: Sequence[Trace]):
+def _check_common_horizon(traces: Sequence[TraceFlags]):
     if not traces:
         return
     dt = traces[0].dt
@@ -384,18 +418,18 @@ def _check_common_horizon(traces: Sequence[Trace]):
             )
 
 
-def safety_verdicts(traces: Sequence[Trace]) -> list[bool]:
+def safety_verdicts(traces: Sequence[TraceFlags]) -> list[bool]:
     """vehicle_safe of every trace, once the traces share dt and horizon."""
     _check_common_horizon(traces)
     return [vehicle_safe(t) for t in traces]
 
 
-def road_safe(traces: Sequence[Trace]) -> bool:
+def road_safe(traces: Sequence[TraceFlags]) -> bool:
     """True iff every vehicle on the road is in the safe state."""
     return all(safety_verdicts(traces))
 
 
-def sdt(traces: Sequence[Trace]) -> int:
+def sdt(traces: Sequence[TraceFlags]) -> int:
     """Safe-driving throughput: the number of vehicles in the safe state."""
     return sum(safety_verdicts(traces))
 
@@ -704,8 +738,9 @@ def write_traces_csv(
 # numpy's message for a row with fewer fields than a column it reads.
 _SHORT_ROW = re.compile(r"invalid column index \d+ at row \d+ with (\d+) columns")
 
-# The float columns a read keeps, by _ROW_DTYPE field. It keeps the flags
-# packed in one byte per row, and each chunk's vehicle ids as a table.
+# The float columns a read keeps, by _ROW_DTYPE field; a read without
+# samples keeps t alone. It keeps the flags packed in one byte per row, and
+# each chunk's vehicle ids as a table.
 _FLOAT_FIELDS = ("t", "position", "velocity")
 
 
@@ -777,15 +812,18 @@ def _usecols(header: str) -> list[int]:
     return [fieldnames.index(c) for c in TRACE_CSV_COLUMNS]
 
 
-def _read_chunks(stream, usecols) -> tuple[list[dict], dict[str, int], list[tuple]]:
+def _read_chunks(stream, usecols,
+                 samples: bool) -> tuple[list[dict], dict[str, int], list[tuple]]:
     """Parse the data rows chunk by chunk. A chunk keeps the _FLOAT_FIELDS
-    columns of its rows and their packed flags, the rows stably grouped by
+    columns of its rows (only t unless `samples`; position and velocity are
+    checked either way) and their packed flags, the rows stably grouped by
     vehicle, and a table of the vehicles it holds: each one's code (its
     index in order of first appearance in the file), and the start and
     end of its rows. Returns the chunks' columns, the codes by vehicle
     id, and the tables. A row that fails to parse raises at once; a
     non-finite value or negative velocity is refused only once every row
     has parsed, so a malformed row anywhere wins."""
+    kept = _FLOAT_FIELDS if samples else _FLOAT_FIELDS[:1]
     chunks, tables = [], []
     ids: dict[str, int] = {}
     first_bad = None  # (row, t, position, velocity)
@@ -817,7 +855,7 @@ def _read_chunks(stream, usecols) -> tuple[list[dict], dict[str, int], list[tupl
             rows, row_codes = rows[order], row_codes[order]
             starts, lengths = _runs(row_codes)
             codes = row_codes[starts]
-        columns = {name: rows[name].copy() for name in _FLOAT_FIELDS}
+        columns = {name: rows[name].copy() for name in kept}
         columns["flags"] = _pack_flags(*(rows[name] != 0 for name, _ in _FLAG_BITS))
         chunks.append(columns)
         tables.append((codes, starts, starts + lengths))
@@ -861,13 +899,16 @@ def _gather(chunks: list[dict], slices: list, done: list, name: str, order=None)
     return column if order is None else column[order]
 
 
-def _build_traces(chunks: list[dict], ids: dict[str, int], tables: list[tuple]) -> list[Trace]:
+def _build_traces(chunks: list[dict], ids: dict[str, int], tables: list[tuple],
+                  samples: bool) -> list[TraceFlags]:
     """One trace per vehicle, in order of first appearance, each built from
-    its own slices of the chunks. Only a vehicle whose rows are out of order
-    is sorted, stably by t. A chunk's column is released once the last
-    vehicle the chunk holds has taken its slice of it."""
+    its own slices of the chunks: a Trace if `samples`, else a TraceFlags.
+    Only a vehicle whose rows are out of order is sorted, stably by t. A
+    chunk's column is released once the last vehicle the chunk holds has
+    taken its slice of it."""
     if not tables:
         return []
+    make, sample_fields = (Trace, _FLOAT_FIELDS[1:]) if samples else (TraceFlags, ())
     last = [int(table[0].max()) for table in tables]  # each chunk's last vehicle
     chunk_of = np.repeat(np.arange(len(tables)), [len(table[0]) for table in tables])
     codes, starts, ends = (np.concatenate(parts) for parts in zip(*tables))
@@ -894,20 +935,23 @@ def _build_traces(chunks: list[dict], ids: dict[str, int], tables: list[tuple]) 
         del times
         dt = _check_sampling(vid, steps)
         del steps
-        columns = {name: _gather(chunks, slices, done, name, order) for name in _FLOAT_FIELDS[1:]}
+        columns = {name: _gather(chunks, slices, done, name, order) for name in sample_fields}
         flags = _gather(chunks, slices, done, "flags", order)
         columns.update((name, (flags & bit) != 0) for name, bit in _FLAG_BITS)
         del flags
         for column in columns.values():
             column.setflags(write=False)  # so the trace adopts it, not a copy
-        traces.append(Trace(vid, dt, **columns))
+        traces.append(make(vid, dt, **columns))
     return traces
 
 
-def read_traces_csv(stream) -> list[Trace]:
+def read_traces_csv(stream, *, samples: bool = True) -> list[TraceFlags]:
     """Parse a trace CSV from a seekable text stream (a file opened with
     newline="", which keeps a quoted line break as written, or a StringIO)
-    into one trace per vehicle, in order of first appearance.
+    into one trace per vehicle, in order of first appearance: a Trace, or
+    with `samples=False` a TraceFlags, which keeps the flags alone. Both
+    reads parse and check every field alike, so they refuse the same files
+    with the same messages.
 
     Columns are found by header name; extra columns are ignored, and a
     required column named twice is refused. Each vehicle's rows are sorted
@@ -921,22 +965,23 @@ def read_traces_csv(stream) -> list[Trace]:
     Rows are parsed _CHUNK_ROWS at a time, and a chunk keeps only compact
     columns, its rows grouped by vehicle: t, position and velocity as
     float64 and the three flags packed in one byte, 25 bytes per row, and
-    no string per row. Once every row has parsed, each vehicle's columns
-    are built from its own slices of the chunks; a vehicle's rows are
-    sorted only if they are out of order, and a chunk's column is released
-    as soon as no vehicle left to build needs it. So a read holds about 25
-    bytes per row plus one chunk's row table, never a whole-file column,
-    and its traces keep 19.
+    no string per row; with `samples=False`, t and the flags byte, 9 bytes
+    per row. Once every row has parsed, each vehicle's columns are built
+    from its own slices of the chunks; a vehicle's rows are sorted only if
+    they are out of order, and a chunk's column is released as soon as no
+    vehicle left to build needs it. So a read holds about 25 (or 9) bytes
+    per row plus one chunk's row table, never a whole-file column, and its
+    traces keep 19 (or 3: one byte per flag).
     """
     try:
         header = stream.readline()
         if not header:
             raise InvalidInputError("empty trace CSV")
-        read = _read_chunks(stream, _usecols(header))
+        read = _read_chunks(stream, _usecols(header), samples)
     except InvalidInputError:  # refused already, saying where
         raise
     except ValueError:  # a row that fails to parse, or a byte that fails to decode
         read = None
     if read is None:  # out of the except clause, whose traceback keeps the chunks
         _locate(stream)  # raises, naming the line
-    return _build_traces(*read)
+    return _build_traces(*read, samples)

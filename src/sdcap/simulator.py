@@ -775,9 +775,6 @@ class _ReplayedTrace(Trace):
     def velocity(self) -> np.ndarray:
         return self._columns()[1]
 
-    def __len__(self) -> int:
-        return len(self.ber)
-
     def _columns(self) -> tuple[np.ndarray, ...]:
         position, velocity = _replay(self._vehicle, self._restarts, 0, len(self) - 1,
                                      *self._grid)

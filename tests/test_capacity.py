@@ -176,6 +176,21 @@ def test_check_capacity_bound_rejects_delay_side_condition():
     assert "side condition" in report.rejected[0]
 
 
+@pytest.mark.parametrize("axis", ["e_tau", "e_brake", "e_v", "eta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_axis_value_is_a_rejected_point(axis, value):
+    # Not an exception that loses the whole report: the finite point
+    # (1, 1, 1, 0.05) stays a row. A nan eta used to raise.
+    axes = dict(e_tau=(1.0,), e_brake=(1.0,), e_v=(1.0,), eta=(0.05,))
+    axes[axis] += (value,)
+    report = check_capacity_bound(SweepGrid(**axes), REFERENCE, 0.4)
+    assert [(row.e_tau, row.e_brake, row.e_v, row.eta) for row in report.rows] == [
+        (1.0, 1.0, 1.0, 0.05)
+    ]
+    assert len(report.rejected) == 1
+    assert f"{axis}={value}" in report.rejected[0]
+
+
 @pytest.mark.parametrize(
     "eta, kept", [(0.1, True), (0.1 + 0.5e-12, True), (0.1 + 2e-12, False), (math.inf, False)]
 )

@@ -453,3 +453,45 @@ def test_monitor_checks_the_step_against_every_trace_before_printing(capsys, tmp
     code, out, _ = run_cli(capsys, *argv, "--at", "1")
     assert code == 1
     assert out == "a: violated\nb: satisfied\n"
+
+
+@pytest.mark.parametrize("fault", [None, "position", "velocity", "flag", "collided", "gap"])
+def test_monitor_prints_and_exits_as_with_a_full_read(capsys, tmp_path, monkeypatch, fault):
+    # The monitor reads the flags alone. On a good file and on each refused
+    # one, it prints and exits as it would with a read that keeps the
+    # samples. Line 6 is a row of the lead car l0v0, which never collides.
+    import sdcap.cli
+    import sdcap.ltl
+
+    cfg = write_config(tmp_path, gap_scale_lane1=0.9)
+    trace_path = tmp_path / "traces.csv"
+    run_cli(capsys, "simulate", "--config", str(cfg), "--trace-out", str(trace_path))
+    lines = trace_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[5].split(",")
+    assert fields[1] == "l0v0" and fields[5] == "0"
+    changes = {"position": (2, "inf"), "velocity": (3, "-1.0"), "flag": (4, "x"),
+               "collided": (5, "1")}
+    if fault in changes:
+        index, value = changes[fault]
+        fields[index] = value
+        lines[5] = ",".join(fields)
+    elif fault == "gap":
+        del lines[5]  # a non-uniform sampling step
+    trace_path.write_text("".join(lines), encoding="utf-8")
+    argv = ("monitor", "--trace", str(trace_path), "--formula", "G[0,100000](BER -> !Y)")
+    read, calls = sdcap.ltl.read_traces_csv, []
+
+    def recorded(stream, **kwargs):
+        calls.append(kwargs)
+        return read(stream, **kwargs)
+
+    monkeypatch.setattr(sdcap.cli, "read_traces_csv", recorded)
+    flags_read = run_cli(capsys, *argv)
+    assert calls == [{"samples": False}]
+    monkeypatch.setattr(sdcap.cli, "read_traces_csv", lambda stream, **_: read(stream))
+    assert run_cli(capsys, *argv) == flags_read
+    code, out, err = flags_read
+    if fault is None:
+        assert code == 1 and "l1v1: violated" in out and err == ""
+    else:
+        assert code == 2 and out == "" and err.startswith("error: ")

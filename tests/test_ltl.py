@@ -28,6 +28,7 @@ from sdcap import (
     Or,
     ScenarioConfig,
     Trace,
+    TraceFlags,
     VehicleState,
     evaluate,
     parse_formula,
@@ -453,6 +454,56 @@ def test_trace_rejects_invalid_columns(changes):
         Trace("t", **dict(columns, **changes))
 
 
+def _refusal(make, **columns):
+    try:
+        make("t", **columns)
+    except InvalidInputError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"collided": [True, False, False]},
+        {"ber": [False, False]},
+        {"responsible": [[False]] * 3},
+        {name: [] for name in ("ber", "collided", "responsible")},
+        {"dt": float("nan")},
+        {"dt": 0.0},
+        {"dt": 0.0, "collided": [True, False, False]},
+    ],
+)
+def test_trace_flags_refuse_what_a_trace_refuses_with_its_message(changes):
+    flags = dict(dt=0.1, ber=[False] * 3, collided=[False] * 3, responsible=[False] * 3)
+    flags.update(changes)
+    n = len(flags["ber"])
+    message = _refusal(Trace, position=[0.0] * n, velocity=[1.0] * n, **flags)
+    assert message is not None
+    assert _refusal(TraceFlags, **flags) == message
+
+
+def test_trace_flags_are_what_formulas_read():
+    trace = columnar(200, 4)
+    flags = TraceFlags("t", 0.1, ber=trace.ber, collided=trace.collided,
+                       responsible=trace.responsible)
+    assert isinstance(trace, TraceFlags) and not isinstance(flags, Trace)
+    assert flags.ber is trace.ber  # a read-only bool column is adopted
+    assert len(flags) == len(trace) == 200 and flags.last_index == 199
+    assert flags != trace and trace != flags
+    assert flags == TraceFlags("t", 0.1, ber=list(trace.ber), collided=trace.collided,
+                               responsible=trace.responsible)
+    assert repr(flags) == "TraceFlags(vehicle_id='t', steps=200, dt=0.1)"
+    assert repr(trace) == "Trace(vehicle_id='t', steps=200, dt=0.1)"
+    rng = random.Random(4)
+    for _ in range(50):
+        formula = random_formula(rng, 4)
+        at = rng.randrange(200)
+        assert evaluate(flags, at, formula) == evaluate(trace, at, formula)
+    assert vehicle_safe(flags) == vehicle_safe(trace)
+    assert sdt([flags, trace]) == 2 * vehicle_safe(trace)
+
+
 @st.composite
 def rooted_windows(draw, n):
     """A G or F root whose window may start or end before, at or past the
@@ -751,6 +802,39 @@ def test_reader_matches_reference_reader_in_tiny_chunks(case, chunk_rows):
     assert (got != "invalid") == valid, text
 
 
+def _read_or_refusal(text, **kwargs):
+    """The traces a read returns, or the message of the InvalidInputError
+    it raises."""
+    try:
+        return read_traces_csv(io.StringIO(text, newline=""), **kwargs)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def _flags_of(traces) -> list[tuple]:
+    return [(t.vehicle_id, t.dt, t.ber.tolist(), t.collided.tolist(), t.responsible.tolist())
+            for t in traces]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_csvs(), st.sampled_from((None, 1, 2, 3)))
+def test_flags_read_matches_the_full_read(case, chunk_rows):
+    # Whole-file chunks, or chunks of 1-3 rows. The flags read keeps no
+    # position or velocity but checks them as the full read does, so it
+    # refuses the same texts with the same messages.
+    text, _ = case
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_rows is not None:
+            patch.setattr(sdcap.ltl, "_CHUNK_ROWS", chunk_rows)
+        full = _read_or_refusal(text)
+        flags = _read_or_refusal(text, samples=False)
+    if isinstance(full, str):
+        assert flags == full
+    else:
+        assert all(type(trace) is TraceFlags for trace in flags)
+        assert _flags_of(flags) == _flags_of(full)
+
+
 def test_reader_names_the_bad_line():
     header = ",".join(TRACE_CSV_COLUMNS) + "\n"
     rows = [f"{k * 0.1!r},a,{k}.0,1.0,0,0,0\n" for k in range(5)]
@@ -972,6 +1056,63 @@ def test_reader_of_interleaved_rows_holds_at_most_64_bytes_per_row(tmp_path):
             tracemalloc.stop()
     assert read == [traces[k] for k in first]
     assert peak <= 64 * 160_000, peak / 160_000
+
+
+def _traced_read(path, **kwargs):
+    """The flags (_flags_of) of a read of the file at path, the
+    tracemalloc peak of the read, and the memory its traces keep: what
+    dropping them frees."""
+    gc.collect()
+    with open(path, encoding="utf-8", newline="") as handle:
+        tracemalloc.start()
+        try:
+            read = read_traces_csv(handle, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+            flags = _flags_of(read)  # before `held`, so it cancels out of `kept`
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del read
+            gc.collect()
+            kept = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    return flags, peak, kept
+
+
+def test_flags_read_holds_at_most_16_bytes_per_row_and_keeps_3(tmp_path):
+    # The 32 B test's file, 20 vehicles x 8,000 steps. Chunks keep about 9 B
+    # per row, t as float64 and the packed flags byte, plus one chunk's row
+    # table; 12.3 B per row was measured. The traces keep one byte per flag
+    # and, per trace, three array headers, the trace object, its id and dt:
+    # about 420 B (8.4 KB for the 20 was measured), held to 1 KB.
+    path = tmp_path / "traces.csv"
+    traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
+    path.write_text(traces_to_csv(traces), encoding="utf-8", newline="")
+    flags, peak, kept = _traced_read(path, samples=False)
+    assert flags == _flags_of(traces)
+    assert peak <= 16 * 160_000, peak / 160_000
+    assert kept <= 3 * 160_000 + 20 * 1_024, kept - 3 * 160_000
+
+
+def test_flags_read_of_interleaved_rows_holds_at_most_20_bytes_per_row(tmp_path):
+    # The 64 B interleaved test's file. No chunk is released before the
+    # last vehicle is built, as every chunk holds every vehicle, so the
+    # chunks' 9 B per row and the traces' 3 are held together, with the
+    # regrouped copy of one chunk's row table: 14.9 B per row was measured,
+    # so the bound leaves about a third of headroom. The full read of the
+    # file peaks at about 44.
+    path = tmp_path / "traces.csv"
+    traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
+    header, *rows = traces_to_csv(traces).splitlines(keepends=True)
+    turns = np.random.default_rng(0).permuted(np.tile(np.arange(20), (8_000, 1)), axis=1)
+    path.write_text(header + "".join(rows[k * 8_000 + step]
+                                     for step, turn in enumerate(turns.tolist()) for k in turn),
+                    encoding="utf-8", newline="")
+    first = turns[0].tolist()
+    del rows, turns
+    flags, peak, _ = _traced_read(path, samples=False)
+    assert flags == _flags_of([traces[k] for k in first])
+    assert peak <= 20 * 160_000, peak / 160_000
 
 
 def test_reader_traces_equal_those_written_and_keep_only_their_columns():

@@ -38,6 +38,7 @@ PUBLIC = [
     "SpawnSpec",
     "SweepGrid",
     "Trace",
+    "TraceFlags",
     "VehicleParams",
     "VehicleState",
     "capacity_report",
