@@ -230,8 +230,7 @@ def cmd_simulate(args) -> int:
 def cmd_monitor(args) -> int:
     formula = parse_formula(args.formula)
     with open(args.trace, "r", encoding="utf-8", newline="") as handle:
-        # Formulas read only the flags, so the samples are checked, not kept.
-        traces = read_traces_csv(handle, samples=False)
+        traces = read_traces_csv(handle)
     if args.vehicle is not None:
         traces = [t for t in traces if t.vehicle_id == args.vehicle]
         if not traces:

@@ -5,19 +5,17 @@ braking held until halt), C (collided) and Y (shares responsibility),
 boolean connectives, and the bounded operators G[a,b] (at every step offset
 in [a, b]) and F[a,b] (at some step offset in [a, b]).
 
-Traces are finite. By default an offset past the last step reads the final
-state, which is absorbing once every vehicle has halted; strict mode
-instead drops out-of-range offsets (making G vacuous and F unwitnessable
-there).
+Traces are finite: an offset past the last step reads the final state,
+which is absorbing once every vehicle has halted.
 
 A trace is built from and stored as columns (numpy arrays, one value per
 step; `Trace.steps` gives them back as VehicleState rows). Formulas read
 only the flag columns, which the base class TraceFlags holds; Trace adds
 the position and velocity samples. A formula is evaluated bottom-up over
 the whole trace: each subformula becomes one boolean array, and G/F
-windows are counted from prefix sums, so a formula costs O(|f| * N) on
-an N-step trace whatever its window widths. A G/F root is decided at the
-requested step only, from its one window over its child's array.
+windows are counted from prefix sums, so a formula costs O(|f| * N) time
+on an N-step trace whatever its window widths. A G/F root is decided at
+the requested step only, from its one window over its child's array.
 """
 
 import csv
@@ -27,7 +25,6 @@ import warnings
 from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -282,17 +279,7 @@ class TraceSteps(SequenceABC):
 ATOMS: dict[str, str] = {"BER": "ber", "C": "collided", "Y": "responsible"}
 
 
-class BoundaryMode(Enum):
-    ABSORBING = "absorbing"  # offsets past the end read the final state
-    STRICT = "strict"        # offsets past the end are dropped
-
-
-def evaluate(
-    trace: TraceFlags,
-    i: int,
-    formula: Formula,
-    boundary: BoundaryMode = BoundaryMode.ABSORBING,
-) -> bool:
+def evaluate(trace: TraceFlags, i: int, formula: Formula) -> bool:
     """Evaluate a formula on a trace at step index i.
 
     A G/F root is decided from its window at step i alone; every
@@ -302,10 +289,9 @@ def evaluate(
             f"index {i} outside trace {trace.vehicle_id} of length {len(trace)}"
         )
     if isinstance(formula, (Globally, Finally)):
-        x = _truth(trace, formula.child, boundary)
-        return _window_at(x, i, formula.lo, formula.hi, boundary,
-                          every=isinstance(formula, Globally))
-    return bool(_truth(trace, formula, boundary)[i])
+        x = _truth(trace, formula.child)
+        return _window_at(x, i, formula.lo, formula.hi, every=isinstance(formula, Globally))
+    return bool(_truth(trace, formula)[i])
 
 
 def _children(f: Formula) -> tuple:
@@ -318,31 +304,40 @@ def _children(f: Formula) -> tuple:
     raise EvaluationError(f"unknown formula node {f!r}")
 
 
-def _truth(trace: TraceFlags, formula: Formula, boundary: BoundaryMode) -> np.ndarray:
+def _truth(trace: TraceFlags, formula: Formula) -> np.ndarray:
     """The formula's truth value at every step of the trace.
 
-    Children are evaluated before their parent from an explicit stack, so
-    no formula is too deep to evaluate; a subformula shared by several
-    parents is evaluated once.
+    Children are evaluated before their parent, left subtree first, from an
+    explicit stack, so no formula is too deep to evaluate. Each subformula
+    is evaluated once, and dropped once its last parent has combined it: a
+    left-deep `&` or `|` chain holds a few arrays at a time.
     """
+    parents: dict[int, int] = {}  # parent edges left to combine, by node id
+    pending = [formula]
+    while pending:
+        for child in _children(pending.pop()):
+            if id(child) not in parents:  # its first parent: walk it once
+                pending.append(child)
+            parents[id(child)] = parents.get(id(child), 0) + 1
     values: dict[int, np.ndarray] = {}
     pending = [formula]
     while pending:
         f = pending[-1]
-        if id(f) in values:
-            pending.pop()
-            continue
         children = _children(f)
         unevaluated = [c for c in children if id(c) not in values]
         if unevaluated:
-            pending.extend(unevaluated)
+            pending.append(unevaluated[0])
             continue
         pending.pop()
-        values[id(f)] = _combine(trace, f, [values[id(c)] for c in children], boundary)
+        values[id(f)] = _combine(trace, f, [values[id(c)] for c in children])
+        for c in children:
+            parents[id(c)] -= 1
+            if not parents[id(c)]:
+                del values[id(c)]
     return values[id(formula)]
 
 
-def _combine(trace: TraceFlags, f: Formula, args: list, boundary: BoundaryMode) -> np.ndarray:
+def _combine(trace: TraceFlags, f: Formula, args: list) -> np.ndarray:
     if isinstance(f, Atom):
         try:
             return getattr(trace, ATOMS[f.name])
@@ -358,41 +353,27 @@ def _combine(trace: TraceFlags, f: Formula, args: list, boundary: BoundaryMode) 
         return args[0] | args[1]
     if isinstance(f, Implies):
         return ~args[0] | args[1]
-    return _window(args[0], f.lo, f.hi, boundary, every=isinstance(f, Globally))
+    return _window(args[0], f.lo, f.hi, every=isinstance(f, Globally))
 
 
-def _window(x: np.ndarray, lo: int, hi: int, boundary: BoundaryMode, every: bool) -> np.ndarray:
+def _window(x: np.ndarray, lo: int, hi: int, every: bool) -> np.ndarray:
     """G[lo,hi] x (every=True) or F[lo,hi] x at every step, from counts of
-    true values over each window of x padded past its end."""
+    true values over each window of x padded past its end by its last."""
     n = len(x)
     # Offsets at or beyond n all fall past the last step: clipping them
     # keeps the arithmetic small for any window width.
     lo, hi = min(lo, n), min(hi, n)
-    counts = np.cumsum(
-        np.concatenate(([False], x, np.full(hi, _pad(x, boundary, every)))), dtype=np.intp
-    )
+    counts = np.cumsum(np.concatenate(([False], x, np.full(hi, x[-1]))), dtype=np.intp)
     inside = counts[hi + 1:hi + 1 + n] - counts[lo:lo + n]
     return inside == hi - lo + 1 if every else inside > 0
 
 
-def _window_at(x: np.ndarray, i: int, lo: int, hi: int, boundary: BoundaryMode,
-               every: bool) -> bool:
+def _window_at(x: np.ndarray, i: int, lo: int, hi: int, every: bool) -> bool:
     """G[lo,hi] x (every=True) or F[lo,hi] x at step i alone: one window of
-    x, clipped to its end, plus the pad if the window reaches past it."""
+    x, clipped to its end, so an offset past the end reads the last step."""
     n = len(x)
-    inside = x[min(i + lo, n):min(i + hi + 1, n)]
-    held = inside.all() if every else inside.any()
-    if i + hi >= n:
-        past = _pad(x, boundary, every)
-        held = (held and past) if every else (held or past)
-    return bool(held)
-
-
-def _pad(x: np.ndarray, boundary: BoundaryMode, every: bool):
-    """What a G (every=True) or F window of x reads past the end: the final
-    state if absorbing; if strict, a value that decides nothing (true for
-    G, false for F)."""
-    return x[-1] if boundary is BoundaryMode.ABSORBING else every
+    inside = x[min(i + lo, n - 1):min(i + hi + 1, n)]
+    return bool(inside.all() if every else inside.any())
 
 
 def safety_formula(horizon: int) -> Formula:
@@ -738,12 +719,6 @@ def write_traces_csv(
 # numpy's message for a row with fewer fields than a column it reads.
 _SHORT_ROW = re.compile(r"invalid column index \d+ at row \d+ with (\d+) columns")
 
-# The float columns a read keeps, by _ROW_DTYPE field; a read without
-# samples keeps t alone. It keeps the flags packed in one byte per row, and
-# each chunk's vehicle ids as a table.
-_FLOAT_FIELDS = ("t", "position", "velocity")
-
-
 def _load_rows(lines, usecols, max_rows) -> np.ndarray:
     with warnings.catch_warnings():
         # No data rows (or blank lines not counted towards max_rows).
@@ -812,18 +787,15 @@ def _usecols(header: str) -> list[int]:
     return [fieldnames.index(c) for c in TRACE_CSV_COLUMNS]
 
 
-def _read_chunks(stream, usecols,
-                 samples: bool) -> tuple[list[dict], dict[str, int], list[tuple]]:
-    """Parse the data rows chunk by chunk. A chunk keeps the _FLOAT_FIELDS
-    columns of its rows (only t unless `samples`; position and velocity are
-    checked either way) and their packed flags, the rows stably grouped by
-    vehicle, and a table of the vehicles it holds: each one's code (its
-    index in order of first appearance in the file), and the start and
-    end of its rows. Returns the chunks' columns, the codes by vehicle
-    id, and the tables. A row that fails to parse raises at once; a
-    non-finite value or negative velocity is refused only once every row
-    has parsed, so a malformed row anywhere wins."""
-    kept = _FLOAT_FIELDS if samples else _FLOAT_FIELDS[:1]
+def _read_chunks(stream, usecols) -> tuple[list[dict], dict[str, int], list[tuple]]:
+    """Parse the data rows chunk by chunk. A chunk keeps its rows' t and
+    packed flags, the rows stably grouped by vehicle, and a table of its
+    vehicles: each one's code (its index in order of first appearance in
+    the file) and the start and end of its rows. Returns the chunks'
+    columns, the codes by vehicle id, and the tables. A row that fails to
+    parse raises at once; a non-finite value or negative velocity is
+    refused only once every row has parsed, so a malformed row anywhere
+    wins."""
     chunks, tables = [], []
     ids: dict[str, int] = {}
     first_bad = None  # (row, t, position, velocity)
@@ -835,7 +807,7 @@ def _read_chunks(stream, usecols,
         if not n:
             break
         if first_bad is None:
-            t, position, velocity = (rows[name] for name in _FLOAT_FIELDS)
+            t, position, velocity = rows["t"], rows["position"], rows["velocity"]
             bad = np.flatnonzero(~(
                 np.isfinite(t) & np.isfinite(position) & np.isfinite(velocity) & (velocity >= 0)
             ))
@@ -855,9 +827,8 @@ def _read_chunks(stream, usecols,
             rows, row_codes = rows[order], row_codes[order]
             starts, lengths = _runs(row_codes)
             codes = row_codes[starts]
-        columns = {name: rows[name].copy() for name in kept}
-        columns["flags"] = _pack_flags(*(rows[name] != 0 for name, _ in _FLAG_BITS))
-        chunks.append(columns)
+        flags = _pack_flags(*(rows[name] != 0 for name, _ in _FLAG_BITS))
+        chunks.append({"t": rows["t"].copy(), "flags": flags})
         tables.append((codes, starts, starts + lengths))
         del rows, vehicle_ids
         parsed += n
@@ -875,19 +846,28 @@ def _read_chunks(stream, usecols,
     return chunks, ids, tables
 
 
-def _check_sampling(vid: str, steps: np.ndarray) -> float:
-    """The sampling step of a vehicle, given the steps between its sorted
-    times, which must be uniform. Overwrites `steps`."""
+def _sampling(vid: str, times: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """A vehicle's sampling step, which must be uniform, from its finite
+    times, and the stable order that sorts them (None if they are sorted)."""
+    order = None
+    with np.errstate(over="ignore"):  # two finite times may be an inf step apart
+        steps = times[1:] - times[:-1]
+        if (steps < 0).any():  # t falls somewhere
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            steps = times[1:] - times[:-1]
     if not len(steps):
         raise InvalidInputError(f"trace {vid}: need at least two samples")
     dt = float(steps[0])
     if dt <= 0:
         raise InvalidInputError(f"trace {vid}: non-increasing timestamps")
+    if dt == math.inf:
+        raise InvalidInputError(f"trace {vid}: sampling step overflows to inf")
     steps -= dt
     np.abs(steps, out=steps)
     if (steps > 1e-9 * max(1.0, abs(dt))).any():
         raise InvalidInputError(f"trace {vid}: non-uniform sampling step")
-    return dt
+    return dt, order
 
 
 def _gather(chunks: list[dict], slices: list, done: list, name: str, order=None) -> np.ndarray:
@@ -899,16 +879,14 @@ def _gather(chunks: list[dict], slices: list, done: list, name: str, order=None)
     return column if order is None else column[order]
 
 
-def _build_traces(chunks: list[dict], ids: dict[str, int], tables: list[tuple],
-                  samples: bool) -> list[TraceFlags]:
-    """One trace per vehicle, in order of first appearance, each built from
-    its own slices of the chunks: a Trace if `samples`, else a TraceFlags.
-    Only a vehicle whose rows are out of order is sorted, stably by t. A
-    chunk's column is released once the last vehicle the chunk holds has
-    taken its slice of it."""
+def _build_traces(chunks: list[dict], ids: dict[str, int],
+                  tables: list[tuple]) -> list[TraceFlags]:
+    """One TraceFlags per vehicle, in order of first appearance, each built
+    from its own slices of the chunks. Only a vehicle whose rows are out of
+    order is sorted, stably by t. A chunk's column is released once the
+    last vehicle the chunk holds has taken its slice of it."""
     if not tables:
         return []
-    make, sample_fields = (Trace, _FLOAT_FIELDS[1:]) if samples else (TraceFlags, ())
     last = [int(table[0].max()) for table in tables]  # each chunk's last vehicle
     chunk_of = np.repeat(np.arange(len(tables)), [len(table[0]) for table in tables])
     codes, starts, ends = (np.concatenate(parts) for parts in zip(*tables))
@@ -924,34 +902,22 @@ def _build_traces(chunks: list[dict], ids: dict[str, int], tables: list[tuple],
         a, b = bounds[v], bounds[v + 1]
         slices = list(zip(chunk_of[a:b].tolist(), starts[a:b].tolist(), ends[a:b].tolist()))
         done = [c for c, _, _ in slices if last[c] == v]
-        times = _gather(chunks, slices, done, "t")
-        steps = times[1:] - times[:-1]
-        order = None
-        # Times are finite, so a step is negative exactly where t falls.
-        if (steps < 0).any():
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            steps = times[1:] - times[:-1]
-        del times
-        dt = _check_sampling(vid, steps)
-        del steps
-        columns = {name: _gather(chunks, slices, done, name, order) for name in sample_fields}
+        dt, order = _sampling(vid, _gather(chunks, slices, done, "t"))
         flags = _gather(chunks, slices, done, "flags", order)
-        columns.update((name, (flags & bit) != 0) for name, bit in _FLAG_BITS)
+        columns = {name: (flags & bit) != 0 for name, bit in _FLAG_BITS}
         del flags
         for column in columns.values():
             column.setflags(write=False)  # so the trace adopts it, not a copy
-        traces.append(make(vid, dt, **columns))
+        traces.append(TraceFlags(vid, dt, **columns))
     return traces
 
 
-def read_traces_csv(stream, *, samples: bool = True) -> list[TraceFlags]:
+def read_traces_csv(stream) -> list[TraceFlags]:
     """Parse a trace CSV from a seekable text stream (a file opened with
     newline="", which keeps a quoted line break as written, or a StringIO)
-    into one trace per vehicle, in order of first appearance: a Trace, or
-    with `samples=False` a TraceFlags, which keeps the flags alone. Both
-    reads parse and check every field alike, so they refuse the same files
-    with the same messages.
+    into one TraceFlags per vehicle, in order of first appearance: the
+    flags a formula's atoms read. Every field is parsed and checked,
+    positions and velocities too, though they are not kept.
 
     Columns are found by header name; extra columns are ignored, and a
     required column named twice is refused. Each vehicle's rows are sorted
@@ -959,29 +925,24 @@ def read_traces_csv(stream, *, samples: bool = True) -> list[TraceFlags]:
     literals, flags integers (0 is false). Raises InvalidInputError naming
     the line of a malformed row or the file and line of a byte that does
     not decode, whichever comes first, else that of the first bad value,
-    or the vehicle whose samples are bad; only a refused read finds its
+    or the vehicle whose times are bad; only a refused read finds its
     line, reading the stream again one decoded line at a time (_locate).
 
-    Rows are parsed _CHUNK_ROWS at a time, and a chunk keeps only compact
-    columns, its rows grouped by vehicle: t, position and velocity as
-    float64 and the three flags packed in one byte, 25 bytes per row, and
-    no string per row; with `samples=False`, t and the flags byte, 9 bytes
-    per row. Once every row has parsed, each vehicle's columns are built
-    from its own slices of the chunks; a vehicle's rows are sorted only if
-    they are out of order, and a chunk's column is released as soon as no
-    vehicle left to build needs it. So a read holds about 25 (or 9) bytes
-    per row plus one chunk's row table, never a whole-file column, and its
-    traces keep 19 (or 3: one byte per flag).
+    Rows are parsed _CHUNK_ROWS at a time into compact chunks grouped by
+    vehicle: t as float64 and the three flags packed in one byte, 9 bytes
+    per row, never a string per row or a whole-file column. Each vehicle
+    is built from its own slices of the chunks, released as they are used
+    up (_build_traces), and its trace keeps 3 bytes per row.
     """
     try:
         header = stream.readline()
         if not header:
             raise InvalidInputError("empty trace CSV")
-        read = _read_chunks(stream, _usecols(header), samples)
+        read = _read_chunks(stream, _usecols(header))
     except InvalidInputError:  # refused already, saying where
         raise
     except ValueError:  # a row that fails to parse, or a byte that fails to decode
         read = None
     if read is None:  # out of the except clause, whose traceback keeps the chunks
         _locate(stream)  # raises, naming the line
-    return _build_traces(*read, samples)
+    return _build_traces(*read)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from sdcap import (
     And,
     Atom,
-    BoundaryMode,
     BrakeTrigger,
     DeviationSet,
     Finally,
@@ -148,7 +147,9 @@ def dense_chains(draw):
 # explicit loops over concrete step indices.
 
 
-def reference_evaluate(trace, i, formula, boundary=BoundaryMode.ABSORBING):
+def reference_evaluate(trace, i, formula):
+    """The formula at step i, an offset past the end reading the final
+    state."""
     kind = type(formula).__name__
     state = trace.steps[i]
     if kind == "Atom":
@@ -159,31 +160,26 @@ def reference_evaluate(trace, i, formula, boundary=BoundaryMode.ABSORBING):
         }
         return table[formula.name]
     if kind == "Not":
-        return not reference_evaluate(trace, i, formula.child, boundary)
+        return not reference_evaluate(trace, i, formula.child)
     if kind == "And":
-        return reference_evaluate(trace, i, formula.left, boundary) and (
-            reference_evaluate(trace, i, formula.right, boundary)
+        return reference_evaluate(trace, i, formula.left) and (
+            reference_evaluate(trace, i, formula.right)
         )
     if kind == "Or":
-        return reference_evaluate(trace, i, formula.left, boundary) or (
-            reference_evaluate(trace, i, formula.right, boundary)
+        return reference_evaluate(trace, i, formula.left) or (
+            reference_evaluate(trace, i, formula.right)
         )
     if kind == "Implies":
-        if reference_evaluate(trace, i, formula.left, boundary):
-            return reference_evaluate(trace, i, formula.right, boundary)
+        if reference_evaluate(trace, i, formula.left):
+            return reference_evaluate(trace, i, formula.right)
         return True
     last = len(trace.steps) - 1
     indices = []
     j = i + formula.lo
     while j <= i + formula.hi:
-        if j <= last:
-            indices.append(j)
-        elif boundary is BoundaryMode.ABSORBING:
-            indices.append(last)
+        indices.append(min(j, last))
         j += 1
-    verdicts = [
-        reference_evaluate(trace, j, formula.child, boundary) for j in indices
-    ]
+    verdicts = [reference_evaluate(trace, j, formula.child) for j in indices]
     if kind == "Globally":
         return all(verdicts)
     if kind == "Finally":

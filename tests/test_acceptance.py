@@ -12,7 +12,6 @@ from collections import defaultdict
 import pytest
 
 from sdcap import (
-    BoundaryMode,
     DeviationSet,
     Not,
     Finally,
@@ -180,15 +179,12 @@ def test_criterion_7_monitor_matches_quantifier_expansion():
         trace = random_trace(rng, max_len=20)
         formula = random_formula(rng, rng.randrange(0, 5))
         i = rng.randrange(0, len(trace))
-        boundary = rng.choice(list(BoundaryMode))
-        assert evaluate(trace, i, formula, boundary) == reference_evaluate(
-            trace, i, formula, boundary
-        )
+        assert evaluate(trace, i, formula) == reference_evaluate(trace, i, formula)
         # duality on every pair: !F[a,b] f == G[a,b] !f around this formula
         lo = rng.randrange(0, 6)
         hi = lo + rng.randrange(0, 6)
-        left = evaluate(trace, i, Not(Finally(lo, hi, formula)), boundary)
-        right = evaluate(trace, i, Globally(lo, hi, Not(formula)), boundary)
+        left = evaluate(trace, i, Not(Finally(lo, hi, formula)))
+        right = evaluate(trace, i, Globally(lo, hi, Not(formula)))
         assert left == right
     _passed(7, f"{pairs} formula/trace pairs agree with the expansion "
                "reference; duality held on every pair")

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import re
+import warnings
 
 import pytest
 
@@ -455,14 +457,21 @@ def test_monitor_checks_the_step_against_every_trace_before_printing(capsys, tmp
     assert out == "a: violated\nb: satisfied\n"
 
 
-@pytest.mark.parametrize("fault", [None, "position", "velocity", "flag", "collided", "gap"])
-def test_monitor_prints_and_exits_as_with_a_full_read(capsys, tmp_path, monkeypatch, fault):
-    # The monitor reads the flags alone. On a good file and on each refused
-    # one, it prints and exits as it would with a read that keeps the
-    # samples. Line 6 is a row of the lead car l0v0, which never collides.
-    import sdcap.cli
-    import sdcap.ltl
-
+@pytest.mark.parametrize("fault, message", [
+    (None, None),
+    ("position", r"trace CSV line 6: t, position_m and velocity_mps must be finite "
+                 r"and velocity_mps >= 0, got [^,]+, inf, [^,]+"),
+    ("velocity", r"trace CSV line 6: t, position_m and velocity_mps must be finite "
+                 r"and velocity_mps >= 0, got [^,]+, [^,]+, -1\.0"),
+    ("flag", r"trace CSV line 6: could not convert string 'x'.*"),
+    ("collided", r"trace l0v0: collided flag must be monotone"),
+    ("gap", r"trace l0v0: non-uniform sampling step"),
+])
+def test_monitor_prints_and_exits_on_a_good_file_and_each_refused_one(capsys, tmp_path,
+                                                                       fault, message):
+    # The monitor keeps only the flags, but parses and checks every field:
+    # a bad sample is refused with its line. Line 6 is a row of the lead
+    # car l0v0, which never collides.
     cfg = write_config(tmp_path, gap_scale_lane1=0.9)
     trace_path = tmp_path / "traces.csv"
     run_cli(capsys, "simulate", "--config", str(cfg), "--trace-out", str(trace_path))
@@ -478,20 +487,30 @@ def test_monitor_prints_and_exits_as_with_a_full_read(capsys, tmp_path, monkeypa
     elif fault == "gap":
         del lines[5]  # a non-uniform sampling step
     trace_path.write_text("".join(lines), encoding="utf-8")
-    argv = ("monitor", "--trace", str(trace_path), "--formula", "G[0,100000](BER -> !Y)")
-    read, calls = sdcap.ltl.read_traces_csv, []
-
-    def recorded(stream, **kwargs):
-        calls.append(kwargs)
-        return read(stream, **kwargs)
-
-    monkeypatch.setattr(sdcap.cli, "read_traces_csv", recorded)
-    flags_read = run_cli(capsys, *argv)
-    assert calls == [{"samples": False}]
-    monkeypatch.setattr(sdcap.cli, "read_traces_csv", lambda stream, **_: read(stream))
-    assert run_cli(capsys, *argv) == flags_read
-    code, out, err = flags_read
+    code, out, err = run_cli(capsys, "monitor", "--trace", str(trace_path),
+                             "--formula", "G[0,100000](BER -> !Y)")
     if fault is None:
         assert code == 1 and "l1v1: violated" in out and err == ""
     else:
-        assert code == 2 and out == "" and err.startswith("error: ")
+        assert code == 2 and out == ""
+        assert re.fullmatch(f"error: {message}\n", err), err
+
+
+def test_monitor_names_a_vehicle_whose_time_step_overflows(capsys, tmp_path):
+    # The two times are finite, but 2e308 apart, past the largest double:
+    # the step overflows to inf. It is refused, naming the vehicle, with no
+    # numpy warning on the way.
+    trace_path = tmp_path / "traces.csv"
+    trace_path.write_text(
+        "t,vehicle_id,position_m,velocity_mps,ber,collided,responsible\n"
+        "-1e308,a,0.0,1.0,0,0,0\n1e308,a,0.0,1.0,0,0,0\n",
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "monitor", "--trace", str(trace_path), "--formula", "G[0,10] !C"
+        )
+    assert code == 2
+    assert out == ""
+    assert err == "error: trace a: sampling step overflows to inf\n"

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from sdcap import (
     And,
     Atom,
-    BoundaryMode,
     EvaluationError,
     Finally,
     FormulaError,
@@ -62,6 +61,22 @@ def make_trace(flags, vehicle_id="t", dt=0.1):
     return trace_from_states(vehicle_id, steps, dt)
 
 
+def _flags_of(traces) -> list[tuple]:
+    """What a read keeps of each trace: its id, dt and flags."""
+    return [(t.vehicle_id, t.dt, t.ber.tolist(), t.collided.tolist(), t.responsible.tolist())
+            for t in traces]
+
+
+def assert_reads_back(text, traces):
+    """The trace CSV text reads back as the traces: their flags through
+    read_traces_csv, which returns TraceFlags, and all their columns through
+    the reference reader."""
+    read = read_traces_csv(io.StringIO(text, newline=""))
+    assert all(type(trace) is TraceFlags for trace in read)
+    assert _flags_of(read) == _flags_of(traces)
+    assert reference_read_traces_csv(io.StringIO(text, newline="")) == traces
+
+
 def test_vacuous_implication_when_never_braking():
     trace = make_trace([(False, False, True)] * 8)
     horizon = len(trace) - 1
@@ -78,14 +93,12 @@ def test_finally_witness_at_offset_two():
     assert evaluate(trace, 0, Finally(0, 1, Atom("C"))) is False
 
 
-def test_boundary_modes_differ_past_the_end():
+def test_offsets_past_the_end_read_the_final_state():
     trace = make_trace([(False, False, False)] * 2 + [(False, True, False)])
     late_witness = Finally(3, 5, Atom("C"))
-    assert evaluate(trace, 0, late_witness, BoundaryMode.ABSORBING) is True
-    assert evaluate(trace, 0, late_witness, BoundaryMode.STRICT) is False
+    assert evaluate(trace, 0, late_witness) is True
     late_all = Globally(3, 5, Not(Atom("C")))
-    assert evaluate(trace, 0, late_all, BoundaryMode.ABSORBING) is False
-    assert evaluate(trace, 0, late_all, BoundaryMode.STRICT) is True  # vacuous
+    assert evaluate(trace, 0, late_all) is False
 
 
 def test_evaluate_rejects_bad_index_and_unknown_atom():
@@ -109,10 +122,8 @@ def test_random_formulas_match_reference_evaluator():
         trace = random_trace(rng)
         formula = random_formula(rng, rng.randrange(0, 5))
         i = rng.randrange(0, len(trace))
-        for boundary in BoundaryMode:
-            assert evaluate(trace, i, formula, boundary) == reference_evaluate(
-                trace, i, formula, boundary
-            ), (trace, i, formula, boundary)
+        assert evaluate(trace, i, formula) == reference_evaluate(trace, i, formula), (
+            trace, i, formula)
 
 
 def test_globally_finally_duality():
@@ -123,10 +134,9 @@ def test_globally_finally_duality():
         lo = rng.randrange(0, 5)
         hi = lo + rng.randrange(0, 5)
         i = rng.randrange(0, len(trace))
-        for boundary in BoundaryMode:
-            left = evaluate(trace, i, Not(Finally(lo, hi, child)), boundary)
-            right = evaluate(trace, i, Globally(lo, hi, Not(child)), boundary)
-            assert left == right
+        left = evaluate(trace, i, Not(Finally(lo, hi, child)))
+        right = evaluate(trace, i, Globally(lo, hi, Not(child)))
+        assert left == right
 
 
 def test_vehicle_safe_flags():
@@ -213,8 +223,7 @@ def test_trace_csv_round_trip():
     traces = [random_trace(rng, vehicle_id=f"v{k}") for k in range(3)]
     text = io.StringIO()
     write_traces_csv(traces, text)
-    back = read_traces_csv(io.StringIO(text.getvalue()))
-    assert back == traces
+    assert_reads_back(text.getvalue(), traces)
 
 
 def test_trace_csv_with_provenance_column_round_trips():
@@ -224,7 +233,7 @@ def test_trace_csv_with_provenance_column_round_trips():
     write_traces_csv(traces, text, info_sources={"v0": "response", "v1": "none"})
     header = text.getvalue().splitlines()[0]
     assert header.endswith("info_source")
-    assert read_traces_csv(io.StringIO(text.getvalue())) == traces
+    assert_reads_back(text.getvalue(), traces)
 
 
 def test_trace_csv_quotes_fields_holding_commas_or_quotes():
@@ -234,7 +243,7 @@ def test_trace_csv_quotes_fields_holding_commas_or_quotes():
     text = traces_to_csv(traces, sources)
     assert '\n0.0,"car,1",' in text and '\n0.0,"a""b",' in text
     assert "\n0.0,plain," in text
-    assert read_traces_csv(io.StringIO(text)) == traces
+    assert_reads_back(text, traces)
     rows = list(csv.DictReader(io.StringIO(text)))
     assert {row["vehicle_id"]: row["info_source"] for row in rows} == sources
     # A line break is quoted too, and reads back from a stream that keeps
@@ -244,7 +253,7 @@ def test_trace_csv_quotes_fields_holding_commas_or_quotes():
     sources = {vid: vid.replace("l", "res", 1) for vid in ids}
     text = traces_to_csv(traces, sources)
     assert '\n0.0,"l\nv0",' in text and ',"res\r\nv2"\n' in text
-    assert read_traces_csv(io.StringIO(text, newline="")) == traces
+    assert_reads_back(text, traces)
     rows = list(csv.DictReader(io.StringIO(text, newline="")))
     assert {row["vehicle_id"]: row["info_source"] for row in rows} == sources
 
@@ -353,18 +362,17 @@ def test_unknown_atom_rejected_in_a_short_circuited_branch():
         evaluate(trace, 0, parse_formula("BER | SPEEDING"))
 
 
-@pytest.mark.parametrize("boundary", list(BoundaryMode))
-def test_astronomical_window_is_clipped_to_the_trace(boundary):
+def test_astronomical_window_is_clipped_to_the_trace():
     trace = make_trace([(k >= 4, k >= 7, False) for k in range(10)])
     texts = ("G[0,99999999999999999999] BER", "F[99999999999999999999,"
              "99999999999999999999] C", "F[3,99999999999999999999] !BER")
     started = time.process_time()
-    verdicts = [[evaluate(trace, i, parse_formula(text), boundary) for i in range(10)]
+    verdicts = [[evaluate(trace, i, parse_formula(text)) for i in range(10)]
                 for text in texts]
     assert time.process_time() - started < 0.5
     clipped = [Globally(0, 20, Atom("BER")), Finally(20, 20, Atom("C")),
                Finally(3, 20, Not(Atom("BER")))]
-    assert verdicts == [[reference_evaluate(trace, i, f, boundary) for i in range(10)]
+    assert verdicts == [[reference_evaluate(trace, i, f) for i in range(10)]
                         for f in clipped]
 
 
@@ -529,17 +537,17 @@ def rooted_windows(draw, n):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(1, 12), boundary=st.sampled_from(list(BoundaryMode)))
-def test_root_window_at_one_step_matches_the_whole_trace_truth(data, n, boundary):
+@given(data=st.data(), n=st.integers(1, 12))
+def test_root_window_at_one_step_matches_the_whole_trace_truth(data, n):
     flags = st.lists(st.booleans(), min_size=n, max_size=n)
     ber, responsible = data.draw(flags), data.draw(flags)
     collide_from = data.draw(st.integers(0, n + 1))  # may be past the end
     trace = make_trace([(ber[k], k >= collide_from, responsible[k]) for k in range(n)])
     formula = data.draw(rooted_windows(n))
-    whole = _truth(trace, formula, boundary)
+    whole = _truth(trace, formula)
     for i in range(n):
-        verdict = evaluate(trace, i, formula, boundary)
-        assert verdict == whole[i] == reference_evaluate(trace, i, formula, boundary), (
+        verdict = evaluate(trace, i, formula)
+        assert verdict == whole[i] == reference_evaluate(trace, i, formula), (
             i, formula)
 
 
@@ -583,9 +591,8 @@ def wide_formulas(draw, n):
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(100, 2000), seed=st.integers(0, 2**32 - 1),
-       switch=st.sampled_from((0.002, 0.02, 0.2)),
-       boundary=st.sampled_from(list(BoundaryMode)))
-def test_long_traces_and_wide_windows_match_reference(data, n, seed, switch, boundary):
+       switch=st.sampled_from((0.002, 0.02, 0.2)))
+def test_long_traces_and_wide_windows_match_reference(data, n, seed, switch):
     trace = columnar(n, seed, switch)
     formula = data.draw(wide_formulas(n))
     # The reference only reads trace.steps; give it a materialised tuple.
@@ -601,9 +608,54 @@ def test_long_traces_and_wide_windows_match_reference(data, n, seed, switch, bou
             indices.update(i for edge in (f.lo, f.hi) for i in (n - edge - 1, n - edge)
                            if 0 <= i < n)
     for i in sorted(indices):
-        assert evaluate(trace, i, formula, boundary) == reference_evaluate(
-            materialised, i, formula, boundary
+        assert evaluate(trace, i, formula) == reference_evaluate(
+            materialised, i, formula
         ), (i, formula)
+
+
+def test_shared_subformulas_match_reference():
+    # Formula DAGs: each node is built from earlier ones, so a node may have
+    # several parents, or the same child twice, as in And(x, x). Each node
+    # is evaluated once, and its array must outlive its first parent.
+    rng = random.Random(21)
+    for _ in range(300):
+        trace = random_trace(rng)
+        pool = [Atom(name) for name in ("BER", "C", "Y")]
+        for _ in range(6):
+            x, y = rng.choice(pool), rng.choice(pool)
+            lo = rng.randrange(0, 4)
+            pool.append(rng.choice((
+                And(x, x), Or(x, y), Implies(x, Not(x)), And(Not(x), y),
+                Globally(lo, lo + rng.randrange(0, 3), x),
+                Finally(lo, lo + rng.randrange(0, 3), Or(x, y)),
+            )))
+        formula = Or(pool[-1], And(pool[-2], pool[-1]))
+        for i in range(len(trace)):
+            assert evaluate(trace, i, formula) == reference_evaluate(trace, i, formula), (
+                trace, i, formula)
+
+
+@pytest.mark.parametrize("text", [
+    " & ".join(["BER"] * 500),
+    " | ".join(["(!BER & !Y)"] * 500),
+], ids=["and_chain", "or_chain"])
+def test_a_long_chain_holds_a_few_arrays_not_one_per_term(text):
+    # 500 terms on 20,000 steps. A subformula's array is dropped once its
+    # last parent has combined it, and a left subtree is finished before
+    # the right one starts, so a left-deep chain holds a few 20 KB arrays
+    # at a time. One array per node would take 10 MB, or 30 MB for the
+    # second chain.
+    trace = columnar(20_000, 4, 0.2)
+    formula = parse_formula(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verdicts = [evaluate(trace, i, formula) for i in (0, 19_999)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdicts == [reference_evaluate(trace, i, formula) for i in (0, 19_999)]
+    assert peak <= 1_000_000, peak
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +826,10 @@ def trace_csvs(draw):
 
 
 def _read_outcome(reader, text):
+    """The ids, dt and flags (_flags_of) of the traces a read returns, or
+    "invalid" if it refuses the text."""
     try:
-        return reader(io.StringIO(text, newline=""))
+        return _flags_of(reader(io.StringIO(text, newline="")))
     except InvalidInputError:
         return "invalid"
 
@@ -800,39 +854,6 @@ def test_reader_matches_reference_reader_in_tiny_chunks(case, chunk_rows):
         got = _read_outcome(read_traces_csv, text)
     assert got == _read_outcome(reference_read_traces_csv, text)
     assert (got != "invalid") == valid, text
-
-
-def _read_or_refusal(text, **kwargs):
-    """The traces a read returns, or the message of the InvalidInputError
-    it raises."""
-    try:
-        return read_traces_csv(io.StringIO(text, newline=""), **kwargs)
-    except InvalidInputError as exc:
-        return str(exc)
-
-
-def _flags_of(traces) -> list[tuple]:
-    return [(t.vehicle_id, t.dt, t.ber.tolist(), t.collided.tolist(), t.responsible.tolist())
-            for t in traces]
-
-
-@settings(max_examples=200, deadline=None)
-@given(trace_csvs(), st.sampled_from((None, 1, 2, 3)))
-def test_flags_read_matches_the_full_read(case, chunk_rows):
-    # Whole-file chunks, or chunks of 1-3 rows. The flags read keeps no
-    # position or velocity but checks them as the full read does, so it
-    # refuses the same texts with the same messages.
-    text, _ = case
-    with pytest.MonkeyPatch.context() as patch:
-        if chunk_rows is not None:
-            patch.setattr(sdcap.ltl, "_CHUNK_ROWS", chunk_rows)
-        full = _read_or_refusal(text)
-        flags = _read_or_refusal(text, samples=False)
-    if isinstance(full, str):
-        assert flags == full
-    else:
-        assert all(type(trace) is TraceFlags for trace in flags)
-        assert _flags_of(flags) == _flags_of(full)
 
 
 def test_reader_names_the_bad_line():
@@ -952,28 +973,6 @@ def test_reader_names_a_bad_header_before_a_bad_byte(tmp_path):
             read_traces_csv(handle)
 
 
-def test_reader_holds_at_most_64_bytes_per_row(tmp_path):
-    # 20 vehicles x 8,000 steps. The kept columns take about 35 B per row:
-    # t, position and velocity as float64, three bool flags, and one
-    # column's copy while the chunks are joined. A row table or a string
-    # per row would take more than 100.
-    path = tmp_path / "traces.csv"
-    traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
-    path.write_text(traces_to_csv(traces), encoding="utf-8", newline="")
-    del traces
-    gc.collect()
-    with open(path, encoding="utf-8", newline="") as handle:
-        tracemalloc.start()
-        try:
-            read = read_traces_csv(handle)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    rows = sum(len(trace) for trace in read)
-    assert rows == 160_000
-    assert peak <= 64 * rows, peak / rows
-
-
 _BAD_BYTE = (1, b"\xff", "{path} line {line}: byte 0xff is not utf-8 text")
 _BAD_VALUE = (2, b"nan", "line {line}: t, position_m and velocity_mps must be finite")
 _BAD_FLAG = (4, b"x", "line {line}: could not convert string 'x'")
@@ -1012,53 +1011,7 @@ def test_a_refused_read_holds_at_most_64_bytes_per_row(tmp_path, field, fault, m
     assert peak <= 64 * 160_000, peak / 160_000
 
 
-def test_reader_holds_at_most_32_bytes_per_row(tmp_path):
-    # The 64 B test's file. Chunks keep about 25 B per row: t, position and
-    # velocity as float64 and the three flags packed in one byte. Each
-    # vehicle's columns are built from its own slices of them, which its
-    # chunks release as they go, so no whole-file column, concatenation
-    # copy or sort permutation is ever held.
-    path = tmp_path / "traces.csv"
-    traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
-    path.write_text(traces_to_csv(traces), encoding="utf-8", newline="")
-    gc.collect()
-    with open(path, encoding="utf-8", newline="") as handle:
-        tracemalloc.start()
-        try:
-            read = read_traces_csv(handle)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert read == traces
-    assert peak <= 32 * 160_000, peak / 160_000
-
-
-def test_reader_of_interleaved_rows_holds_at_most_64_bytes_per_row(tmp_path):
-    # The same 20 vehicles x 8,000 steps, one row per vehicle in turn and
-    # the vehicles in a different order at each step, so every chunk is
-    # regrouped and every vehicle is built from 40 slices.
-    path = tmp_path / "traces.csv"
-    traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
-    header, *rows = traces_to_csv(traces).splitlines(keepends=True)
-    turns = np.random.default_rng(0).permuted(np.tile(np.arange(20), (8_000, 1)), axis=1)
-    path.write_text(header + "".join(rows[k * 8_000 + step]
-                                     for step, turn in enumerate(turns.tolist()) for k in turn),
-                    encoding="utf-8", newline="")
-    first = turns[0].tolist()
-    del rows, turns
-    gc.collect()
-    with open(path, encoding="utf-8", newline="") as handle:
-        tracemalloc.start()
-        try:
-            read = read_traces_csv(handle)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert read == [traces[k] for k in first]
-    assert peak <= 64 * 160_000, peak / 160_000
-
-
-def _traced_read(path, **kwargs):
+def _traced_read(path):
     """The flags (_flags_of) of a read of the file at path, the
     tracemalloc peak of the read, and the memory its traces keep: what
     dropping them frees."""
@@ -1066,7 +1019,7 @@ def _traced_read(path, **kwargs):
     with open(path, encoding="utf-8", newline="") as handle:
         tracemalloc.start()
         try:
-            read = read_traces_csv(handle, **kwargs)
+            read = read_traces_csv(handle)
             peak = tracemalloc.get_traced_memory()[1]
             flags = _flags_of(read)  # before `held`, so it cancels out of `kept`
             gc.collect()
@@ -1079,28 +1032,31 @@ def _traced_read(path, **kwargs):
     return flags, peak, kept
 
 
-def test_flags_read_holds_at_most_16_bytes_per_row_and_keeps_3(tmp_path):
-    # The 32 B test's file, 20 vehicles x 8,000 steps. Chunks keep about 9 B
-    # per row, t as float64 and the packed flags byte, plus one chunk's row
-    # table; 12.3 B per row was measured. The traces keep one byte per flag
+def test_reader_holds_at_most_16_bytes_per_row_and_keeps_3(tmp_path):
+    # 20 vehicles x 8,000 steps. Chunks keep about 9 B per row, t as float64
+    # and the packed flags byte, plus one chunk's row table; each vehicle's
+    # columns are built from its own slices of them, which its chunks
+    # release as they go, so no whole-file column, concatenation copy or
+    # sort permutation is ever held. 12.3 B per row was measured. The traces keep one byte per flag
     # and, per trace, three array headers, the trace object, its id and dt:
     # about 420 B (8.4 KB for the 20 was measured), held to 1 KB.
     path = tmp_path / "traces.csv"
     traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
     path.write_text(traces_to_csv(traces), encoding="utf-8", newline="")
-    flags, peak, kept = _traced_read(path, samples=False)
+    flags, peak, kept = _traced_read(path)
     assert flags == _flags_of(traces)
     assert peak <= 16 * 160_000, peak / 160_000
     assert kept <= 3 * 160_000 + 20 * 1_024, kept - 3 * 160_000
 
 
-def test_flags_read_of_interleaved_rows_holds_at_most_20_bytes_per_row(tmp_path):
-    # The 64 B interleaved test's file. No chunk is released before the
-    # last vehicle is built, as every chunk holds every vehicle, so the
-    # chunks' 9 B per row and the traces' 3 are held together, with the
-    # regrouped copy of one chunk's row table: 14.9 B per row was measured,
-    # so the bound leaves about a third of headroom. The full read of the
-    # file peaks at about 44.
+def test_reader_of_interleaved_rows_holds_at_most_20_bytes_per_row(tmp_path):
+    # The same 20 vehicles x 8,000 steps, one row per vehicle in turn and
+    # the vehicles in a different order at each step, so every chunk is
+    # regrouped and every vehicle is built from 40 slices. No chunk is
+    # released before the last vehicle is built, as every chunk holds every
+    # vehicle, so the chunks' 9 B per row and the traces' 3 are held
+    # together, with the regrouped copy of one chunk's row table: 14.9 B
+    # per row was measured, so the bound leaves about a third of headroom.
     path = tmp_path / "traces.csv"
     traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
     header, *rows = traces_to_csv(traces).splitlines(keepends=True)
@@ -1110,7 +1066,7 @@ def test_flags_read_of_interleaved_rows_holds_at_most_20_bytes_per_row(tmp_path)
                     encoding="utf-8", newline="")
     first = turns[0].tolist()
     del rows, turns
-    flags, peak, _ = _traced_read(path, samples=False)
+    flags, peak, _ = _traced_read(path)
     assert flags == _flags_of([traces[k] for k in first])
     assert peak <= 20 * 160_000, peak / 160_000
 
@@ -1125,12 +1081,13 @@ def test_reader_traces_equal_those_written_and_keep_only_their_columns():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert traces == [a, b]
+    assert _flags_of(traces) == _flags_of([a, b])
     for trace in traces:
         assert not any(column.flags.writeable for column in trace._columns())
-    # The columns take 19 B per row: each trace adopts the frozen columns
-    # the reader built for it, with no copy and no array they view.
-    assert kept <= 19 * 7_000 + 8_192, kept
+    # The columns take 3 B per row, one byte per flag: each trace adopts
+    # the frozen columns the reader built for it, with no copy and no
+    # array they view.
+    assert kept <= 3 * 7_000 + 8_192, kept
     for trace in traces:
         assert all(column.base is None for column in trace._columns())
 

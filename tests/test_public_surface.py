@@ -7,7 +7,6 @@ import sdcap
 PUBLIC = [
     "And",
     "Atom",
-    "BoundaryMode",
     "BrakeTrigger",
     "BrakingScenario",
     "CapacityBoundReport",
