@@ -7,6 +7,7 @@ import random
 import re
 import time
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -907,6 +908,23 @@ def test_reader_refuses_a_required_column_named_twice():
     # An extra column named twice is ignored, as any extra column is.
     text = ",".join(TRACE_CSV_COLUMNS) + ",x,x\n0.0,a,0.0,1.0,0,0,0,,\n0.1,a,0.1,1.0,0,0,0,,\n"
     assert len(read_traces_csv(io.StringIO(text))[0]) == 2
+
+
+@pytest.mark.parametrize("times, message", [
+    (("-1e308", "1e308"), "sampling step overflows to inf"),
+    (("1e308", "-1e308"), "sampling step overflows to inf"),  # sorted first
+    (("-1.7e308", "-1e308", "1e308"), "non-uniform sampling step"),  # a later step is inf
+], ids=["first_step", "unsorted", "later_step"])
+def test_reader_names_a_vehicle_whose_time_step_overflows(times, message):
+    # Every time is finite, but two neighbours are more than the largest
+    # double apart. The read refuses the vehicle by name, with no numpy
+    # overflow warning on the way.
+    text = ",".join(TRACE_CSV_COLUMNS) + "\n" + "".join(
+        f"{t},a,0.0,1.0,0,0,0\n" for t in times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"^trace a: {message}$"):
+            read_traces_csv(io.StringIO(text))
 
 
 @pytest.mark.parametrize("row, message", [
