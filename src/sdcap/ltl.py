@@ -21,6 +21,7 @@ the requested step only, from its one window over its child's array.
 import csv
 import math
 import re
+import sys
 import warnings
 from collections import Counter
 from collections.abc import Sequence as SequenceABC
@@ -178,9 +179,10 @@ class TraceFlags:
         ):
             raise InvalidInputError(f"trace {vehicle_id}: columns must be 1-D and equally long")
         if not len(first):
-            raise InvalidInputError("Trace.steps must be non-empty")
-        if not (isinstance(dt, (int, float)) and dt > 0 and math.isfinite(dt)):
-            raise InvalidInputError(f"Trace.dt must be a finite positive number, got {dt}")
+            raise InvalidInputError(f"trace {vehicle_id}: columns must be non-empty")
+        # Compared, not converted, so an int past the largest double is refused.
+        if not (isinstance(dt, (int, float)) and 0 < dt <= sys.float_info.max):
+            raise InvalidInputError(f"trace {vehicle_id}: dt must be finite and > 0, got {dt}")
         self._check_samples()
         # A collision is permanent within the horizon.
         if np.any(self.collided[:-1] & ~self.collided[1:]):
@@ -677,8 +679,19 @@ def write_traces_csv(
     values rather than the rows. The times of a (length, dt) that several
     traces share are formatted once, kept as one string per piece, and
     dropped once the last of those traces is written. So the writer holds
-    one piece of text at a time, not a table of a whole trace's rows.
+    one piece of text at a time, not a table of a whole trace's rows. A
+    trace whose times overflow is refused before anything is written.
     """
+    for trace in traces:
+        dt, last = trace.dt, len(trace) - 1
+        if isinstance(dt, int):  # int64 times, which numpy wraps or refuses
+            fits = max(dt, last * dt) <= np.iinfo(np.int64).max
+        else:  # float64 times; a Python float overflows to inf without a warning
+            fits = math.isfinite(last * float(dt))
+        if not fits:
+            raise InvalidInputError(
+                f"trace {trace.vehicle_id}: times overflow: dt = {dt} over {len(trace)} steps"
+            )
     columns = list(TRACE_CSV_COLUMNS)
     if info_sources:
         columns.append("info_source")
@@ -787,17 +800,16 @@ def _usecols(header: str) -> list[int]:
     return [fieldnames.index(c) for c in TRACE_CSV_COLUMNS]
 
 
-def _read_chunks(stream, usecols) -> tuple[list[dict], dict[str, int], list[tuple]]:
-    """Parse the data rows chunk by chunk. A chunk keeps its rows' t and
-    packed flags, the rows stably grouped by vehicle, and a table of its
-    vehicles: each one's code (its index in order of first appearance in
-    the file) and the start and end of its rows. Returns the chunks'
-    columns, the codes by vehicle id, and the tables. A row that fails to
-    parse raises at once; a non-finite value or negative velocity is
-    refused only once every row has parsed, so a malformed row anywhere
-    wins."""
-    chunks, tables = [], []
+def _read_chunks(stream, usecols) -> tuple[dict[str, int], list[tuple]]:
+    """Parse the data rows chunk by chunk, regroup a chunk stably by vehicle
+    if one comes in several runs, and append its rows to each vehicle's own
+    buffers: a bytearray of t float64s and one of packed flag bytes.
+    Returns each vehicle's code (its index in order of first appearance) by
+    id, and the buffers by code. A row that fails to parse raises at once;
+    a non-finite value or negative velocity is refused only once every row
+    has parsed, so a malformed row anywhere wins."""
     ids: dict[str, int] = {}
+    buffers: list[tuple[bytearray, bytearray]] = []
     first_bad = None  # (row, t, position, velocity)
     lines = iter(stream)
     parsed = 0
@@ -820,6 +832,7 @@ def _read_chunks(stream, usecols) -> tuple[list[dict], dict[str, int], list[tupl
         starts, lengths = _runs(vehicle_ids)
         codes = np.fromiter((ids.setdefault(vid, len(ids)) for vid in vehicle_ids[starts]),
                             dtype=np.intp, count=len(starts))
+        buffers += [(bytearray(), bytearray()) for _ in range(len(ids) - len(buffers))]
         distinct = np.sort(codes)
         if np.any(distinct[1:] == distinct[:-1]):  # a vehicle in several runs
             row_codes = np.repeat(codes, lengths)
@@ -827,23 +840,27 @@ def _read_chunks(stream, usecols) -> tuple[list[dict], dict[str, int], list[tupl
             rows, row_codes = rows[order], row_codes[order]
             starts, lengths = _runs(row_codes)
             codes = row_codes[starts]
-        flags = _pack_flags(*(rows[name] != 0 for name, _ in _FLAG_BITS))
-        chunks.append({"t": rows["t"].copy(), "flags": flags})
-        tables.append((codes, starts, starts + lengths))
+        # The chunk's t and packed flags as bytes, the t copied contiguous.
+        t = memoryview(rows["t"].copy()).cast("B")
+        flags = memoryview(_pack_flags(*(rows[name] != 0 for name, _ in _FLAG_BITS))).cast("B")
         del rows, vehicle_ids
+        for v, lo, hi in zip(codes.tolist(), starts.tolist(), (starts + lengths).tolist()):
+            times, packed = buffers[v]
+            times += t[8 * lo:8 * hi]
+            packed += flags[lo:hi]
         parsed += n
         if n < _CHUNK_ROWS:
             break
 
     if first_bad is not None:
-        del chunks  # not needed to find the line
+        del buffers  # not needed to find the line
         k, t_k, position_k, velocity_k = first_bad
         raise InvalidInputError(
             f"trace CSV line {_locate(stream, k)}: t, position_m and "
             f"velocity_mps must be finite and velocity_mps >= 0, got "
             f"{t_k}, {position_k}, {velocity_k}"
         )
-    return chunks, ids, tables
+    return ids, buffers
 
 
 def _sampling(vid: str, times: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -870,42 +887,21 @@ def _sampling(vid: str, times: np.ndarray) -> tuple[float, np.ndarray | None]:
     return dt, order
 
 
-def _gather(chunks: list[dict], slices: list, done: list, name: str, order=None) -> np.ndarray:
-    """One vehicle's `name` column from its (chunk, start, end) slices,
-    taken in `order` if given. The chunks in `done` release their column."""
-    column = np.concatenate([chunks[c][name][lo:hi] for c, lo, hi in slices])
-    for c in done:
-        del chunks[c][name]
-    return column if order is None else column[order]
-
-
-def _build_traces(chunks: list[dict], ids: dict[str, int],
-                  tables: list[tuple]) -> list[TraceFlags]:
+def _build_traces(ids: dict[str, int], buffers: list[tuple]) -> list[TraceFlags]:
     """One TraceFlags per vehicle, in order of first appearance, each built
-    from its own slices of the chunks. Only a vehicle whose rows are out of
-    order is sorted, stably by t. A chunk's column is released once the
-    last vehicle the chunk holds has taken its slice of it."""
-    if not tables:
-        return []
-    last = [int(table[0].max()) for table in tables]  # each chunk's last vehicle
-    chunk_of = np.repeat(np.arange(len(tables)), [len(table[0]) for table in tables])
-    codes, starts, ends = (np.concatenate(parts) for parts in zip(*tables))
-    del tables
-    # Every (chunk, start, end) slice, by vehicle and then in file order.
-    by_vehicle = np.argsort(codes, kind="stable")
-    chunk_of, starts, ends = chunk_of[by_vehicle], starts[by_vehicle], ends[by_vehicle]
-    bounds = np.searchsorted(codes[by_vehicle], np.arange(len(ids) + 1)).tolist()
-    del codes, by_vehicle
-
+    from np.frombuffer views of its own buffers, which are released once it
+    is built. Only a vehicle whose rows are out of order is sorted, stably
+    by t."""
     traces = []
     for v, vid in enumerate(ids):
-        a, b = bounds[v], bounds[v + 1]
-        slices = list(zip(chunk_of[a:b].tolist(), starts[a:b].tolist(), ends[a:b].tolist()))
-        done = [c for c, _, _ in slices if last[c] == v]
-        dt, order = _sampling(vid, _gather(chunks, slices, done, "t"))
-        flags = _gather(chunks, slices, done, "flags", order)
+        times, packed = buffers[v]
+        buffers[v] = None
+        dt, order = _sampling(vid, np.frombuffer(times))
+        flags = np.frombuffer(packed, dtype=np.uint8)
+        if order is not None:
+            flags = flags[order]
         columns = {name: (flags & bit) != 0 for name, bit in _FLAG_BITS}
-        del flags
+        del times, packed, flags
         for column in columns.values():
             column.setflags(write=False)  # so the trace adopts it, not a copy
         traces.append(TraceFlags(vid, dt, **columns))
@@ -928,11 +924,12 @@ def read_traces_csv(stream) -> list[TraceFlags]:
     or the vehicle whose times are bad; only a refused read finds its
     line, reading the stream again one decoded line at a time (_locate).
 
-    Rows are parsed _CHUNK_ROWS at a time into compact chunks grouped by
-    vehicle: t as float64 and the three flags packed in one byte, 9 bytes
-    per row, never a string per row or a whole-file column. Each vehicle
-    is built from its own slices of the chunks, released as they are used
-    up (_build_traces), and its trace keeps 3 bytes per row.
+    Rows are parsed _CHUNK_ROWS at a time, and each chunk's rows are
+    appended to their vehicle's own buffers (_read_chunks): t as float64
+    and the three flags packed in one byte, 9 bytes per row, never a string
+    per row or a whole-file column. Each vehicle is built from its buffers,
+    which are then released (_build_traces), and its trace keeps 3 bytes
+    per row.
     """
     try:
         header = stream.readline()
@@ -943,6 +940,6 @@ def read_traces_csv(stream) -> list[TraceFlags]:
         raise
     except ValueError:  # a row that fails to parse, or a byte that fails to decode
         read = None
-    if read is None:  # out of the except clause, whose traceback keeps the chunks
+    if read is None:  # out of the except clause, whose traceback keeps the buffers
         _locate(stream)  # raises, naming the line
     return _build_traces(*read)

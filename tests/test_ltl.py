@@ -454,12 +454,13 @@ def test_trace_adopts_read_only_arrays_of_the_column_dtype():
         {name: [] for name in ("position", "velocity", "ber", "collided", "responsible")},
         {"dt": float("nan")},
         {"dt": 0.0},
+        {"dt": 10**400},  # an int past the largest double
     ],
 )
 def test_trace_rejects_invalid_columns(changes):
     columns = dict(dt=0.1, position=[0.0] * 3, velocity=[1.0] * 3, ber=[False] * 3,
                    collided=[False] * 3, responsible=[False] * 3)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^trace t: "):
         Trace("t", **dict(columns, **changes))
 
 
@@ -739,6 +740,24 @@ def test_writer_matches_reference_writer_in_pieces_of_1_to_3_rows(case, chunk_ro
         patch.setattr(sdcap.ltl, "_CHUNK_ROWS", chunk_rows)
         got = _written(write_traces_csv, traces, info_sources)
     assert got == _written(reference_write_traces_csv, traces, info_sources)
+
+
+@pytest.mark.parametrize("dt", [1e308, 2**62, 2**70],
+                         ids=["float_overflows", "int64_wraps", "int_past_int64"])
+def test_writer_refuses_times_it_cannot_write(dt):
+    # The last of three times, 2 * dt, is past the largest double or int64,
+    # where numpy would warn and write inf, wrap silently, or raise a bare
+    # OverflowError. The writer refuses the trace by name before it writes
+    # anything, with no numpy warning.
+    traces = [Trace("near", 0.1, **_columns([0.0] * 3, [1.0] * 3)),
+              Trace("far", dt, **_columns([0.0] * 3, [1.0] * 3))]
+    out = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = "^" + re.escape(f"trace far: times overflow: dt = {dt} over 3 steps")
+        with pytest.raises(InvalidInputError, match=message):
+            write_traces_csv(traces, out)
+    assert out.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------
@@ -1051,13 +1070,16 @@ def _traced_read(path):
 
 
 def test_reader_holds_at_most_16_bytes_per_row_and_keeps_3(tmp_path):
-    # 20 vehicles x 8,000 steps. Chunks keep about 9 B per row, t as float64
-    # and the packed flags byte, plus one chunk's row table; each vehicle's
-    # columns are built from its own slices of them, which its chunks
-    # release as they go, so no whole-file column, concatenation copy or
-    # sort permutation is ever held. 12.3 B per row was measured. The traces keep one byte per flag
-    # and, per trace, three array headers, the trace object, its id and dt:
-    # about 420 B (8.4 KB for the 20 was measured), held to 1 KB.
+    # 20 vehicles x 8,000 steps. Each chunk's rows are appended to their
+    # vehicle's own buffers, t as float64 and the packed flags byte, and
+    # the chunk is dropped; each vehicle is built from views of its
+    # buffers, which go once it is built, so no whole-file column,
+    # concatenation copy or sort permutation is ever held. The buffers'
+    # 9 B per row and their growth slack, with one chunk's row table and
+    # its strings, make the peak: 12.3 B per row was measured. The traces
+    # keep one byte per flag and, per trace, three array headers, the trace
+    # object, its id and dt: about 420 B (8.4 KB for the 20 was measured),
+    # held to 1 KB.
     path = tmp_path / "traces.csv"
     traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
     path.write_text(traces_to_csv(traces), encoding="utf-8", newline="")
@@ -1070,11 +1092,12 @@ def test_reader_holds_at_most_16_bytes_per_row_and_keeps_3(tmp_path):
 def test_reader_of_interleaved_rows_holds_at_most_20_bytes_per_row(tmp_path):
     # The same 20 vehicles x 8,000 steps, one row per vehicle in turn and
     # the vehicles in a different order at each step, so every chunk is
-    # regrouped and every vehicle is built from 40 slices. No chunk is
-    # released before the last vehicle is built, as every chunk holds every
-    # vehicle, so the chunks' 9 B per row and the traces' 3 are held
-    # together, with the regrouped copy of one chunk's row table: 14.9 B
-    # per row was measured, so the bound leaves about a third of headroom.
+    # regrouped by vehicle before its rows are appended to the vehicles'
+    # buffers. Every buffer grows to its vehicle's full length before the
+    # first vehicle is built, so the buffers' 9 B per row and their growth
+    # slack are held with the regrouped copy of one chunk's row table:
+    # 15.3 B per row was measured, so the bound leaves about a quarter of
+    # headroom.
     path = tmp_path / "traces.csv"
     traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
     header, *rows = traces_to_csv(traces).splitlines(keepends=True)
@@ -1087,6 +1110,25 @@ def test_reader_of_interleaved_rows_holds_at_most_20_bytes_per_row(tmp_path):
     flags, peak, _ = _traced_read(path)
     assert flags == _flags_of([traces[k] for k in first])
     assert peak <= 20 * 160_000, peak / 160_000
+
+
+def test_reader_of_many_short_vehicles_holds_at_most_32_bytes_per_row(tmp_path):
+    # 5,000 vehicles x 64 steps, one row per vehicle in turn, so every row
+    # is a run of its own and each chunk holds 4,096 vehicles. Each vehicle
+    # costs its two buffers (their objects and growth slack) while the file
+    # is read, and its trace (its object, id and three array headers) once
+    # built: 16.3 B per row was measured. Per-chunk tables of every
+    # vehicle's rows, sorted across the file, took about 99.
+    path = tmp_path / "traces.csv"
+    traces = [columnar(64, k, vehicle_id=f"v{k}") for k in range(5_000)]
+    header, *rows = traces_to_csv(traces).splitlines(keepends=True)
+    path.write_text(header + "".join(rows[k * 64 + step]
+                                     for step in range(64) for k in range(5_000)),
+                    encoding="utf-8", newline="")
+    del rows
+    flags, peak, _ = _traced_read(path)
+    assert flags == _flags_of(traces)
+    assert peak <= 32 * 320_000, peak / 320_000
 
 
 def test_reader_traces_equal_those_written_and_keep_only_their_columns():
