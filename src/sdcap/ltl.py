@@ -180,8 +180,12 @@ class TraceFlags:
             raise InvalidInputError(f"trace {vehicle_id}: columns must be 1-D and equally long")
         if not len(first):
             raise InvalidInputError(f"trace {vehicle_id}: columns must be non-empty")
-        # Compared, not converted, so an int past the largest double is refused.
-        if not (isinstance(dt, (int, float)) and 0 < dt <= sys.float_info.max):
+        # Compared, not converted, so an int past the largest double is refused;
+        # one too long to print under any int-to-text limit is named by its size.
+        if isinstance(dt, bool) or not (isinstance(dt, (int, float))
+                                        and 0 < dt <= sys.float_info.max):
+            if isinstance(dt, int) and abs(dt) >= 10 ** sys.int_info.str_digits_check_threshold:
+                dt = f"an int of {dt.bit_length()} bits"
             raise InvalidInputError(f"trace {vehicle_id}: dt must be finite and > 0, got {dt}")
         self._check_samples()
         # A collision is permanent within the horizon.

@@ -42,15 +42,19 @@ step.
 As each block passes, the run keeps what a summary needs: each adjacent
 pair's smallest gap, the contacts, the halt test and the first sample, if
 any, that is not finite or has a negative speed (a run holding one is
-refused, naming the vehicle and step). It also logs each vehicle's
-restarts: the step, position, speed and schedule at which its trajectory
-was computed afresh (at step 0, and wherever a contact changed its
-schedule, with the snapped position at a contact). A trajectory split at a
-block edge is the same left fold, so the samples are the same doubles in
-any block size, and a trace's position and velocity are replayed from the
-restarts through the same helpers each time they are read, never kept.
-Every flag (ber, collided, responsible) is off before its switch step and
-on from it, so each is a view of one run-wide bool array.
+refused, naming the vehicle and step). The scalar step and the collision
+scan work on samples: `_advance` returns the next one, and the scan snaps
+a scratch column in place. Each vehicle logs its own restarts: the step,
+position and speed at which its trajectory was computed afresh, with the
+parameters and schedule it follows from there (at step 0, and wherever a
+contact changed its schedule, with the snapped position at a contact). A
+trajectory split at a block edge is the same left fold, so the samples
+are the same doubles in any block size, and a trace's position and
+velocity are replayed from the restarts and the grid alone, through the
+same helpers, each time they are read, never kept; blame replays the two
+samples it needs the same way. Every flag (ber, collided, responsible) is
+off before its switch step and on from it, so each is a view of one
+run-wide bool array.
 
 `run_scenario` returns a `Run`, the list of traces, which also carries the
 run's contacts, each vehicle's info source and the pairs' smallest gaps.
@@ -68,11 +72,10 @@ MAX_VEHICLE_STEPS vehicle-steps, or whose arrays would take more than
 MAX_RUN_BYTES, is refused before anything is allocated.
 """
 
-import copy
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -262,30 +265,22 @@ def link_resolutions(cfg: ScenarioConfig) -> dict[tuple[int, int], Link]:
 
 
 class _VehicleRT:
-    """Mutable per-vehicle state while the scenario runs."""
+    """Mutable per-vehicle state while the scenario runs: its current
+    schedule (cause, onset, collision_time) and its restart log. Its
+    samples live in the run's scratch rows, never here."""
 
-    __slots__ = (
-        "params",
-        "ber_delay",
-        "link",
-        "trigger_time",
-        "x",
-        "v",
-        "collision_time",
-        "cause",
-        "onset",
-    )
+    __slots__ = ("params", "ber_delay", "link", "trigger_time", "collision_time", "cause",
+                 "onset", "restarts")
 
-    def __init__(self, spawn: SpawnSpec, x: float, link: Optional[Link]):
+    def __init__(self, spawn: SpawnSpec, link: Optional[Link]):
         self.params = spawn.params
         self.ber_delay = spawn.ber_delay
         self.link = link  # None for the lane lead
         self.trigger_time: Optional[float] = None
-        self.x = x
-        self.v = spawn.params.speed
         self.collision_time: Optional[float] = None  # set once, at contact, which freezes it
         self.cause: Optional[float] = None
         self.onset: Optional[float] = None
+        self.restarts: list[_Restart] = []  # logged from step 0 by _start_run
 
     def sudden_stop_time(self) -> Optional[float]:
         """When this vehicle's behavior becomes a sudden-stop event for its
@@ -318,7 +313,7 @@ def _reschedule(lane: list[_VehicleRT]):
 _CRUISE, _ACCEL, _BRAKE = 0, 1, 2
 
 
-def _phase_at(veh: _VehicleRT, t: float) -> int:
+def _phase_at(veh, t: float) -> int:
     if veh.onset is not None and t >= veh.onset:
         return _BRAKE
     if veh.cause is not None and t >= veh.cause:
@@ -326,10 +321,11 @@ def _phase_at(veh: _VehicleRT, t: float) -> int:
     return _CRUISE
 
 
-def _advance(veh: _VehicleRT, t0: float, t1: float, speed_cap: Optional[float]):
-    """Piecewise-exact kinematics from t0 to t1 with the phase schedule."""
+def _advance(veh, x: float, v: float, t0: float, t1: float, speed_cap: Optional[float]):
+    """The sample (x, v) at t1 of a vehicle at (x, v) at t0: piecewise-exact
+    kinematics under its phase schedule."""
     if veh.collision_time is not None:
-        return
+        return x, v
     boundaries = {t0, t1}
     for b in (veh.cause, veh.onset):
         if b is not None and t0 < b < t1:
@@ -339,52 +335,51 @@ def _advance(veh: _VehicleRT, t0: float, t1: float, speed_cap: Optional[float]):
         span = b - a
         phase = _phase_at(veh, a)
         if phase == _BRAKE:
-            if veh.v <= 0:
-                veh.v = 0.0
+            if v <= 0:
+                v = 0.0
                 continue
             brake = veh.params.max_brake
-            t_halt = veh.v / brake
+            t_halt = v / brake
             if t_halt <= span:
-                veh.x += veh.v * veh.v / (2.0 * brake)
-                veh.v = 0.0
+                x += v * v / (2.0 * brake)
+                v = 0.0
             else:
-                veh.x += veh.v * span - 0.5 * brake * span * span
-                veh.v -= brake * span
+                x += v * span - 0.5 * brake * span * span
+                v -= brake * span
         elif phase == _ACCEL:
             accel = veh.params.max_accel
             if speed_cap is not None and accel > 0:
-                if veh.v >= speed_cap:
-                    veh.x += veh.v * span
+                if v >= speed_cap:
+                    x += v * span
                     continue
-                t_cap = (speed_cap - veh.v) / accel
+                t_cap = (speed_cap - v) / accel
                 if t_cap < span:
-                    veh.x += (
-                        veh.v * t_cap
-                        + 0.5 * accel * t_cap * t_cap
-                        + speed_cap * (span - t_cap)
-                    )
-                    veh.v = speed_cap
+                    x += v * t_cap + 0.5 * accel * t_cap * t_cap + speed_cap * (span - t_cap)
+                    v = speed_cap
                     continue
-            veh.x += veh.v * span + 0.5 * accel * span * span
-            veh.v += accel * span
+            x += v * span + 0.5 * accel * span * span
+            v += accel * span
         else:
-            veh.x += veh.v * span
+            x += v * span
+    return x, v
 
 
-def _scan_collisions(lane: list[_VehicleRT], t: float) -> list[int]:
-    """Detect and freeze new rear-end contacts; returns rear indices."""
+def _scan_collisions(lane: list[_VehicleRT], x, v, t: float) -> list[int]:
+    """Detect and freeze new rear-end contacts at time t among the lane's
+    samples x and v (indexed by vehicle), snapped in place; returns rear
+    indices."""
     hits = []
     for idx in range(1, len(lane)):
-        front, rear = lane[idx - 1], lane[idx]
+        rear = lane[idx]
         contact = rear.params.length
         if rear.collision_time is not None:
             continue
-        if front.x - rear.x < contact - _EPS:
-            rear.x = front.x - contact
-            for veh in (front, rear):
-                veh.v = 0.0
-                if veh.collision_time is None:
-                    veh.collision_time = t
+        if x[idx - 1] - x[idx] < contact - _EPS:
+            x[idx] = x[idx - 1] - contact
+            for j in (idx - 1, idx):
+                v[j] = 0.0
+                if lane[j].collision_time is None:
+                    lane[j].collision_time = t
             hits.append(idx)
     return hits
 
@@ -399,11 +394,10 @@ def _scan_collisions(lane: list[_VehicleRT], t: float) -> list[int]:
 # x and v are indexed as they are.
 
 
-def _step(veh: _VehicleRT, x, v, k: int, times, speed_cap: Optional[float]):
+def _step(veh, x, v, k: int, times, speed_cap: Optional[float]):
     """Step k through the scalar `_advance`."""
-    veh.x, veh.v = float(x[k - 1]), float(v[k - 1])
-    _advance(veh, float(times[k - 1]), float(times[k]), speed_cap)
-    x[k], v[k] = veh.x, veh.v
+    x[k], v[k] = _advance(veh, float(x[k - 1]), float(v[k - 1]),
+                          float(times[k - 1]), float(times[k]), speed_cap)
 
 
 def _coast(x, v, lo: int, hi: int, spans):
@@ -459,7 +453,7 @@ def _brake(veh, x, v, lo: int, hi: int, spans, times):
         v[last + 2:hi + 1] = 0.0
 
 
-def _standing(veh: _VehicleRT, t: float, v: float) -> bool:
+def _standing(veh, t: float, v: float) -> bool:
     """Whether the vehicle, at speed v at time t, stands still from then
     on: frozen at a contact, or braking at a halt."""
     return veh.collision_time is not None or (
@@ -467,9 +461,10 @@ def _standing(veh: _VehicleRT, t: float, v: float) -> bool:
     )
 
 
-def _trajectory(veh: _VehicleRT, x, v, k: int, end: int, times, spans, speed_cap):
+def _trajectory(veh, x, v, k: int, end: int, times, spans, speed_cap):
     """Fill x[k + 1:end + 1] and v[k + 1:end + 1] from sample k under the
-    vehicle's current schedule (cause, onset, collision_time).
+    params and schedule (cause, onset, collision_time) of veh: a live
+    vehicle, or one of its restarts.
 
     The steps between two phase switches form one run. A step with a
     switch strictly inside it goes through `_advance`. A vehicle standing
@@ -505,35 +500,32 @@ def _trajectory(veh: _VehicleRT, x, v, k: int, end: int, times, spans, speed_cap
 
 class _Restart(NamedTuple):
     """Where a vehicle's trajectory was computed afresh: the step, its
-    sample there, and the schedule it follows from there."""
+    sample there, and the parameters and schedule it follows from there.
+    It is what `_trajectory` reads, as a live vehicle is."""
 
     step: int
     x: float
     v: float
+    params: VehicleParams
     cause: Optional[float]
     onset: Optional[float]
     collision_time: Optional[float]
 
 
-def _restart(veh: _VehicleRT, step: int) -> _Restart:
-    return _Restart(step, veh.x, veh.v, veh.cause, veh.onset, veh.collision_time)
-
-
-def _replay(veh: _VehicleRT, restarts: Sequence[_Restart], lo: int, hi: int,
-            times, spans, speed_cap):
-    """Samples lo..hi of the vehicle's position and velocity, as read-only
-    arrays: from its last restart at or before lo, each restart's sample
-    and schedule computed on to the next one by `_trajectory`."""
+def _replay(restarts: Sequence[_Restart], lo: int, hi: int, grid):
+    """Samples lo..hi of a vehicle's position and velocity, as read-only
+    arrays, from its restart log alone: from its last restart at or before
+    lo, each restart's sample computed on to the next one by `_trajectory`
+    on the run's grid (times, spans, speed cap)."""
     first = max(j for j, r in enumerate(restarts) if r.step <= lo)
     start = restarts[first].step
     segments = [r for r in restarts[first:] if r.step <= hi]
     x, v = np.empty(hi + 1 - start), np.empty(hi + 1 - start)
+    times, spans, speed_cap = grid
     times, spans = times[start:hi + 1], spans[start:hi + 1]
-    ghost = copy.copy(veh)  # follows each logged schedule in turn
     for r, end in zip(segments, [r.step for r in segments[1:]] + [hi]):
-        ghost.cause, ghost.onset, ghost.collision_time = r.cause, r.onset, r.collision_time
         x[r.step - start], v[r.step - start] = r.x, r.v
-        _trajectory(ghost, x, v, r.step - start, end - start, times, spans, speed_cap)
+        _trajectory(r, x, v, r.step - start, end - start, times, spans, speed_cap)
     x, v = x[lo - start:], v[lo - start:]
     x.setflags(write=False)
     v.setflags(write=False)
@@ -548,9 +540,10 @@ class _Lane:
     block's steps under each vehicle's current schedule and settles the
     block's contacts. A contact changes the schedule of the vehicles it
     freezes or reschedules; they are recomputed from the contact step to
-    the end of the block, each with a restart logged, and the search for
-    the next contact starts after it. `record` then keeps the block's
-    summary facts and carries its last sample over to column 0.
+    the end of the block, each with a restart appended to its own log, and
+    the search for the next contact starts after it. `record` then keeps
+    the block's summary facts and carries its last sample over to column
+    0. The scratch rows are the only copy of the samples.
     """
 
     def __init__(self, vehicles, first_affected, width, grid):
@@ -560,9 +553,8 @@ class _Lane:
         self.times, self.spans, self.speed_cap = grid
         self.position = np.empty((len(vehicles), width + 1))
         self.velocity = np.empty_like(self.position)
-        self.position[:, 0] = [veh.x for veh in vehicles]
-        self.velocity[:, 0] = [veh.v for veh in vehicles]
-        self.restarts = [[_restart(veh, 0)] for veh in vehicles]
+        self.position[:, 0] = [veh.restarts[0].x for veh in vehicles]
+        self.velocity[:, 0] = [veh.restarts[0].v for veh in vehicles]
         self.contacts: list[tuple[int, int]] = []  # (rear index, step)
         self.halt: Optional[int] = None
         self.min_gaps = (self.position[:-1, 0] - self.position[1:, 0]).tolist()
@@ -610,19 +602,20 @@ class _Lane:
         return found
 
     def _apply_contact(self, step: int, times, spans):
-        """Column `step`'s collision scan and rescheduling, and the changed
-        vehicles recomputed from there, each with a restart logged."""
+        """Column `step`'s collision scan, which snaps the column in place,
+        and rescheduling. Each vehicle whose schedule now differs from its
+        last restart's logs a restart at the column's sample and is
+        recomputed from there (schedules change only here and in
+        `_start_run`)."""
         x, v = self.position, self.velocity
-        for i, veh in enumerate(self.vehicles):
-            veh.x, veh.v = float(x[i, step]), float(v[i, step])
-        before = [(veh.cause, veh.onset, veh.collision_time) for veh in self.vehicles]
-        hits = _scan_collisions(self.vehicles, float(times[step]))
+        hits = _scan_collisions(self.vehicles, x[:, step], v[:, step], float(times[step]))
         self.contacts.extend((rear, self.start + step) for rear in hits)
         _reschedule(self.vehicles)
         for i, veh in enumerate(self.vehicles):
-            if (veh.cause, veh.onset, veh.collision_time) != before[i]:
-                x[i, step], v[i, step] = veh.x, veh.v
-                self.restarts[i].append(_restart(veh, self.start + step))
+            schedule = (veh.cause, veh.onset, veh.collision_time)
+            if schedule != veh.restarts[-1][-3:]:
+                veh.restarts.append(_Restart(self.start + step, float(x[i, step]),
+                                             float(v[i, step]), veh.params, *schedule))
                 _trajectory(veh, x[i], v[i], step, self.width, times, spans, self.speed_cap)
 
     def _halt(self, times) -> Optional[int]:
@@ -678,28 +671,27 @@ def _run_bytes(vehicles: int, horizon) -> float:
 
 def _start_run(cfg: ScenarioConfig):
     """A run's initial state: the vehicles of each lane, each follower with
-    its Link, and their first schedule, the index of each lane's first
-    braking vehicle (None in a lane without a trigger), and a generous
-    bound on the number of steps the episode takes. A scenario whose bound
-    times its vehicle count exceeds MAX_VEHICLE_STEPS, or whose arrays
-    would take more than MAX_RUN_BYTES, is refused here."""
+    its Link, and their first schedule, logged as each one's step-0
+    restart at its spawn position, the index of each lane's first braking
+    vehicle (None in a lane without a trigger), and a generous bound on
+    the number of steps the episode takes. A scenario whose bound times
+    its vehicle count exceeds MAX_VEHICLE_STEPS, or whose arrays would take
+    more than MAX_RUN_BYTES, is refused here."""
     links = link_resolutions(cfg)
-    lanes: list[list[_VehicleRT]] = []
-    for lane_idx, lane_spec in enumerate(cfg.lanes):
-        column: list[_VehicleRT] = []
-        x = 0.0
-        for idx, spawn in enumerate(lane_spec):
-            if idx > 0:
-                x = column[-1].x - spawn.gap_to_predecessor
-            column.append(_VehicleRT(spawn, x, links.get((lane_idx, idx))))
-        lanes.append(column)
-
+    lanes = [[_VehicleRT(spawn, links.get((lane_idx, idx))) for idx, spawn in enumerate(lane)]
+             for lane_idx, lane in enumerate(cfg.lanes)]
     for trig in cfg.triggers:
         veh = lanes[trig.lane][trig.index]
         if veh.trigger_time is None or trig.time < veh.trigger_time:
             veh.trigger_time = trig.time
-    for lane in lanes:
+    for lane, lane_spec in zip(lanes, cfg.lanes):
         _reschedule(lane)
+        x = 0.0
+        for veh, spawn in zip(lane, lane_spec):
+            if spawn.gap_to_predecessor is not None:
+                x -= spawn.gap_to_predecessor
+            veh.restarts.append(_Restart(0, x, veh.params.speed, veh.params, veh.cause,
+                                         veh.onset, veh.collision_time))
 
     first_affected: list[Optional[int]] = []
     affected: list[_VehicleRT] = []
@@ -757,15 +749,16 @@ class Run(list):
 
 class _ReplayedTrace(Trace):
     """A run's trace. Its flags are views of the run's ramp; its position
-    and velocity are replayed from the vehicle's restarts each time they
-    are read, and never kept. The run checked its samples as it went."""
+    and velocity are replayed from the vehicle's restarts and the run's
+    grid each time they are read, and never kept. The run checked its
+    samples as it went."""
 
-    __slots__ = ("_vehicle", "_restarts", "_grid")
+    __slots__ = ("_restarts", "_grid")
 
-    def __init__(self, vehicle_id, dt, vehicle, restarts, grid, *, ber, collided, responsible):
+    def __init__(self, vehicle_id, dt, restarts, grid, *, ber, collided, responsible):
         self.vehicle_id, self.dt = vehicle_id, dt
         self.ber, self.collided, self.responsible = ber, collided, responsible
-        self._vehicle, self._restarts, self._grid = vehicle, restarts, grid
+        self._restarts, self._grid = restarts, grid
 
     @property
     def position(self) -> np.ndarray:
@@ -776,8 +769,7 @@ class _ReplayedTrace(Trace):
         return self._columns()[1]
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        position, velocity = _replay(self._vehicle, self._restarts, 0, len(self) - 1,
-                                     *self._grid)
+        position, velocity = _replay(self._restarts, 0, len(self) - 1, self._grid)
         return position, velocity, self.ber, self.collided, self.responsible
 
 
@@ -828,26 +820,22 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
         f"{vehicle_id(lane_idx, idx - 1)}->{vehicle_id(lane_idx, idx)}": gap
         for lane_idx, run in enumerate(runs) for idx, gap in enumerate(run.min_gaps, start=1)
     }
-    return _traces(cfg, lanes, [run.restarts for run in runs], grid, contacts, min_gaps, last)
+    grid = (times[:last + 1], grid[1][:last + 1], cfg.speed_cap)  # cut at the last step
+    return _traces(cfg, lanes, grid, contacts, min_gaps)
 
 
-def _traces(cfg, lanes, restarts, grid, contacts, min_gaps, last) -> Run:
-    """The run's traces, steps 0..last, from each vehicle's restarts
-    (restarts[lane][vehicle]) and the contacts the run detected, with
-    blame decided.
+def _traces(cfg, lanes, grid, contacts, min_gaps) -> Run:
+    """The run's traces, one sample per step of the grid (times, spans,
+    speed cap) cut at the run's last step, from each vehicle's restarts
+    and the contacts the run detected, with blame decided.
 
     Every flag is off before its switch step and on from it, so each is a
-    view of one read-only ramp of n False then n True (n = last + 1): the
-    flag switching at step k is ramp[n - k:2n - k], and every flag that
-    never turns on is the one shared array ramp[:n]."""
-    n = last + 1
-    times = grid[0][:n]
-
-    def sample(lane_idx, idx, step):
-        x, v = _replay(lanes[lane_idx][idx], restarts[lane_idx][idx], step, step, *grid)
-        return float(x[0]), float(v[0])
-
-    blamed = assign_responsibility(lanes, sample, contacts, cfg, times)
+    view of one read-only ramp of n False then n True (n steps): the flag
+    switching at step k is ramp[n - k:2n - k], and every flag that never
+    turns on is the one shared array ramp[:n]."""
+    times = grid[0]
+    n = len(times)
+    blamed = assign_responsibility(lanes, contacts, cfg, grid)
     ramp = np.repeat([False, True], n)
     ramp.setflags(write=False)
     never = ramp[:n]
@@ -860,8 +848,7 @@ def _traces(cfg, lanes, restarts, grid, contacts, min_gaps, last) -> Run:
         _ReplayedTrace(
             vehicle_id(lane_idx, idx),
             cfg.dt,
-            veh,
-            restarts[lane_idx][idx],
+            veh.restarts,
             grid,
             ber=flag(_switch_step(times, veh.onset)),
             collided=flag(_switch_step(times, veh.collision_time)),
@@ -894,10 +881,9 @@ def _first(flags: np.ndarray, offset: int = 0) -> Optional[int]:
 
 def assign_responsibility(
     lanes: Sequence[Sequence[_VehicleRT]],
-    sample: Callable[[int, int, int], tuple[float, float]],
     contacts: Sequence[tuple[int, int, int]],
     cfg: ScenarioConfig,
-    times: np.ndarray,
+    grid: tuple,
 ) -> dict[tuple[int, int], int]:
     """Decide blame for a run's rear-end contacts (lane, rear index, step).
 
@@ -905,11 +891,13 @@ def assign_responsibility(
     moment its predecessor's sudden stop began was below the safe distance
     applicable to its link's information source, or (b) it failed to start
     braking within its link's effective response time of that moment. The
-    front vehicle is never blamed for braking. sample(lane, index, step)
-    gives the run's position and velocity of a vehicle at a step. Returns
+    front vehicle is never blamed for braking. The two samples at that
+    moment's step are replayed from each vehicle's restarts on the run's
+    grid (times, spans, speed cap), cut at its last step. Returns
     {(lane, index): contact step} for the blamed vehicles; without
     collisions it is empty.
     """
+    times = grid[0]
     blamed = {}
     for lane_idx, rear_idx, hit_step in contacts:
         rear = lanes[lane_idx][rear_idx]
@@ -917,8 +905,10 @@ def assign_responsibility(
         cause_step = _switch_step(times, front.sudden_stop_time())
         if cause_step is None:
             continue
-        x_rear, v_rear = sample(lane_idx, rear_idx, cause_step)
-        x_front, v_front = sample(lane_idx, rear_idx - 1, cause_step)
+        (x_rear, v_rear), (x_front, v_front) = [
+            [column.item() for column in _replay(veh.restarts, cause_step, cause_step, grid)]
+            for veh in (rear, front)
+        ]
         threshold = safe_distance(
             rear.params.with_speed(v_rear),
             front.params.with_speed(v_front),

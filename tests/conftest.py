@@ -123,8 +123,9 @@ def scenarios(draw):
 @st.composite
 def dense_chains(draw):
     """One lane of 5-30 cars at 0.2-0.5 x the PBV gap (a body length at
-    least), whose lead brakes at t = 0, PBV or CBV, with a step of 5-20 ms:
-    nearly every follower hits its front, one contact after another."""
+    least), whose lead brakes at t = 0, PBV or CBV, with a step of 1-20 ms
+    (the contact workload's benchmark runs at 1 ms): nearly every follower
+    hits its front, one contact after another."""
     column = [SpawnSpec(REFERENCE)]
     for _ in range(draw(st.integers(4, 29))):
         gap = max(draw(st.floats(0.2, 0.5)) * D_SAFE, REFERENCE.length)
@@ -136,7 +137,7 @@ def dense_chains(draw):
         mode=draw(st.sampled_from(("pbv", "cbv"))),
         dev=DeviationSet(0.96, 1.03, 0.97, 0.95),
         latency=LatencyModel.uniform(0.05, 0.15),
-        dt=draw(st.floats(0.005, 0.02)),
+        dt=draw(st.floats(0.001, 0.02)),
         rng_seed=draw(st.integers(0, 2**31)),
         request_timeout=0.1,
     )
@@ -428,27 +429,40 @@ def reference_assign_responsibility(traces, cfg):
 # trajectories along the time axis. Every step advances every vehicle with
 # the scalar `_advance`, scans each lane for contacts and reschedules a lane
 # that has one; the run ends one step after every affected vehicle has
-# passed its onset and stands still. Its traces are its own: `ber` and
-# `collided` are recorded at every step from the vehicles' state, and
-# `responsible` comes from the reference blame rule above.
+# passed its onset and stands still. It keeps each lane's positions and
+# speeds in its own lists, spawned from cfg's gaps; the vehicles hold only
+# their schedules. Its traces are its own: `ber` and `collided` are recorded
+# at every step from the vehicles' state, and `responsible` comes from the
+# reference blame rule above.
 
 
 def reference_run_scenario(cfg):
     lanes, first_affected, max_steps = _start_run(cfg)
-    affected = [
-        veh
-        for lane, first in zip(lanes, first_affected)
+    affected = [  # (lane, index)
+        (lane_idx, idx)
+        for lane_idx, (lane, first) in enumerate(zip(lanes, first_affected))
         if first is not None
-        for veh in lane[first:]
+        for idx in range(first, len(lane))
     ]
-    samples = {}  # vehicle: [(position, velocity, ber, collided) per step]
+    positions, speeds = [], []
+    for lane in cfg.lanes:
+        x, column = 0.0, []
+        for spawn in lane:
+            if spawn.gap_to_predecessor is not None:
+                x -= spawn.gap_to_predecessor
+            column.append(x)
+        positions.append(column)
+        speeds.append([spawn.params.speed for spawn in lane])
+    samples = {}  # (lane, index): [(position, velocity, ber, collided) per step]
 
     def record(t):
-        for veh in (veh for lane in lanes for veh in lane):
-            ber = veh.onset is not None and t >= veh.onset - 1e-9
-            samples.setdefault(veh, []).append(
-                (veh.x, veh.v, ber, veh.collision_time is not None)
-            )
+        for lane_idx, lane in enumerate(lanes):
+            for idx, veh in enumerate(lane):
+                ber = veh.onset is not None and t >= veh.onset - 1e-9
+                samples.setdefault((lane_idx, idx), []).append((
+                    positions[lane_idx][idx], speeds[lane_idx][idx], ber,
+                    veh.collision_time is not None,
+                ))
 
     dt = cfg.dt
     contacts = []  # (lane, rear index, step)
@@ -461,23 +475,24 @@ def reference_run_scenario(cfg):
             raise SdcapError("simulation failed to reach a halt state")
         t0, t1 = (step - 1) * dt, step * dt
         for lane_idx, lane in enumerate(lanes):
-            for veh in lane:
-                _advance(veh, t0, t1, cfg.speed_cap)
-            hits = _scan_collisions(lane, t1)
+            x, v = positions[lane_idx], speeds[lane_idx]
+            for idx, veh in enumerate(lane):
+                x[idx], v[idx] = _advance(veh, x[idx], v[idx], t0, t1, cfg.speed_cap)
+            hits = _scan_collisions(lane, x, v, t1)
             if hits:
                 contacts.extend((lane_idx, rear, step) for rear in hits)
                 _reschedule(lane)
         record(t1)
         if extra_steps:
             break
-        current_max_onset = max(v.onset for v in affected)
-        if t1 >= current_max_onset and all(v.v == 0.0 for v in affected):
+        current_max_onset = max(lanes[i][j].onset for i, j in affected)
+        if t1 >= current_max_onset and all(speeds[i][j] == 0.0 for i, j in affected):
             extra_steps = 1  # one trailing step past the halt
 
     traces = []
     for lane_idx, lane in enumerate(lanes):
         for idx, veh in enumerate(lane):
-            position, velocity, ber, collided = zip(*samples[veh])
+            position, velocity, ber, collided = zip(*samples[(lane_idx, idx)])
             traces.append(Trace(
                 vehicle_id(lane_idx, idx), dt, position=position, velocity=velocity,
                 ber=ber, collided=collided, responsible=[False] * len(ber),

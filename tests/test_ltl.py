@@ -455,6 +455,8 @@ def test_trace_adopts_read_only_arrays_of_the_column_dtype():
         {"dt": float("nan")},
         {"dt": 0.0},
         {"dt": 10**400},  # an int past the largest double
+        {"dt": 10**5000},  # too long to print in decimal
+        {"dt": True},
     ],
 )
 def test_trace_rejects_invalid_columns(changes):
@@ -482,6 +484,8 @@ def _refusal(make, **columns):
         {"dt": float("nan")},
         {"dt": 0.0},
         {"dt": 0.0, "collided": [True, False, False]},
+        {"dt": 10**5000},
+        {"dt": True},
     ],
 )
 def test_trace_flags_refuse_what_a_trace_refuses_with_its_message(changes):

@@ -358,17 +358,15 @@ def test_braking_past_a_short_halt_estimate_matches_the_scalar_steps():
     times = np.concatenate(([0.0], 1.0 + 0.01 * np.arange(300)))
     spans = np.diff(times, prepend=0.0)
     hi = len(times) - 1
-    vehicle = _VehicleRT(SpawnSpec(REFERENCE), 0.0, None)
+    vehicle = _VehicleRT(SpawnSpec(REFERENCE), None)
     vehicle.cause = vehicle.onset = 0.0  # braking from the first sample
     x, v = np.zeros(hi + 1), np.zeros(hi + 1)
     v[0] = REFERENCE.speed
     _brake(vehicle, x, v, 0, hi, spans, times)
 
-    vehicle.x, vehicle.v = 0.0, REFERENCE.speed
-    stepped = [(vehicle.x, vehicle.v)]
+    stepped = [(0.0, REFERENCE.speed)]
     for k in range(1, hi + 1):
-        _advance(vehicle, float(times[k - 1]), float(times[k]), None)
-        stepped.append((vehicle.x, vehicle.v))
+        stepped.append(_advance(vehicle, *stepped[-1], float(times[k - 1]), float(times[k]), None))
     expected_x, expected_v = np.array(stepped).T
     estimate = int(REFERENCE.speed / (REFERENCE.max_brake * spans[1]) + 2)
     halt = int(np.flatnonzero(expected_v == 0)[0])
