@@ -621,7 +621,7 @@ _ROW_DTYPE = np.dtype(
 
 # Rows parsed by one np.loadtxt call, and rows formatted by one write.
 # Only one chunk's row table and its strings are alive at a time.
-_CHUNK_ROWS = 4096
+_CHUNK_ROWS = 2048
 
 
 def _csv_field(text: str) -> str:

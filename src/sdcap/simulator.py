@@ -25,36 +25,37 @@ byte the same. Only a few steps per vehicle go through `_advance`: those
 with a phase switch strictly inside, the step that reaches the speed cap
 and the step that comes to a halt.
 
-The lanes are computed in step, in blocks of _BLOCK_STEPS steps. Each
-lane's block goes into scratch rows reused from block to block; only each
-vehicle's last sample and its schedule carry over to the next. Inside a
-block, the first step where a rear vehicle is closer to its front than a
-body length is searched one rear at a time, each only up to the earliest
-contact found so far. That step is applied as a collision scan (freeze
-both vehicles, snap the rear to contact, reschedule the followers), the
-vehicles it changed are recomputed from there to the end of the block, and
-the search repeats after that step. A collision is recorded at the grid
-step that detects it: its time is that step's time, not the exact contact
-time between two samples. The run ends one step after every braking
-vehicle stands still, and stepping stops with the block that holds that
-step.
+The lanes are computed in step, in blocks of _BLOCK_STEPS steps. A car
+follows only the car ahead in its own lane, so no lane reads another's
+samples: the run has one block of scratch rows, sized to its largest lane,
+and in each block the lanes take it in turn. Only each vehicle's last
+sample and its schedule carry over to the next block. Inside a block, the
+first step where a rear vehicle is closer to its front than a body length
+is searched one rear at a time, each only up to the earliest contact found
+so far. That step is applied as a collision scan (freeze both vehicles,
+snap the rear to contact, reschedule the followers), the vehicles it
+changed are recomputed from there to the end of the block, and the search
+repeats after that step. A collision is recorded at the grid step that
+detects it: its time is that step's time, not the exact contact time
+between two samples. The run ends one step after every braking vehicle
+stands still, and stepping stops with the block that holds that step.
 
-As each block passes, the run keeps what a summary needs: each adjacent
-pair's smallest gap, the contacts, the halt test and the first sample, if
-any, that is not finite or has a negative speed (a run holding one is
-refused, naming the vehicle and step). The scalar step and the collision
-scan work on samples: `_advance` returns the next one, and the scan snaps
-a scratch column in place. Each vehicle logs its own restarts: the step,
-position and speed at which its trajectory was computed afresh, with the
-parameters and schedule it follows from there (at step 0, and wherever a
-contact changed its schedule, with the snapped position at a contact). A
-trajectory split at a block edge is the same left fold, so the samples
-are the same doubles in any block size, and a trace's position and
-velocity are replayed from the restarts and the grid alone, through the
-same helpers, each time they are read, never kept; blame replays the two
-samples it needs the same way. Every flag (ber, collided, responsible) is
-off before its switch step and on from it, so each is a view of one
-run-wide bool array.
+As each lane's block passes, before the next lane takes the rows, the run
+keeps what a summary needs: each adjacent pair's smallest gap, the
+contacts, the halt test and the first sample, if any, that is not finite
+or has a negative speed (a run holding one is refused, naming the vehicle
+and step). The scalar step and the collision scan work on samples:
+`_advance` returns the next one, and the scan snaps a scratch column in
+place. Each vehicle logs its own restarts: the step, position and speed at
+which its trajectory was computed afresh, with the parameters and schedule
+it follows from there (at step 0, and wherever a contact changed its
+schedule, with the snapped position at a contact). A trajectory split at a
+block edge is the same left fold, so the samples are the same doubles in
+any block size, and a trace's position and velocity are replayed from the
+restarts and the grid alone, through the same helpers, each time they are
+read, never kept; blame replays the two samples it needs the same way.
+Every flag (ber, collided, responsible) is off before its switch step and
+on from it, so each is a view of one run-wide bool array.
 
 `run_scenario` returns a `Run`, the list of traces, which also carries the
 run's contacts, each vehicle's info source and the pairs' smallest gaps.
@@ -64,12 +65,12 @@ than 1e-9 m, so two cars that only touch are not a collision.
 The cost is O(vehicles x steps) numpy work, plus O(vehicles x block) per
 contact, with Python only at block edges and at the switch, cap, halt and
 contact steps; a vehicle standing still fills its block at once, and a
-pair of cars standing still is not searched. A run holds its scratch
-blocks, 16 bytes per vehicle per block step, and a few arrays of its step
-count (the grid, its spans and the flag ramp): no array over vehicles and
-steps. Reading a column replays one vehicle. A scenario of more than
-MAX_VEHICLE_STEPS vehicle-steps, or whose arrays would take more than
-MAX_RUN_BYTES, is refused before anything is allocated.
+pair of cars standing still is not searched. A run holds one scratch
+block, 16 bytes per car of its largest lane per block step, and a few
+arrays of its step count (the grid, its spans and the flag ramp): no array
+over vehicles and steps. Reading a column replays one vehicle. A scenario
+of more than MAX_VEHICLE_STEPS vehicle-steps, or whose arrays would take
+more than MAX_RUN_BYTES, is refused before anything is allocated.
 """
 
 import math
@@ -117,9 +118,10 @@ _BLOCK_STEPS = 4096
 # allocates.
 MAX_VEHICLE_STEPS = 1_000_000_000
 
-# The memory cap: the most bytes a run's arrays may take, its scratch blocks
-# (16 B per vehicle per block step) and its arrays of the step count (the
-# grid and its spans, 8 B a step each, and the flag ramp, 2 B a step).
+# The memory cap: the most bytes a run's arrays may take, its one scratch
+# block (16 B per car of its largest lane per block step) and its arrays of
+# the step count (the grid and its spans, 8 B a step each, and the flag
+# ramp, 2 B a step).
 MAX_RUN_BYTES = 400_000_000
 
 
@@ -533,42 +535,47 @@ def _replay(restarts: Sequence[_Restart], lo: int, hi: int, grid):
 
 
 class _Lane:
-    """One lane of a run, computed one block of steps at a time.
+    """One lane of a run, computed one block of steps at a time in the
+    run's scratch rows ([vehicle, sample]), which the lanes take in turn.
+    The lane keeps only its samples at the block's start and end (`first`
+    and `last`).
 
-    `position` and `velocity` ([vehicle, sample]) are scratch rows: column
-    0 holds the sample the block starts from, and `advance` fills the
-    block's steps under each vehicle's current schedule and settles the
-    block's contacts. A contact changes the schedule of the vehicles it
-    freezes or reschedules; they are recomputed from the contact step to
-    the end of the block, each with a restart appended to its own log, and
-    the search for the next contact starts after it. `record` then keeps
-    the block's summary facts and carries its last sample over to column
-    0. The scratch rows are the only copy of the samples.
+    `advance` loads `first` into column 0, fills the block's steps under
+    each vehicle's current schedule and settles the block's contacts. A
+    contact changes the schedule of the vehicles it freezes or reschedules;
+    they are recomputed from the contact step to the end of the block, each
+    with a restart appended to its own log, and the search for the next
+    contact starts after it. The block's summary facts are taken before the
+    next lane overwrites the rows; `record` keeps them and carries `last`
+    over to `first`. In the run's last block `cut` retakes them up to the
+    run's last step, refilling the rows if another lane overwrote them.
     """
 
-    def __init__(self, vehicles, first_affected, width, grid):
+    def __init__(self, vehicles, first_affected, grid):
         self.vehicles = vehicles
         self.affected = range(len(vehicles) if first_affected is None else first_affected,
                               len(vehicles))
+        self.grid = grid
         self.times, self.spans, self.speed_cap = grid
-        self.position = np.empty((len(vehicles), width + 1))
-        self.velocity = np.empty_like(self.position)
-        self.position[:, 0] = [veh.restarts[0].x for veh in vehicles]
-        self.velocity[:, 0] = [veh.restarts[0].v for veh in vehicles]
+        self.first = (np.array([veh.restarts[0].x for veh in vehicles], dtype=float),
+                      np.array([veh.restarts[0].v for veh in vehicles], dtype=float))
         self.contacts: list[tuple[int, int]] = []  # (rear index, step)
         self.halt: Optional[int] = None
-        self.min_gaps = (self.position[:-1, 0] - self.position[1:, 0]).tolist()
+        self.min_gaps = (self.first[0][:-1] - self.first[0][1:]).tolist()
         self.faults: dict[int, tuple] = {}  # vehicle index: its first bad (step, x, v)
         self.still = [False] * len(vehicles)
         self.start = self.width = 0
 
-    def advance(self, start: int, end: int):
-        """Steps start + 1 .. end from sample start (column 0), their
-        contacts settled, and the halt searched if not found before."""
+    def advance(self, start: int, end: int, position, velocity):
+        """Steps start + 1 .. end from sample start (`first`), their
+        contacts settled, the halt searched if not found before, and the
+        block's facts taken."""
         self.start, self.width = start, end - start
         times = self.times[start:end + 1]
         spans = self.spans[start:end + 1]
-        x, v = self.position, self.velocity
+        n = len(self.vehicles)
+        x, v = position[:n, :self.width + 1], velocity[:n, :self.width + 1]
+        x[:, 0], v[:, 0] = self.first
         # Standing still at the block's start, so for all of it. Sample 0
         # is searched for contacts like any other, so none stands still in
         # the first block.
@@ -576,14 +583,16 @@ class _Lane:
                       for i, veh in enumerate(self.vehicles)]
         for i, veh in enumerate(self.vehicles):
             _trajectory(veh, x[i], v[i], 0, self.width, times, spans, self.speed_cap)
-        step = self._next_contact(0)
+        step = self._next_contact(x, 0)
         while step is not None:
-            self._apply_contact(step, times, spans)
-            step = self._next_contact(step)
+            self._apply_contact(x, v, step, times, spans)
+            step = self._next_contact(x, step)
         if self.halt is None:
-            self.halt = self._halt(times)
+            self.halt = self._halt(v, times)
+        self.last = x[:, self.width].copy(), v[:, self.width].copy()
+        self.facts = self._facts(x, v)
 
-    def _next_contact(self, after: int) -> Optional[int]:
+    def _next_contact(self, x, after: int) -> Optional[int]:
         """First column past `after` where a moving rear is closer to its
         front than a body length (the `_scan_collisions` test), or None.
 
@@ -592,7 +601,6 @@ class _Lane:
         keeps the gap it had at the block's start, searched in the block
         before."""
         found, end = None, self.width + 1
-        x = self.position
         for i, rear in enumerate(self.vehicles[1:], start=1):
             if rear.collision_time is None and not (self.still[i - 1] and self.still[i]):
                 gap = x[i - 1, after + 1:end] - x[i, after + 1:end]
@@ -601,13 +609,12 @@ class _Lane:
                     found = end = step
         return found
 
-    def _apply_contact(self, step: int, times, spans):
+    def _apply_contact(self, x, v, step: int, times, spans):
         """Column `step`'s collision scan, which snaps the column in place,
         and rescheduling. Each vehicle whose schedule now differs from its
         last restart's logs a restart at the column's sample and is
         recomputed from there (schedules change only here and in
         `_start_run`)."""
-        x, v = self.position, self.velocity
         hits = _scan_collisions(self.vehicles, x[:, step], v[:, step], float(times[step]))
         self.contacts.extend((rear, self.start + step) for rear in hits)
         _reschedule(self.vehicles)
@@ -618,7 +625,7 @@ class _Lane:
                                              float(v[i, step]), veh.params, *schedule))
                 _trajectory(veh, x[i], v[i], step, self.width, times, spans, self.speed_cap)
 
-    def _halt(self, times) -> Optional[int]:
+    def _halt(self, v, times) -> Optional[int]:
         """The first step of the block at which every affected vehicle
         stands still and has passed its brake onset, or None.
 
@@ -627,46 +634,60 @@ class _Lane:
         leaves every affected vehicle at speed 0 at the block's end."""
         if not self.affected:
             return self.start + 1
-        v = self.velocity
         onset = max(self.vehicles[i].onset for i in self.affected)
         if times[-1] < onset or np.any(v[self.affected.start:, self.width] != 0.0):
             return None
         still = times[1:] >= onset
         for i in self.affected:
             if not self.still[i]:
-                still &= v[i, 1:self.width + 1] == 0.0  # one row at a time
+                still &= v[i, 1:] == 0.0  # one row at a time
         return _first(still, self.start + 1)
 
-    def record(self, last: int):
-        """Keep the block's facts over its steps up to `last` (all of them
-        if the run goes on): each pair's smallest gap and each vehicle's
-        first sample that a trace refuses. Then carry the block's last
-        sample over to column 0."""
-        count = min(last, self.start + self.width) - self.start
-        x, v = self.position, self.velocity
-        for i in range(1, len(self.vehicles)):
-            if not (self.still[i - 1] and self.still[i]):
-                gap = float(np.min(x[i - 1, 1:count + 1] - x[i, 1:count + 1]))
-                if gap < self.min_gaps[i - 1]:
-                    self.min_gaps[i - 1] = gap
+    def _facts(self, x, v):
+        """The facts of the block's rows x and v (column 0 its start): each
+        pair's smallest gap (inf for a pair standing still) and each
+        vehicle's first sample that a trace refuses."""
+        gaps = [math.inf if self.still[i - 1] and self.still[i]
+                else float(np.min(x[i - 1, 1:] - x[i, 1:])) for i in range(1, len(x))]
+        faults = {}
         # Column 0 is sample 0, or was checked as the block before's last
-        # sample: whole scratch rows are checked in one contiguous pass.
-        if count + 1 < x.shape[1]:
-            x, v = x[:, :count + 1], v[:, :count + 1]
+        # sample: whole rows are checked in one pass.
         if x.size and not (-math.inf < x.min() and x.max() < math.inf
                            and 0 <= v.min() and v.max() < math.inf):
-            for i in range(len(self.vehicles)):
+            for i in range(len(x)):
                 k = first_bad_sample(x[i], v[i])
-                if k is not None and i not in self.faults:
-                    self.faults[i] = (self.start + k, x[i, k], v[i, k])
-        self.position[:, 0] = self.position[:, self.width]
-        self.velocity[:, 0] = self.velocity[:, self.width]
+                if k is not None:
+                    faults[i] = (self.start + k, x[i, k], v[i, k])
+        return gaps, faults
+
+    def cut(self, last: int, position, velocity, refill: bool):
+        """Retake the block's facts up to the run's last step. With `refill`
+        the rows are replayed first, each vehicle from its sample at the
+        block's start and the restarts it logged in the block."""
+        n, count = len(self.vehicles), last - self.start
+        x, v = position[:n, :count + 1], velocity[:n, :count + 1]
+        for i, veh in enumerate(self.vehicles if refill else ()):
+            before = sum(r.step <= self.start for r in veh.restarts)  # logged before the block
+            at_start = veh.restarts[before - 1]._replace(
+                step=self.start, x=float(self.first[0][i]), v=float(self.first[1][i]))
+            x[i], v[i] = _replay([at_start, *veh.restarts[before:]], self.start, last, self.grid)
+        self.facts = self._facts(x, v)
+
+    def record(self):
+        """Keep the block's facts and carry its last sample over to the
+        next block's start."""
+        gaps, faults = self.facts
+        self.min_gaps = [min(kept, gap) for kept, gap in zip(self.min_gaps, gaps)]
+        for i, fault in faults.items():
+            self.faults.setdefault(i, fault)
+        self.first = self.last
 
 
-def _run_bytes(vehicles: int, horizon) -> float:
-    """The bytes of a run's arrays: two scratch rows of a block per vehicle,
-    and the grid, its spans and the flag ramp (18 B per step)."""
-    return 16 * vehicles * (min(_BLOCK_STEPS, horizon) + 1) + 18 * (horizon + 1)
+def _run_bytes(largest_lane: int, horizon) -> float:
+    """The bytes of a run's arrays: two scratch rows of a block per car of
+    its largest lane, which the lanes take in turn, and the grid, its spans
+    and the flag ramp (18 B per step)."""
+    return 16 * largest_lane * (min(_BLOCK_STEPS, horizon) + 1) + 18 * (horizon + 1)
 
 
 def _start_run(cfg: ScenarioConfig):
@@ -722,7 +743,7 @@ def _start_run(cfg: ScenarioConfig):
             f"vehicles exceeds the cap of {MAX_VEHICLE_STEPS} vehicle-steps; "
             "use a coarser dt or fewer vehicles"
         )
-    size = _run_bytes(cfg.vehicle_count, horizon)
+    size = _run_bytes(max(map(len, cfg.lanes)), horizon)
     if not size <= MAX_RUN_BYTES:
         raise SdcapError(
             f"scenario too large: {cfg.vehicle_count} vehicles over up to {horizon:.10g} "
@@ -778,31 +799,38 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
     which also carry the run's contacts, info sources and smallest gaps.
 
     Deterministic for a fixed config and seed. The lanes are computed in
-    step, a block of steps at a time, and each lane's contacts are applied
-    one at a time, each at the first step it occurs. The run ends one step
-    after every affected vehicle has passed its brake onset and stands
-    still. Blame is decided from the contacts the run detected, and each
-    trace is built with its responsibility flags set. A run over
-    MAX_VEHICLE_STEPS or MAX_RUN_BYTES is refused before anything is
-    allocated, and one with a sample that is not finite, or a negative
-    speed, is refused once it ends, as Trace refuses such a column.
+    step, a block of steps at a time, taking turns through one block of
+    scratch rows, and each lane's contacts are applied one at a time, each
+    at the first step it occurs. The run ends one step after every affected
+    vehicle has passed its brake onset and stands still. Blame is decided
+    from the contacts the run detected, and each trace is built with its
+    responsibility flags set. A run over MAX_VEHICLE_STEPS or MAX_RUN_BYTES
+    is refused before anything is allocated, and one with a sample that is
+    not finite, or a negative speed, is refused once it ends, as Trace
+    refuses such a column.
     """
     lanes, first_affected, max_steps = _start_run(cfg)
     horizon = max_steps + 2  # the last step the episode may take
     times = np.arange(horizon + 1) * cfg.dt
     grid = (times, np.diff(times, prepend=0.0), cfg.speed_cap)
     width = min(_BLOCK_STEPS, horizon)
-    runs = [_Lane(lane, first, width, grid) for lane, first in zip(lanes, first_affected)]
+    # One block of scratch rows, sized to the largest lane, for all lanes.
+    position = np.empty((max(map(len, lanes)), width + 1))
+    velocity = np.empty_like(position)
+    runs = [_Lane(lane, first, grid) for lane, first in zip(lanes, first_affected)]
     start = 0
     while True:
         end = min(start + width, horizon)
         for run in runs:
-            run.advance(start, end)
+            run.advance(start, end, position, velocity)
         halts = [run.halt for run in runs]
         done = None not in halts and max(halts) < end
         last = max(halts) + 1 if done else end  # one trailing step past the halt
+        if done:  # the lane advanced last first, while its rows are in the scratch
+            for run in reversed(runs):
+                run.cut(last, position, velocity, refill=run is not runs[-1])
         for run in runs:
-            run.record(last)
+            run.record()
         if done:
             break
         if end == horizon:

@@ -84,14 +84,14 @@ def random_pair(rng: random.Random) -> tuple[VehicleParams, VehicleParams, float
 
 @st.composite
 def scenarios(draw):
-    """Small random roads: 1-2 lanes of 2-8 cars at 0.6-1.3 x the PBV gap,
+    """Small random roads: 1-3 lanes of 2-8 cars at 0.6-1.3 x the PBV gap,
     1-3 triggers on or off the step grid, braking delays, PBV or CBV with a
     latency range that straddles the request timeout, a speed cap or none,
     and a step of 1-20 ms."""
     dt = draw(st.floats(0.001, 0.02))
     delay = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
     lanes = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, 3))):
         column = [SpawnSpec(REFERENCE, None, draw(delay))]
         for _ in range(draw(st.integers(1, 7))):
             gap = draw(st.floats(0.6, 1.3)) * D_SAFE

@@ -1080,7 +1080,7 @@ def test_reader_holds_at_most_16_bytes_per_row_and_keeps_3(tmp_path):
     # buffers, which go once it is built, so no whole-file column,
     # concatenation copy or sort permutation is ever held. The buffers'
     # 9 B per row and their growth slack, with one chunk's row table and
-    # its strings, make the peak: 12.3 B per row was measured. The traces
+    # its strings, make the peak: 11.1 B per row was measured. The traces
     # keep one byte per flag and, per trace, three array headers, the trace
     # object, its id and dt: about 420 B (8.4 KB for the 20 was measured),
     # held to 1 KB.
@@ -1100,7 +1100,7 @@ def test_reader_of_interleaved_rows_holds_at_most_20_bytes_per_row(tmp_path):
     # buffers. Every buffer grows to its vehicle's full length before the
     # first vehicle is built, so the buffers' 9 B per row and their growth
     # slack are held with the regrouped copy of one chunk's row table:
-    # 15.3 B per row was measured, so the bound leaves about a quarter of
+    # 12.6 B per row was measured, so the bound leaves over a third of
     # headroom.
     path = tmp_path / "traces.csv"
     traces = [columnar(8_000, k, vehicle_id=f"l{k % 2}v{k // 2}") for k in range(20)]
@@ -1118,10 +1118,10 @@ def test_reader_of_interleaved_rows_holds_at_most_20_bytes_per_row(tmp_path):
 
 def test_reader_of_many_short_vehicles_holds_at_most_32_bytes_per_row(tmp_path):
     # 5,000 vehicles x 64 steps, one row per vehicle in turn, so every row
-    # is a run of its own and each chunk holds 4,096 vehicles. Each vehicle
+    # is a run of its own and each chunk holds 2,048 vehicles. Each vehicle
     # costs its two buffers (their objects and growth slack) while the file
     # is read, and its trace (its object, id and three array headers) once
-    # built: 16.3 B per row was measured. Per-chunk tables of every
+    # built: 15.1 B per row was measured. Per-chunk tables of every
     # vehicle's rows, sorted across the file, took about 99.
     path = tmp_path / "traces.csv"
     traces = [columnar(64, k, vehicle_id=f"v{k}") for k in range(5_000)]

@@ -502,15 +502,20 @@ def test_oversized_run_is_refused_before_it_starts(monkeypatch):
 def test_run_over_the_memory_cap_is_refused_before_it_starts(monkeypatch):
     import sdcap.simulator
 
-    cfg = single_lane([D_SAFE])
-    _, _, max_steps = sdcap.simulator._start_run(cfg)
-    size = sdcap.simulator._run_bytes(2, max_steps + 2)
-    monkeypatch.setattr(sdcap.simulator, "MAX_RUN_BYTES", size)
-    run_scenario(cfg)  # exactly at the cap
-    monkeypatch.setattr(sdcap.simulator, "MAX_RUN_BYTES", size - 1)
-    monkeypatch.setattr(sdcap.simulator, "_Lane", lambda *args: pytest.fail("lane allocated"))
-    with pytest.raises(SdcapError, match=f"bytes of arrays, over the cap of {size - 1};"):
-        run_scenario(cfg)
+    # The lanes take turns through one block of scratch rows, so two equal
+    # lanes need the bytes of one.
+    one = single_lane([D_SAFE])
+    two = replace(one, road=RoadSpec(10.0, 2, 100.0), lanes=one.lanes * 2)
+    _, _, max_steps = sdcap.simulator._start_run(one)
+    size = sdcap.simulator._run_bytes(len(one.lanes[0]), max_steps + 2)
+    for cfg in (one, two):
+        monkeypatch.setattr(sdcap.simulator, "MAX_RUN_BYTES", size)
+        run_scenario(cfg)  # exactly at the cap
+        monkeypatch.setattr(sdcap.simulator, "MAX_RUN_BYTES", size - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(sdcap.simulator, "_Lane", lambda *args: pytest.fail("lane allocated"))
+            with pytest.raises(SdcapError, match=f"bytes of arrays, over the cap of {size - 1};"):
+                run_scenario(cfg)
 
 
 def test_work_cap_admits_the_headline_road_at_1_ms_and_refuses_ten_times_that():
@@ -800,13 +805,27 @@ def summary_peak(cfg):
 @pytest.mark.parametrize("per_lane", [20, 40])
 def test_run_and_summary_peak_at_most_8_bytes_per_vehicle_step(per_lane):
     # 2 lanes at the safe gap, dt = 1 ms (about 510k and 2M vehicle-steps).
-    # A run keeps no samples: its peak is a block of scratch rows per lane
-    # (16 B per vehicle and block step) and a few arrays of its step count.
+    # A run keeps no samples: its peak is one block of scratch rows, which
+    # the lanes take in turn (16 B per car of the largest lane and block
+    # step), and a few arrays of its step count.
     # Holding the samples would take 16 B per vehicle-step.
     run, peak = summary_peak(safe_road(per_lane))
     vehicle_steps = sum(len(trace) for trace in run)
     assert vehicle_steps > 400_000 and not run.contacts
     assert peak <= 8 * vehicle_steps, peak / vehicle_steps
+
+
+def test_a_two_lane_run_peaks_about_as_one_of_its_lanes_alone():
+    # The lanes take turns through one block of scratch rows, sized to the
+    # largest lane, so a second lane of 20 cars adds its few samples and
+    # facts, not a second block. A block per lane made the peak 1.82 times
+    # that of one lane.
+    road = safe_road(20)
+    lane = replace(road, road=RoadSpec(10.0, 1, 100.0), lanes=road.lanes[:1],
+                   triggers=road.triggers[:1])
+    _, alone = summary_peak(lane)
+    _, both = summary_peak(road)
+    assert both <= 1.25 * alone, both / alone
 
 
 def test_run_peak_grows_little_with_the_step_count():
