@@ -18,6 +18,10 @@ from .params import KMH_TO_MPS, VehicleParams, require_closed_form, require_fini
 from .perception import DeviationSet, Regime
 from .protocol import corrected_safe_distance, effective_response_time
 
+# From 2**53 on a double does not hold every integer, so `sdc` refuses a
+# packing quotient there: its floor and its + 1 would be rounding.
+_EXACT_INTEGERS = 2.0 ** 53
+
 
 @dataclass(frozen=True)
 class RoadSpec:
@@ -85,7 +89,9 @@ def expected_safe_distance(
 
 
 def sdc(road: RoadSpec, expected_distance: float, vehicle_length: float) -> int:
-    """Capacity: floor(lanes * (road length - vehicle length) / spacing) + 1."""
+    """Capacity: floor(lanes * (road length - vehicle length) / spacing) + 1.
+
+    A quotient that is not finite, or is at least 2**53, is refused."""
     expected_distance = require_finite("expected_distance", expected_distance)
     vehicle_length = require_finite("vehicle_length", vehicle_length)
     if expected_distance <= 0:
@@ -101,7 +107,12 @@ def sdc(road: RoadSpec, expected_distance: float, vehicle_length: float) -> int:
         quotient = road.lanes * (road.length_m - vehicle_length) / expected_distance
     except OverflowError:  # lanes too large to convert to a float
         quotient = math.inf
-    return math.floor(require_closed_form("packing quotient", quotient)) + 1
+    if require_closed_form("packing quotient", quotient) >= _EXACT_INTEGERS:
+        raise InvalidParameterError(
+            f"packing quotient is {quotient}: at or past 2**53 a double does not "
+            "hold every integer, so its floor is not a count"
+        )
+    return math.floor(quotient) + 1
 
 
 def sdc_per_lane(road: RoadSpec, expected_distance: float, vehicle_length: float) -> int:

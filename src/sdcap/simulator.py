@@ -27,28 +27,33 @@ and the step that comes to a halt.
 
 The lanes are computed in step, in blocks of _BLOCK_STEPS steps. A car
 follows only the car ahead in its own lane, so no lane reads another's
-samples: the run has one block of scratch rows, sized to its largest lane,
-and in each block the lanes take it in turn. Only each vehicle's last
-sample and its schedule carry over to the next block. Inside a block, the
-first step where a rear vehicle is closer to its front than a body length
-is searched one rear at a time, each only up to the earliest contact found
-so far. That step is applied as a collision scan (freeze both vehicles,
-snap the rear to contact, reschedule the followers), the vehicles it
-changed are recomputed from there to the end of the block, and the search
-repeats after that step. A collision is recorded at the grid step that
+samples, and in each block the lanes take the run's one scratch buffer in
+turn. Only each vehicle's last sample and its schedule carry over to the
+next block. A lane's block is computed one car at a time, front to back,
+through a ring of two rows, and one pass takes its facts as each row is
+filled: only the car ahead's row is alive. At the first pair that comes
+closer than a body length, the block reruns from its start in full rows,
+one per car, which the buffer grows to once, for the run's largest lane.
+There the first step where a rear vehicle is closer to its front than a
+body length is searched one rear at a time, each only up to the earliest
+contact found so far. That step is applied as a collision scan (freeze
+both vehicles, snap the rear to contact, reschedule the followers), the
+vehicles it changed are recomputed from there to the end of the block,
+and the search repeats after that step; the same pass then takes the
+facts of the full rows. A collision is recorded at the grid step that
 detects it: its time is that step's time, not the exact contact time
 between two samples. The run ends one step after every braking vehicle
 stands still, and stepping stops with the block that holds that step.
 
-As each lane's block passes, before the next lane takes the rows, the run
-keeps what a summary needs: each adjacent pair's smallest gap, the
-contacts, the halt test and the first sample, if any, that is not finite
-or has a negative speed (a run holding one is refused, naming the vehicle
-and step). The scalar step and the collision scan work on samples:
-`_advance` returns the next one, and the scan snaps a scratch column in
-place. Each vehicle logs its own restarts: the step, position and speed at
-which its trajectory was computed afresh, with the parameters and schedule
-it follows from there (at step 0, and wherever a contact changed its
+The pass keeps what a summary needs: each adjacent pair's smallest gap,
+the halt test, the block-end sample and the first sample, if any, that is
+not finite or has a negative speed (a run holding one is refused, naming
+the vehicle and step); the contacts are kept as they are settled. The
+scalar step and the collision scan work on samples: `_advance` returns
+the next one, and the scan snaps a scratch column in place. Each vehicle
+logs its own restarts: the step, position and speed at which its
+trajectory was computed afresh, with the parameters and schedule it
+follows from there (at step 0, and wherever a contact changed its
 schedule, with the snapped position at a contact). A trajectory split at a
 block edge is the same left fold, so the samples are the same doubles in
 any block size, and a trace's position and velocity are replayed from the
@@ -63,14 +68,16 @@ The summary's collisions are those contacts: one rule, an overlap of more
 than 1e-9 m, so two cars that only touch are not a collision.
 
 The cost is O(vehicles x steps) numpy work, plus O(vehicles x block) per
-contact, with Python only at block edges and at the switch, cap, halt and
-contact steps; a vehicle standing still fills its block at once, and a
-pair of cars standing still is not searched. A run holds one scratch
-block, 16 bytes per car of its largest lane per block step, and a few
-arrays of its step count (the grid, its spans and the flag ramp): no array
-over vehicles and steps. Reading a column replays one vehicle. A scenario
-of more than MAX_VEHICLE_STEPS vehicle-steps, or whose arrays would take
-more than MAX_RUN_BYTES, is refused before anything is allocated.
+block with a contact and per contact, with Python only at block edges and
+at the switch, cap, halt and contact steps; a vehicle standing still fills
+its block at once, and a pair of cars standing still is not searched. A
+run without a contact holds two scratch rows of a block and a few arrays
+of its step count (the grid, its spans and the flag ramp); a block with a
+contact needs full rows, 16 bytes per car of the largest lane per block
+step. No array spans vehicles and steps. Reading a column replays one
+vehicle. A scenario of more than MAX_VEHICLE_STEPS vehicle-steps, or whose
+arrays could take more than MAX_RUN_BYTES, is refused before anything is
+allocated.
 """
 
 import math
@@ -118,10 +125,11 @@ _BLOCK_STEPS = 4096
 # allocates.
 MAX_VEHICLE_STEPS = 1_000_000_000
 
-# The memory cap: the most bytes a run's arrays may take, its one scratch
-# block (16 B per car of its largest lane per block step) and its arrays of
-# the step count (the grid and its spans, 8 B a step each, and the flag
-# ramp, 2 B a step).
+# The memory cap: the most bytes a run's arrays may take, in the worst
+# case: full scratch rows of a block (16 B per car of its largest lane per
+# block step), which a block with a contact needs, and its arrays of the
+# step count (the grid and its spans, 8 B a step each, and the flag ramp,
+# 2 B a step).
 MAX_RUN_BYTES = 400_000_000
 
 
@@ -534,21 +542,44 @@ def _replay(restarts: Sequence[_Restart], lo: int, hi: int, grid):
     return x, v
 
 
+class _Scratch:
+    """The run's one scratch buffer: position and velocity rows ([vehicle,
+    sample]) of a block. It holds two rows, the ring a block without a
+    contact is computed in, until the first block with a contact, which
+    grows it once to the run's largest lane."""
+
+    def __init__(self, largest: int, width: int):
+        self.largest = largest
+        self.position = np.empty((2, width + 1))
+        self.velocity = np.empty_like(self.position)
+
+    def full(self):
+        """Rows for the largest lane, grown on the first call."""
+        if len(self.position) < self.largest:
+            shape = (self.largest, self.position.shape[1])
+            self.position = self.velocity = None  # free the ring first
+            self.position, self.velocity = np.empty(shape), np.empty(shape)
+        return self.position, self.velocity
+
+
 class _Lane:
     """One lane of a run, computed one block of steps at a time in the
     run's scratch rows ([vehicle, sample]), which the lanes take in turn.
     The lane keeps only its samples at the block's start and end (`first`
     and `last`).
 
-    `advance` loads `first` into column 0, fills the block's steps under
-    each vehicle's current schedule and settles the block's contacts. A
-    contact changes the schedule of the vehicles it freezes or reschedules;
-    they are recomputed from the contact step to the end of the block, each
-    with a restart appended to its own log, and the search for the next
-    contact starts after it. The block's summary facts are taken before the
-    next lane overwrites the rows; `record` keeps them and carries `last`
-    over to `first`. In the run's last block `cut` retakes them up to the
-    run's last step, refilling the rows if another lane overwrote them.
+    `advance` computes the block one car at a time, front to back, through
+    a ring of two rows, and takes its facts in the same pass: only the car
+    ahead's row is alive. At the first pair that comes within a body length
+    the block reruns from its start in full rows, one per car: every
+    vehicle's steps are filled under its current schedule and the block's
+    contacts are settled. A contact changes the schedule of the vehicles it
+    freezes or reschedules; they are recomputed from the contact step to
+    the end of the block, each with a restart appended to its own log, and
+    the search for the next contact starts after it. The same pass then
+    takes the facts of the full rows. `record` keeps them and carries
+    `last` over to `first`. In the run's last block `cut` retakes them up
+    to the run's last step.
     """
 
     def __init__(self, vehicles, first_affected, grid):
@@ -566,31 +597,101 @@ class _Lane:
         self.still = [False] * len(vehicles)
         self.start = self.width = 0
 
-    def advance(self, start: int, end: int, position, velocity):
+    def advance(self, start: int, end: int, scratch: _Scratch):
         """Steps start + 1 .. end from sample start (`first`), their
         contacts settled, the halt searched if not found before, and the
         block's facts taken."""
         self.start, self.width = start, end - start
         times = self.times[start:end + 1]
         spans = self.spans[start:end + 1]
-        n = len(self.vehicles)
-        x, v = position[:n, :self.width + 1], velocity[:n, :self.width + 1]
-        x[:, 0], v[:, 0] = self.first
         # Standing still at the block's start, so for all of it. Sample 0
         # is searched for contacts like any other, so none stands still in
         # the first block.
-        self.still = [start > 0 and _standing(veh, times[0], v[i, 0])
-                      for i, veh in enumerate(self.vehicles)]
+        self.still = [start > 0 and _standing(veh, times[0], v)
+                      for veh, v in zip(self.vehicles, self.first[1])]
+        if self._take(self._ring(scratch, times, spans), times):
+            return
+        n = len(self.vehicles)
+        x, v = (rows[:n, :self.width + 1] for rows in scratch.full())
+        x[:, 0], v[:, 0] = self.first
         for i, veh in enumerate(self.vehicles):
             _trajectory(veh, x[i], v[i], 0, self.width, times, spans, self.speed_cap)
         step = self._next_contact(x, 0)
         while step is not None:
             self._apply_contact(x, v, step, times, spans)
             step = self._next_contact(x, step)
-        if self.halt is None:
-            self.halt = self._halt(v, times)
-        self.last = x[:, self.width].copy(), v[:, self.width].copy()
-        self.facts = self._facts(x, v)
+        self._take(zip(x, v), times)  # settled: no pair left to stop it
+
+    def _ring(self, scratch: _Scratch, times, spans):
+        """Each vehicle's rows of the block, front to back, computed from
+        `first` into the scratch's first two rows in turn. Nothing else
+        holds them, so a block with a contact can free them before it grows
+        the scratch."""
+        x, v = scratch.position[:2, :self.width + 1], scratch.velocity[:2, :self.width + 1]
+        for i, veh in enumerate(self.vehicles):
+            row_x, row_v = x[i % 2], v[i % 2]
+            row_x[0], row_v[0] = self.first[0][i], self.first[1][i]
+            _trajectory(veh, row_x, row_v, 0, self.width, times, spans, self.speed_cap)
+            yield row_x, row_v
+
+    def _take(self, rows, times) -> bool:
+        """Take the block's facts in one pass over its rows, front to back:
+        `rows` yields each vehicle's position and velocity rows, column 0
+        the block's start and `times` their grid times, and only the car
+        ahead's are read. The facts are each pair's smallest gap (inf for a
+        pair standing still), each vehicle's first sample that a trace
+        refuses, the halt if not found before, and the last sample.
+
+        The halt is the first step at which every affected vehicle stands
+        still and has passed its brake onset. Past it no contact can change
+        the lane's samples up to it, so the first block that holds it
+        decides it; a halt in the block leaves every affected vehicle at
+        speed 0 at the block's end.
+
+        Returns False, leaving the lane's state as it was, at the first
+        pair where a moving rear comes closer to its front than a body
+        length (the `_next_contact` test). Rows whose contacts are settled
+        have none."""
+        n = len(self.vehicles)
+        gaps, faults, last = [], {}, (np.empty(n), np.empty(n))
+        # halting: the block's steps past the onsets at which every affected
+        # car so far stands still, while a halt in the block is possible.
+        halt, halting = self.halt, None
+        if halt is None and not self.affected:
+            halt = self.start + 1
+        elif halt is None:
+            onset = max(self.vehicles[i].onset for i in self.affected)
+            if times[-1] >= onset:
+                halting = times[1:] >= onset
+        for i, (x, v) in enumerate(rows):
+            if i:  # the pair of the car ahead, `front`, and this one
+                smallest = math.inf  # for a pair standing still
+                if not (self.still[i - 1] and self.still[i]):
+                    gap = front[1:] - x[1:]
+                    smallest = gap.min()
+                    limit = self.vehicles[i].params.length - _EPS
+                    if (not smallest >= limit and self.vehicles[i].collision_time is None
+                            and _first(gap < limit) is not None):
+                        return False
+                gaps.append(float(smallest))
+            front = x
+            # Column 0 is sample 0, or was checked as the block before's
+            # last sample: whole rows are checked in one pass.
+            if not (-math.inf < x.min() and x.max() < math.inf
+                    and 0 <= v.min() and v.max() < math.inf):
+                k = first_bad_sample(x, v)
+                if k is not None:
+                    faults[i] = (self.start + k, x[k], v[k])
+            if halting is not None and i >= self.affected.start:
+                if v[-1] != 0.0:
+                    halting = None
+                elif not self.still[i]:
+                    halting &= v[1:] == 0.0
+            last[0][i], last[1][i] = x[-1], v[-1]
+        if halting is not None:
+            halt = _first(halting, self.start + 1)
+        self.halt, self.last, self.facts = halt, last, (gaps, faults)
+        return True
 
     def _next_contact(self, x, after: int) -> Optional[int]:
         """First column past `after` where a moving rear is closer to its
@@ -625,53 +726,24 @@ class _Lane:
                                              float(v[i, step]), veh.params, *schedule))
                 _trajectory(veh, x[i], v[i], step, self.width, times, spans, self.speed_cap)
 
-    def _halt(self, v, times) -> Optional[int]:
-        """The first step of the block at which every affected vehicle
-        stands still and has passed its brake onset, or None.
+    def cut(self, last: int):
+        """Retake the block's facts up to the run's last step, from rows
+        replayed one vehicle at a time from its sample at the block's start
+        and the restarts it logged in the block. A lane whose lead brakes
+        has every car affected, so from its halt on every row is constant:
+        its facts over the whole block are already those up to `last`, which
+        is past the halt."""
+        if self.affected.start == 0:
+            return
 
-        Past that step no contact can change the lane's samples up to it,
-        so the first block that holds it decides it. A halt in the block
-        leaves every affected vehicle at speed 0 at the block's end."""
-        if not self.affected:
-            return self.start + 1
-        onset = max(self.vehicles[i].onset for i in self.affected)
-        if times[-1] < onset or np.any(v[self.affected.start:, self.width] != 0.0):
-            return None
-        still = times[1:] >= onset
-        for i in self.affected:
-            if not self.still[i]:
-                still &= v[i, 1:] == 0.0  # one row at a time
-        return _first(still, self.start + 1)
+        def replayed():
+            for i, veh in enumerate(self.vehicles):
+                before = sum(r.step <= self.start for r in veh.restarts)  # logged before the block
+                at_start = veh.restarts[before - 1]._replace(
+                    step=self.start, x=float(self.first[0][i]), v=float(self.first[1][i]))
+                yield _replay([at_start, *veh.restarts[before:]], self.start, last, self.grid)
 
-    def _facts(self, x, v):
-        """The facts of the block's rows x and v (column 0 its start): each
-        pair's smallest gap (inf for a pair standing still) and each
-        vehicle's first sample that a trace refuses."""
-        gaps = [math.inf if self.still[i - 1] and self.still[i]
-                else float(np.min(x[i - 1, 1:] - x[i, 1:])) for i in range(1, len(x))]
-        faults = {}
-        # Column 0 is sample 0, or was checked as the block before's last
-        # sample: whole rows are checked in one pass.
-        if x.size and not (-math.inf < x.min() and x.max() < math.inf
-                           and 0 <= v.min() and v.max() < math.inf):
-            for i in range(len(x)):
-                k = first_bad_sample(x[i], v[i])
-                if k is not None:
-                    faults[i] = (self.start + k, x[i, k], v[i, k])
-        return gaps, faults
-
-    def cut(self, last: int, position, velocity, refill: bool):
-        """Retake the block's facts up to the run's last step. With `refill`
-        the rows are replayed first, each vehicle from its sample at the
-        block's start and the restarts it logged in the block."""
-        n, count = len(self.vehicles), last - self.start
-        x, v = position[:n, :count + 1], velocity[:n, :count + 1]
-        for i, veh in enumerate(self.vehicles if refill else ()):
-            before = sum(r.step <= self.start for r in veh.restarts)  # logged before the block
-            at_start = veh.restarts[before - 1]._replace(
-                step=self.start, x=float(self.first[0][i]), v=float(self.first[1][i]))
-            x[i], v[i] = _replay([at_start, *veh.restarts[before:]], self.start, last, self.grid)
-        self.facts = self._facts(x, v)
+        self._take(replayed(), self.times[self.start:last + 1])
 
     def record(self):
         """Keep the block's facts and carry its last sample over to the
@@ -684,9 +756,11 @@ class _Lane:
 
 
 def _run_bytes(largest_lane: int, horizon) -> float:
-    """The bytes of a run's arrays: two scratch rows of a block per car of
-    its largest lane, which the lanes take in turn, and the grid, its spans
-    and the flag ramp (18 B per step)."""
+    """The bytes a run's arrays may take: two scratch rows of a block per
+    car of its largest lane, which a block with a contact needs and the
+    lanes take in turn, and the grid, its spans and the flag ramp (18 B per
+    step). A run without a contact holds two rows of the block, not one
+    pair per car; the cap is checked against the worst case."""
     return 16 * largest_lane * (min(_BLOCK_STEPS, horizon) + 1) + 18 * (horizon + 1)
 
 
@@ -799,12 +873,14 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
     which also carry the run's contacts, info sources and smallest gaps.
 
     Deterministic for a fixed config and seed. The lanes are computed in
-    step, a block of steps at a time, taking turns through one block of
-    scratch rows, and each lane's contacts are applied one at a time, each
-    at the first step it occurs. The run ends one step after every affected
-    vehicle has passed its brake onset and stands still. Blame is decided
-    from the contacts the run detected, and each trace is built with its
-    responsibility flags set. A run over MAX_VEHICLE_STEPS or MAX_RUN_BYTES
+    step, a block of steps at a time, taking turns through one scratch
+    buffer: a lane's block is computed car by car through two rows, and
+    only a block with a contact is computed in full rows, one per car,
+    where its contacts are applied one at a time, each at the first step it
+    occurs. The run ends one step after every affected vehicle has passed
+    its brake onset and stands still. Blame is decided from the contacts
+    the run detected, and each trace is built with its responsibility flags
+    set. A run over MAX_VEHICLE_STEPS or MAX_RUN_BYTES
     is refused before anything is allocated, and one with a sample that is
     not finite, or a negative speed, is refused once it ends, as Trace
     refuses such a column.
@@ -814,21 +890,19 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
     times = np.arange(horizon + 1) * cfg.dt
     grid = (times, np.diff(times, prepend=0.0), cfg.speed_cap)
     width = min(_BLOCK_STEPS, horizon)
-    # One block of scratch rows, sized to the largest lane, for all lanes.
-    position = np.empty((max(map(len, lanes)), width + 1))
-    velocity = np.empty_like(position)
+    scratch = _Scratch(max(map(len, lanes)), width)  # one for all lanes
     runs = [_Lane(lane, first, grid) for lane, first in zip(lanes, first_affected)]
     start = 0
     while True:
         end = min(start + width, horizon)
         for run in runs:
-            run.advance(start, end, position, velocity)
+            run.advance(start, end, scratch)
         halts = [run.halt for run in runs]
         done = None not in halts and max(halts) < end
         last = max(halts) + 1 if done else end  # one trailing step past the halt
-        if done:  # the lane advanced last first, while its rows are in the scratch
-            for run in reversed(runs):
-                run.cut(last, position, velocity, refill=run is not runs[-1])
+        if done:
+            for run in runs:
+                run.cut(last)
         for run in runs:
             run.record()
         if done:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -66,6 +67,16 @@ def test_sdc_rejects_bad_inputs():
         sdc(RoadSpec(), -3.0, 5.0)
     with pytest.raises(InvalidParameterError):
         sdc(RoadSpec(), 20.0, 20_000.0)
+
+
+def test_sdc_answers_a_quotient_just_below_2_pow_53_and_refuses_2_pow_53():
+    # 1250 m less a 226 m car is 1024 m, packed at 1024 m: the quotient is
+    # the lane count, exactly.
+    road = RoadSpec(length_km=1.25, lanes=2 ** 53 - 1)
+    assert sdc(road, 1024.0, 226.0) == 2 ** 53
+    with pytest.raises(InvalidParameterError,
+                       match=r"packing quotient is 9007199254740992\.0: at or past 2\*\*53"):
+        sdc(replace(road, lanes=2 ** 53), 1024.0, 226.0)
 
 
 def test_sdc_per_lane_variant_differs_by_packing_remainder():

@@ -76,6 +76,10 @@ OVERFLOW = "the parameters overflow the closed form"
         (["sweep", "--M-km", "1e306", "--out", os.devnull],
          f"packing quotient is inf: {OVERFLOW}"),
         (["sdc", "--lanes", "9" * 400], f"packing quotient is inf: {OVERFLOW}"),
+        # Past 2**53 the floor of the quotient is rounding, not a count: this
+        # was answered with sdc_pbv = 4161372397841170221236225.
+        (["sdc", "--lanes", "10000000000000000000000"],
+         "packing quotient is 4.161372397841171e+24: at or past 2**53"),
         # The response time is lost to rounding at these speeds: the first
         # was answered with the contact distance, the second 1.3 % long.
         (["distance", "--vr", "1e20", "--vf", "1e20"],

@@ -422,6 +422,21 @@ def test_cars_standing_from_step_0_are_searched_for_contacts_in_the_first_block(
     assert run_scenario(cfg).contacts == [(0, 2, 1)]
     assert_block_sizes_match_the_stepping_loop(cfg)
 
+
+def test_a_lane_whose_lead_does_not_brake_is_cut_at_the_run_s_last_step():
+    # Lane 1 cruises past the run's last step, and its gap moves by rounding
+    # alone, so its smallest gap is the stepping loop's only if its last
+    # block's facts are retaken up to that step from replayed rows. A lane
+    # whose lead brakes stands still from its halt on, and needs none.
+    lanes = ((SpawnSpec(REFERENCE), SpawnSpec(REFERENCE, 10.0)),
+             (SpawnSpec(REFERENCE), SpawnSpec(REFERENCE, 37.99)))
+    cfg = ScenarioConfig(road=RoadSpec(10.0, 2, 100.0), lanes=lanes,
+                         triggers=(BrakeTrigger(0, 0, 0.0),), dt=0.02)
+    reference = reference_run_scenario(cfg)
+    assert scenario_summary(run_scenario(cfg), cfg) == scenario_summary(reference, cfg)
+    assert_block_sizes_match_the_stepping_loop(cfg)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("block", [1, 3, 64, 4096])
 def test_a_run_whose_samples_overflow_is_refused_as_its_trace_would_be(block):
@@ -803,23 +818,23 @@ def summary_peak(cfg):
 
 
 @pytest.mark.parametrize("per_lane", [20, 40])
-def test_run_and_summary_peak_at_most_8_bytes_per_vehicle_step(per_lane):
+def test_run_and_summary_peak_at_most_2_bytes_per_vehicle_step(per_lane):
     # 2 lanes at the safe gap, dt = 1 ms (about 510k and 2M vehicle-steps).
-    # A run keeps no samples: its peak is one block of scratch rows, which
-    # the lanes take in turn (16 B per car of the largest lane and block
-    # step), and a few arrays of its step count.
+    # A run keeps no samples, and a block without a contact is computed in
+    # a ring of two rows: its peak is a few arrays of its step count and a
+    # few small arrays per car. About 1 B per vehicle-step was measured at
+    # 20 cars per lane; full rows of a lane per block took 3.2.
     # Holding the samples would take 16 B per vehicle-step.
     run, peak = summary_peak(safe_road(per_lane))
     vehicle_steps = sum(len(trace) for trace in run)
     assert vehicle_steps > 400_000 and not run.contacts
-    assert peak <= 8 * vehicle_steps, peak / vehicle_steps
+    assert peak <= 2 * vehicle_steps, peak / vehicle_steps
 
 
 def test_a_two_lane_run_peaks_about_as_one_of_its_lanes_alone():
-    # The lanes take turns through one block of scratch rows, sized to the
-    # largest lane, so a second lane of 20 cars adds its few samples and
-    # facts, not a second block. A block per lane made the peak 1.82 times
-    # that of one lane.
+    # The lanes take turns through one scratch buffer, so a second lane of
+    # 20 cars adds its few samples and facts, not a second buffer. A block
+    # per lane made the peak 1.82 times that of one lane.
     road = safe_road(20)
     lane = replace(road, road=RoadSpec(10.0, 1, 100.0), lanes=road.lanes[:1],
                    triggers=road.triggers[:1])
@@ -829,12 +844,33 @@ def test_a_two_lane_run_peaks_about_as_one_of_its_lanes_alone():
 
 
 def test_run_peak_grows_little_with_the_step_count():
-    # Four times the steps: the block scratch stays, and only the arrays of
-    # the step count (the grid, its spans and the flag ramp) grow.
-    _, coarse = summary_peak(safe_road(20))
-    run, fine = summary_peak(safe_road(20, dt=2.5e-4))
-    assert len(run[0]) > 50_000
-    assert fine < 1.5 * coarse, fine / coarse
+    # Four times the steps: only the arrays of the step count grow, the
+    # grid and its spans (16 B a step), the flag ramp (2 B) and the
+    # summary's bool temporaries. 19.7 B per added step was measured;
+    # keeping the samples would take 640 B per step on this 40-car road.
+    coarse_run, coarse = summary_peak(safe_road(20))
+    fine_run, fine = summary_peak(safe_road(20, dt=2.5e-4))
+    added = len(fine_run[0]) - len(coarse_run[0])
+    assert added > 35_000
+    assert fine - coarse <= 24 * added, (fine - coarse) / added
+
+
+def test_safe_run_peak_grows_little_with_the_car_count():
+    # Every car brakes at t = 0, so the step count does not depend on the
+    # cars. A safe block is computed in a ring of two rows, so a car adds
+    # its samples at the block's edges, its restart, its trace and its
+    # summary entries, not rows of the block. 0.8 KB per added car was
+    # measured; full rows of a lane per block took 27 KB.
+    def road(per_lane):
+        cfg = safe_road(per_lane)
+        return replace(cfg, triggers=tuple(BrakeTrigger(lane, i, 0.0)
+                                           for lane in range(2) for i in range(per_lane)))
+
+    small_run, small = summary_peak(road(20))
+    large_run, large = summary_peak(road(200))
+    assert len(small_run[0]) == len(large_run[0])
+    assert not small_run.contacts and not large_run.contacts
+    assert large - small <= 2048 * 2 * (200 - 20), (large - small) / (2 * (200 - 20))
 
 
 def test_summary_rejects_traces_of_different_horizons():
