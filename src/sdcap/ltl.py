@@ -388,8 +388,11 @@ def safety_formula(horizon: int) -> Formula:
 
 
 def vehicle_safe(trace: TraceFlags) -> bool:
-    """True iff the vehicle is never responsible while holding max brake."""
-    return evaluate(trace, 0, safety_formula(trace.last_index))
+    """True iff the vehicle is never responsible while holding max brake:
+    safety_formula(trace.last_index), G[0,last](BER -> !Y), at step 0, read
+    directly as no step with both BER and Y. `sdcap monitor` evaluates the
+    same formula through `evaluate`."""
+    return not np.logical_and(trace.ber, trace.responsible).any()
 
 
 def _check_common_horizon(traces: Sequence[TraceFlags]):

@@ -48,14 +48,18 @@ stands still, and stepping stops with the block that holds that step.
 The pass keeps what a summary needs: each adjacent pair's smallest gap,
 the halt test, the block-end sample and the first sample, if any, that is
 not finite or has a negative speed (a run holding one is refused, naming
-the vehicle and step); the contacts are kept as they are settled. The
-scalar step and the collision scan work on samples: `_advance` returns
-the next one, and the scan snaps a scratch column in place. Each vehicle
-logs its own restarts: the step, position and speed at which its
-trajectory was computed afresh, with the parameters and schedule it
-follows from there (at step 0, and wherever a contact changed its
-schedule, with the snapped position at a contact). A trajectory split at a
-block edge is the same left fold, so the samples are the same doubles in
+the vehicle and step); the contacts are kept as they are settled. A row
+is checked for such a sample by the min and max of its positions and
+speeds, and searched only if those fail. A car standing still at a
+block's start stands still for all of it: in a block without a contact
+its row is not filled, and the pass reads its one sample at the start in
+place of the row, which repeats it. The scalar step and the collision
+scan work on samples: `_advance` returns the next one, and the scan snaps
+a scratch column in place. Each vehicle logs its own restarts: the step,
+position and speed at which its trajectory was computed afresh, with the
+parameters and schedule it follows from there (at step 0, and wherever a
+contact changed its schedule, with the snapped position at a contact). A
+trajectory split at a block edge is the same left fold, so the samples are the same doubles in
 any block size, and a trace's position and velocity are replayed from the
 restarts and the grid alone, through the same helpers, each time they are
 read, never kept; blame replays the two samples it needs the same way.
@@ -69,12 +73,12 @@ than 1e-9 m, so two cars that only touch are not a collision.
 
 The cost is O(vehicles x steps) numpy work, plus O(vehicles x block) per
 block with a contact and per contact, with Python only at block edges and
-at the switch, cap, halt and contact steps; a vehicle standing still fills
-its block at once, and a pair of cars standing still is not searched. A
-run without a contact holds two scratch rows of a block and a few arrays
-of its step count (the grid, its spans and the flag ramp); a block with a
-contact needs full rows, 16 bytes per car of the largest lane per block
-step. No array spans vehicles and steps. Reading a column replays one
+at the switch, cap, halt and contact steps; a vehicle standing still costs
+O(1) per block without a contact, and a pair of cars standing still is
+not searched. A run without a contact holds two scratch rows of a block
+and a few arrays of its step count (the grid, its spans and the flag
+ramp); a block with a contact needs full rows, 16 bytes per car of the
+largest lane per block step. No array spans vehicles and steps. Reading a column replays one
 vehicle. A scenario of more than MAX_VEHICLE_STEPS vehicle-steps, or whose
 arrays could take more than MAX_RUN_BYTES, is refused before anything is
 allocated.
@@ -417,8 +421,20 @@ def _coast(x, v, lo: int, hi: int, spans):
     np.add.accumulate(x[lo:hi + 1], out=x[lo:hi + 1])
 
 
+def _moves(out, v, span, rate: float, combine):
+    """The position increments of a run at a constant rate, into `out`:
+    combine(v * span, 0.5 * rate * span * span), np.add accelerating and
+    np.subtract braking, in `_advance`'s operation order, through one
+    temporary row."""
+    np.multiply(v, span, out=out)
+    square = np.multiply(0.5 * rate, span)
+    square *= span
+    combine(out, square, out=out)
+
+
 def _accelerate(veh, x, v, lo: int, hi: int, spans, times, speed_cap):
-    """Full acceleration up to the speed cap, then constant speed."""
+    """Full acceleration up to the speed cap, then constant speed. The
+    positions' increments are formed in x's own slice (`_moves`)."""
     accel = veh.params.max_accel
     np.multiply(accel, spans[lo + 1:hi + 1], out=v[lo + 1:hi + 1])
     np.add.accumulate(v[lo:hi + 1], out=v[lo:hi + 1])
@@ -429,7 +445,7 @@ def _accelerate(veh, x, v, lo: int, hi: int, spans, times, speed_cap):
         first = _first(capped, lo)
         last = hi if first is None else first
     span = spans[lo + 1:last + 1]
-    x[lo + 1:last + 1] = v[lo:last] * span + 0.5 * accel * span * span
+    _moves(x[lo + 1:last + 1], v[lo:last], span, accel, np.add)
     np.add.accumulate(x[lo:last + 1], out=x[lo:last + 1])
     if last < hi:
         if v[last] < speed_cap:
@@ -441,21 +457,23 @@ def _accelerate(veh, x, v, lo: int, hi: int, spans, times, speed_cap):
 def _brake(veh, x, v, lo: int, hi: int, spans, times):
     """Full braking to a halt, then standing still. The speeds are
     accumulated to two steps past the halt's estimate, and on to hi only if
-    the halt is not found there."""
+    the halt is not found there. The halt is the first step whose speed
+    before it, v, has v / brake <= span: a speed at or below 0 passes that
+    test too (brake > 0, span >= 0), and a NaN fails it. The positions'
+    increments are formed in x's own slice (`_moves`)."""
     brake = veh.params.max_brake
     steps = v[lo] / (brake * spans[lo + 1]) + 2  # about the steps to the halt
     top, stop = lo, lo + int(steps) if steps < hi - lo else hi
     while True:
         np.multiply(brake, spans[top + 1:stop + 1], out=v[top + 1:stop + 1])
         np.subtract.accumulate(v[top:stop + 1], out=v[top:stop + 1])
-        before = v[top:stop]
-        halts = _first((before <= 0) | (before / brake <= spans[top + 1:stop + 1]), top)
+        halts = _first(v[top:stop] / brake <= spans[top + 1:stop + 1], top)
         if halts is not None or stop == hi:
             break
         top, stop = stop, hi
     last = hi if halts is None else halts  # the last sample of plain braking
     span = spans[lo + 1:last + 1]
-    x[lo + 1:last + 1] = v[lo:last] * span - 0.5 * brake * span * span
+    _moves(x[lo + 1:last + 1], v[lo:last], span, brake, np.subtract)
     np.add.accumulate(x[lo:last + 1], out=x[lo:last + 1])
     if last < hi:
         _step(veh, x, v, last + 1, times, None)  # comes to a halt
@@ -471,6 +489,12 @@ def _standing(veh, t: float, v: float) -> bool:
     )
 
 
+def _standing_speed(veh, v: float) -> float:
+    """The speed of every later sample of a vehicle standing still at speed
+    v: v if frozen at a contact, else 0.0 (v may be -0.0 at a halt)."""
+    return v if veh.collision_time is not None else 0.0
+
+
 def _trajectory(veh, x, v, k: int, end: int, times, spans, speed_cap):
     """Fill x[k + 1:end + 1] and v[k + 1:end + 1] from sample k under the
     params and schedule (cause, onset, collision_time) of veh: a live
@@ -482,7 +506,7 @@ def _trajectory(veh, x, v, k: int, end: int, times, spans, speed_cap):
     """
     if _standing(veh, times[k], v[k]):
         x[k + 1:end + 1] = x[k]
-        v[k + 1:end + 1] = v[k] if veh.collision_time is not None else 0.0
+        v[k + 1:end + 1] = _standing_speed(veh, v[k])
         return
     while k < end:
         phase = _phase_at(veh, times[k])
@@ -570,8 +594,11 @@ class _Lane:
 
     `advance` computes the block one car at a time, front to back, through
     a ring of two rows, and takes its facts in the same pass: only the car
-    ahead's row is alive. At the first pair that comes within a body length
-    the block reruns from its start in full rows, one per car: every
+    ahead's row is alive. A car standing still at the block's start
+    (`still`: frozen at a contact, or halted past its onset) stands still
+    for all of it, and costs O(1): its row is its sample at the block's
+    start alone, never filled. At the first pair that comes within a body
+    length the block reruns from its start in full rows, one per car: every
     vehicle's steps are filled under its current schedule and the block's
     contacts are settled. A contact changes the schedule of the vehicles it
     freezes or reschedules; they are recomputed from the contact step to
@@ -624,13 +651,18 @@ class _Lane:
 
     def _ring(self, scratch: _Scratch, times, spans):
         """Each vehicle's rows of the block, front to back, computed from
-        `first` into the scratch's first two rows in turn. Nothing else
-        holds them, so a block with a contact can free them before it grows
-        the scratch."""
+        `first` into the scratch's first two rows in turn. A car standing
+        still at the block's start stands still for all of it: its rows are
+        column 0 alone, which `_take` reads as a row that repeats it. Nothing
+        else holds them, so a block with a contact can free them before it
+        grows the scratch."""
         x, v = scratch.position[:2, :self.width + 1], scratch.velocity[:2, :self.width + 1]
         for i, veh in enumerate(self.vehicles):
             row_x, row_v = x[i % 2], v[i % 2]
             row_x[0], row_v[0] = self.first[0][i], self.first[1][i]
+            if self.still[i]:
+                yield row_x[:1], row_v[:1]
+                continue
             _trajectory(veh, row_x, row_v, 0, self.width, times, spans, self.speed_cap)
             yield row_x, row_v
 
@@ -641,6 +673,13 @@ class _Lane:
         ahead's are read. The facts are each pair's smallest gap (inf for a
         pair standing still), each vehicle's first sample that a trace
         refuses, the halt if not found before, and the last sample.
+
+        A row of column 0 alone is a car standing still all block, whose
+        row would repeat it (`_trajectory`'s fill): its pairs' gaps are
+        taken against that one position, its last sample is the fill's, and
+        it is not checked for refused samples, since its column 0 was
+        checked as the block before's last sample. Every other row is
+        checked whole with `_clean`, and searched only if it fails.
 
         The halt is the first step at which every affected vehicle stands
         still and has passed its brake onset. Past it no contact can change
@@ -664,30 +703,32 @@ class _Lane:
             if times[-1] >= onset:
                 halting = times[1:] >= onset
         for i, (x, v) in enumerate(rows):
+            veh = self.vehicles[i]
+            if len(x) == 1:  # standing still all block
+                tail, end = x[0], (x[0], _standing_speed(veh, v[0]))
+            else:
+                tail, end = x[1:], (x[-1], v[-1])
+                if not _clean(x, v):  # whole rows: column 0 may be sample 0
+                    k = first_bad_sample(x, v)
+                    if k is not None:
+                        faults[i] = (self.start + k, x[k], v[k])
             if i:  # the pair of the car ahead, `front`, and this one
                 smallest = math.inf  # for a pair standing still
                 if not (self.still[i - 1] and self.still[i]):
-                    gap = front[1:] - x[1:]
+                    gap = front - tail
                     smallest = gap.min()
-                    limit = self.vehicles[i].params.length - _EPS
-                    if (not smallest >= limit and self.vehicles[i].collision_time is None
+                    limit = veh.params.length - _EPS
+                    if (not smallest >= limit and veh.collision_time is None
                             and _first(gap < limit) is not None):
                         return False
                 gaps.append(float(smallest))
-            front = x
-            # Column 0 is sample 0, or was checked as the block before's
-            # last sample: whole rows are checked in one pass.
-            if not (-math.inf < x.min() and x.max() < math.inf
-                    and 0 <= v.min() and v.max() < math.inf):
-                k = first_bad_sample(x, v)
-                if k is not None:
-                    faults[i] = (self.start + k, x[k], v[k])
+            front = tail
             if halting is not None and i >= self.affected.start:
-                if v[-1] != 0.0:
+                if end[1] != 0.0:
                     halting = None
                 elif not self.still[i]:
                     halting &= v[1:] == 0.0
-            last[0][i], last[1][i] = x[-1], v[-1]
+            last[0][i], last[1][i] = end
         if halting is not None:
             halt = _first(halting, self.start + 1)
         self.halt, self.last, self.facts = halt, last, (gaps, faults)
@@ -971,6 +1012,17 @@ def _switch_step(times: np.ndarray, event: Optional[float]) -> Optional[int]:
         return None
     step = int(np.searchsorted(times, event - _EPS))
     return step if step < len(times) else None
+
+
+def _clean(x, v) -> bool:
+    """Whether no sample of the rows x, v is one a trace refuses: a
+    position that is not finite, or a velocity that is not finite or is
+    negative. A NaN makes a row's min and max NaN, which fails every
+    comparison. Four reductions that raise no floating-point warning: a
+    test on the rows' sums needs np.errstate (a finite row's sum may
+    overflow), which cost more per row than the reduction it saves."""
+    return (-math.inf < x.min() and x.max() < math.inf
+            and 0 <= v.min() and v.max() < math.inf)
 
 
 def _first(flags: np.ndarray, offset: int = 0) -> Optional[int]:

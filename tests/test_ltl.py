@@ -149,6 +149,24 @@ def test_vehicle_safe_flags():
     assert vehicle_safe(unsafe) is False
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=50),
+       st.integers(0, 52))
+def test_vehicle_safe_is_the_safety_formula_at_step_0(flags, collide_from):
+    # BER and Y switch on and off at will, not as a run's ramps do.
+    trace = make_trace([(ber, k >= collide_from, y) for k, (ber, y) in enumerate(flags)])
+    formula = sdcap.ltl.safety_formula(trace.last_index)
+    verdict = vehicle_safe(trace)
+    assert type(verdict) is bool
+    assert verdict == evaluate(trace, 0, formula) == reference_evaluate(trace, 0, formula)
+    if len(trace) < 2:
+        return  # a trace CSV gives dt by two samples at least
+    (read,) = read_traces_csv(io.StringIO(traces_to_csv([trace]), newline=""))
+    assert type(read) is TraceFlags
+    assert vehicle_safe(read) is verdict
+    assert evaluate(read, 0, sdcap.ltl.safety_formula(read.last_index)) == verdict
+
+
 def test_strict_variant_formula_expressible_and_differs_from_canonical():
     # The stricter "never (braking implies blame)" reading is expressible
     # through evaluate and diverges from the canonical per-step implication

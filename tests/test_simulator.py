@@ -1,13 +1,14 @@
 """Sudden-brake scenario execution: collisions, blame, determinism, config files."""
 
 import gc
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdcap import (
@@ -34,6 +35,7 @@ from sdcap import (
     vehicle_safe,
 )
 from sdcap.capacity import safe_distance
+from sdcap.ltl import first_bad_sample
 from sdcap.protocol import InfoSource
 from sdcap.simulator import Link, info_source_labels, link_resolutions
 from conftest import (
@@ -435,6 +437,95 @@ def test_a_lane_whose_lead_does_not_brake_is_cut_at_the_run_s_last_step():
     reference = reference_run_scenario(cfg)
     assert scenario_summary(run_scenario(cfg), cfg) == scenario_summary(reference, cfg)
     assert_block_sizes_match_the_stepping_loop(cfg)
+
+
+def standing_and_moving_road(dt):
+    """Lane 0: the lead brakes at t = 0 and car 5 at 0.2 s, so the lead
+    stands still while car 1 closes on it, and cars 5-7 stand behind cars
+    1-4 that still brake. Lane 1: car 2 brakes at 0.3 s behind two cars
+    that cruise on. Lane 2: the lead brakes at t = 0, and its last car
+    brakes 0.5 s late and hits the car ahead after the lead has halted
+    (the block of the contact is computed in full rows)."""
+    lanes = (
+        (SpawnSpec(REFERENCE), *[SpawnSpec(REFERENCE, D_SAFE)] * 7),
+        (SpawnSpec(REFERENCE), *[SpawnSpec(REFERENCE, D_SAFE)] * 4),
+        (SpawnSpec(REFERENCE), *[SpawnSpec(REFERENCE, D_SAFE)] * 2,
+         SpawnSpec(REFERENCE, D_SAFE, 0.5)),
+    )
+    triggers = (BrakeTrigger(0, 0, 0.0), BrakeTrigger(0, 5, 0.2), BrakeTrigger(1, 2, 0.3),
+                BrakeTrigger(2, 0, 0.0))
+    return ScenarioConfig(road=RoadSpec(10.0, 3, 100.0), lanes=lanes, triggers=triggers, dt=dt)
+
+
+@pytest.mark.parametrize("dt, blocks", [(0.01, (1, 2, 3, 64)), (1e-3, (None,))])
+def test_cars_standing_ahead_of_and_behind_moving_ones_match_the_stepping_loop(
+        dt, blocks, monkeypatch):
+    # A car standing still at a block's start is given to the pass as its
+    # column 0 alone (None: the default block size). Its pairs' gaps, its
+    # last sample and the halt must still be the stepping loop's.
+    import sdcap.simulator
+
+    cfg = standing_and_moving_road(dt)
+    reference = reference_run_scenario(cfg)
+    summary = scenario_summary(reference, cfg)
+    assert summary["road_safe"] is False and len(summary["collisions"]) == 1
+    text = traces_to_csv(reference, reference.info_sources)
+    ring, standing = sdcap.simulator._Lane._ring, []
+
+    def counted(self, *args):
+        for x, v in ring(self, *args):
+            standing.append(len(x) == 1)
+            yield x, v
+
+    monkeypatch.setattr(sdcap.simulator._Lane, "_ring", counted)
+    for block in blocks:
+        standing.clear()
+        run = run_scenario(cfg) if block is None else run_in_blocks(cfg, block)
+        assert any(standing) and not all(standing)
+        assert_bit_identical(run, reference)
+        assert run.contacts == reference.contacts
+        assert scenario_summary(run, cfg) == summary  # min_gaps_m too
+        assert traces_to_csv(run, run.info_sources) == text
+
+
+_ODD_SAMPLES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 5e-324,
+                                1e308, -1e308])
+
+
+@st.composite
+def sample_rows(draw):
+    """Position and speed rows of 1-40 samples a trace accepts, with up to
+    three samples replaced by odd or arbitrary floats."""
+    n = draw(st.integers(1, 40))
+    x = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    v = draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from((x, v)))
+        row[draw(st.integers(0, n - 1))] = draw(st.one_of(_ODD_SAMPLES, st.floats()))
+    return x, v
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(sample_rows())
+@example(([1e308, 1e308], [0.0, 0.0]))  # rows whose sums overflow
+@example(([0.0, 0.0], [1e308, 1e308]))
+@example(([math.inf, -math.inf], [0.0, 0.0]))  # whose sum is NaN
+@example(([0.0, -math.inf], [1.0, 1.0]))  # one refused sample each
+@example(([0.0, math.inf], [1.0, 1.0]))
+@example(([0.0, math.nan], [1.0, 1.0]))
+@example(([0.0, 0.0], [1.0, math.inf]))
+@example(([0.0, 0.0], [1.0, math.nan]))
+@example(([0.0, 0.0], [1.0, -5e-324]))
+@example(([0.0], [-0.0]))  # accepted
+def test_the_fault_trigger_fires_on_every_row_with_a_refused_sample(rows):
+    # A row the trigger passes is never searched for refused samples, so it
+    # must not pass one that holds any; nor may it warn on huge or
+    # non-finite samples. It passes every other row.
+    from sdcap.simulator import _clean
+
+    x, v = map(np.array, rows)
+    assert bool(_clean(x, v)) is (first_bad_sample(x, v) is None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
