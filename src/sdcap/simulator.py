@@ -26,14 +26,19 @@ with a phase switch strictly inside, the step that reaches the speed cap
 and the step that comes to a halt.
 
 The lanes are computed in step, in blocks of _BLOCK_STEPS steps. A car
-follows only the car ahead in its own lane, so no lane reads another's
-samples, and in each block the lanes take the run's one scratch buffer in
-turn. Only each vehicle's last sample and its schedule carry over to the
-next block. A lane's block is computed one car at a time, front to back,
-through a ring of two rows, and one pass takes its facts as each row is
-filled: only the car ahead's row is alive. At the first pair that comes
-closer than a body length, the block reruns from its start in full rows,
-one per car, which the buffer grows to once, for the run's largest lane.
+follows only the car ahead in its own lane, and in each block the lanes
+take the run's one scratch buffer in turn. Only each vehicle's last sample
+and its schedule carry over to the next block. A lane's block is computed
+one car at a time, front to back, through a ring of two rows, and one pass
+takes its facts as each row is filled: only the car ahead's row is alive.
+A car's row depends only on its params, schedule and sample at the
+block's start, so a lane whose leading cars enter the block with the bits
+of an earlier lane's, which that pass took, takes those cars' facts and
+computes rows only from the car ahead of the first it does not share
+(the lanes of a road packed at one gap copy each other). At the first
+pair that comes closer than a body length, the block reruns from its
+start in full rows, one per car, which the buffer grows to once, for the
+run's largest lane.
 There the first step where a rear vehicle is closer to its front than a
 body length is searched one rear at a time, each only up to the earliest
 contact found so far. That step is applied as a collision scan (freeze
@@ -46,16 +51,17 @@ between two samples. The run ends one step after every braking vehicle
 stands still, and stepping stops with the block that holds that step.
 
 The pass keeps what a summary needs: each adjacent pair's smallest gap,
-the halt test, the block-end sample and the first sample, if any, that is
-not finite or has a negative speed (a run holding one is refused, naming
-the vehicle and step); the contacts are kept as they are settled. A row
-is checked for such a sample by the min and max of its positions and
-speeds, and searched only if those fail. A car standing still at a
-block's start stands still for all of it: in a block without a contact
-its row is not filled, and the pass reads its one sample at the start in
-place of the row, which repeats it. The scalar step and the collision
-scan work on samples: `_advance` returns the next one, and the scan snaps
-a scratch column in place. Each vehicle logs its own restarts: the step,
+each car's stand-still step (the lane halts at the latest), the block-end
+sample and the first sample, if any, that is not finite or has a negative
+speed (a run holding one is refused, naming the vehicle and step); the
+contacts are kept as they are settled. A row is checked for such a sample
+by the min and max of its positions and speeds, or, if its car cruises
+all block, by its first and last samples, and searched only if that
+fails. A car standing still at a block's start stands still for all of
+it: in a block without a contact its row is not filled, and the pass
+reads its one sample at the start in place of the row, which repeats it.
+The scalar step and the collision scan work on samples: `_advance`
+returns the next one, and the scan snaps a scratch column in place. Each vehicle logs its own restarts: the step,
 position and speed at which its trajectory was computed afresh, with the
 parameters and schedule it follows from there (at step 0, and wherever a
 contact changed its schedule, with the snapped position at a contact). A
@@ -86,6 +92,7 @@ allocated.
 
 import math
 import random
+import struct
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -119,6 +126,7 @@ from .protocol import (
 )
 
 _EPS = 1e-9
+_DOUBLE = struct.Struct("<d")
 
 # Steps per block: each lane is computed this many steps at a time.
 _BLOCK_STEPS = 4096
@@ -597,10 +605,12 @@ class _Lane:
     ahead's row is alive. A car standing still at the block's start
     (`still`: frozen at a contact, or halted past its onset) stands still
     for all of it, and costs O(1): its row is its sample at the block's
-    start alone, never filled. At the first pair that comes within a body
-    length the block reruns from its start in full rows, one per car: every
-    vehicle's steps are filled under its current schedule and the block's
-    contacts are settled. A contact changes the schedule of the vehicles it
+    start alone, never filled. Cars that enter the block as the leading
+    cars of a lane taken before in it (`_Taken`) have that lane's facts,
+    and their rows are not filled. At the first pair that comes within a
+    body length the block reruns from its start in full rows, one per car:
+    every vehicle's steps are filled under its current schedule and the
+    block's contacts are settled. A contact changes the schedule of the vehicles it
     freezes or reschedules; they are recomputed from the contact step to
     the end of the block, each with a restart appended to its own log, and
     the search for the next contact starts after it. The same pass then
@@ -622,12 +632,15 @@ class _Lane:
         self.min_gaps = (self.first[0][:-1] - self.first[0][1:]).tolist()
         self.faults: dict[int, tuple] = {}  # vehicle index: its first bad (step, x, v)
         self.still = [False] * len(vehicles)
+        self.schedules = [_schedule(veh) for veh in vehicles]
         self.start = self.width = 0
 
-    def advance(self, start: int, end: int, scratch: _Scratch):
+    def advance(self, start: int, end: int, scratch: _Scratch, taken: "_Taken"):
         """Steps start + 1 .. end from sample start (`first`), their
         contacts settled, the halt searched if not found before, and the
-        block's facts taken."""
+        block's facts taken. The facts of the longest prefix of cars that
+        enters the block as a lane in `taken` did are that lane's; a ring
+        pass enters the lane there."""
         self.start, self.width = start, end - start
         times = self.times[start:end + 1]
         spans = self.spans[start:end + 1]
@@ -636,7 +649,11 @@ class _Lane:
         # the first block.
         self.still = [start > 0 and _standing(veh, times[0], v)
                       for veh, v in zip(self.vehicles, self.first[1])]
-        if self._take(self._ring(scratch, times, spans), times):
+        keys = list(zip(self.schedules, *(col.view(np.int64).tolist() for col in self.first)))
+        shared, node = taken.find(keys)
+        if self._take(self._ring(scratch, times, spans, shared), times,
+                      taken.owners[node], shared):
+            taken.enter(keys[shared:], node, self)
             return
         n = len(self.vehicles)
         x, v = (rows[:n, :self.width + 1] for rows in scratch.full())
@@ -649,16 +666,18 @@ class _Lane:
             step = self._next_contact(x, step)
         self._take(zip(x, v), times)  # settled: no pair left to stop it
 
-    def _ring(self, scratch: _Scratch, times, spans):
+    def _ring(self, scratch: _Scratch, times, spans, shared: int):
         """Each vehicle's rows of the block, front to back, computed from
-        `first` into the scratch's first two rows in turn. A car standing
-        still at the block's start stands still for all of it: its rows are
-        column 0 alone, which `_take` reads as a row that repeats it. Nothing
-        else holds them, so a block with a contact can free them before it
-        grows the scratch."""
+        `first` into the scratch's first two rows in turn, from the front
+        of the first car past the `shared` ones (none if all are). A car
+        standing still at the block's start stands still for all of it:
+        its rows are column 0 alone, which `_take` reads as a row that
+        repeats it. Nothing else holds them, so a block with a contact can
+        free them before it grows the scratch."""
+        n = len(self.vehicles)
         x, v = scratch.position[:2, :self.width + 1], scratch.velocity[:2, :self.width + 1]
-        for i, veh in enumerate(self.vehicles):
-            row_x, row_v = x[i % 2], v[i % 2]
+        for i in range(max(shared - 1, 0) if shared < n else n, n):
+            veh, row_x, row_v = self.vehicles[i], x[i % 2], v[i % 2]
             row_x[0], row_v[0] = self.first[0][i], self.first[1][i]
             if self.still[i]:
                 yield row_x[:1], row_v[:1]
@@ -666,72 +685,79 @@ class _Lane:
             _trajectory(veh, row_x, row_v, 0, self.width, times, spans, self.speed_cap)
             yield row_x, row_v
 
-    def _take(self, rows, times) -> bool:
+    def _take(self, rows, times, owner=None, shared: int = 0) -> bool:
         """Take the block's facts in one pass over its rows, front to back:
-        `rows` yields each vehicle's position and velocity rows, column 0
-        the block's start and `times` their grid times, and only the car
+        `rows` yields each vehicle's position and velocity rows from car
+        shared - 1 on (car 0 if shared is 0, none if all are), column 0 the
+        block's start and `times` their grid times, and only the car
         ahead's are read. The facts are each pair's smallest gap (inf for a
         pair standing still), each vehicle's first sample that a trace
-        refuses, the halt if not found before, and the last sample.
+        refuses, its last sample and its stand-still step. Those of the
+        first `shared` cars are the `owner` lane's, which entered the block
+        as they do; the first row is then only the front of the next.
 
         A row of column 0 alone is a car standing still all block, whose
         row would repeat it (`_trajectory`'s fill): its pairs' gaps are
         taken against that one position, its last sample is the fill's, and
         it is not checked for refused samples, since its column 0 was
-        checked as the block before's last sample. Every other row is
-        checked whole with `_clean`, and searched only if it fails.
+        checked as the block before's last sample. A row its car cruises
+        through all block (`_cruising`) is checked in O(1) (`_cruise_clean`),
+        every other row whole (`_clean`), and either is searched only if it
+        fails.
 
-        The halt is the first step at which every affected vehicle stands
-        still and has passed its brake onset. Past it no contact can change
-        the lane's samples up to it, so the first block that holds it
-        decides it; a halt in the block leaves every affected vehicle at
-        speed 0 at the block's end.
+        A car's stand-still step is the first column past 0, at or past its
+        onset, at which its speed is 0.0 (`_rest`). Past its onset a car
+        brakes or stands frozen: its speed never rises, and once 0 it stays
+        0. So the first column at which every affected car has passed its
+        onset and stands still, the halt, is the latest of their steps, and
+        none if one has none. Past the halt no contact can change the
+        lane's samples up to it, so the first block that holds it decides
+        it, and leaves every affected car at speed 0.
 
         Returns False, leaving the lane's state as it was, at the first
         pair where a moving rear comes closer to its front than a body
         length (the `_next_contact` test). Rows whose contacts are settled
         have none."""
         n = len(self.vehicles)
-        gaps, faults, last = [], {}, (np.empty(n), np.empty(n))
-        # halting: the block's steps past the onsets at which every affected
-        # car so far stands still, while a halt in the block is possible.
-        halt, halting = self.halt, None
+        gaps, faults, rests, last = [], {}, [], (np.empty(n), np.empty(n))
+        if shared:
+            gaps, faults, rests = owner.facts
+            gaps, rests = gaps[:shared - 1], rests[:shared]
+            faults = {i: fault for i, fault in faults.items() if i < shared}
+            last[0][:shared], last[1][:shared] = owner.last[0][:shared], owner.last[1][:shared]
+        end_time = times[-1]
+        for i, (x, v) in enumerate(rows, start=max(shared - 1, 0)):
+            veh = self.vehicles[i]
+            tail = x[0] if len(x) == 1 else x[1:]
+            if i >= shared:
+                if i:  # the pair of the car ahead, `front`, and this one
+                    smallest = math.inf  # for a pair standing still
+                    if not (self.still[i - 1] and self.still[i]):
+                        gap = front - tail
+                        smallest = gap.min()
+                        limit = veh.params.length - _EPS
+                        if (not smallest >= limit and veh.collision_time is None
+                                and _first(gap < limit) is not None):
+                            return False
+                    gaps.append(float(smallest))
+                if len(x) == 1:  # standing still all block
+                    end = (x[0], _standing_speed(veh, v[0]))
+                else:
+                    end = (x[-1], v[-1])
+                    # whole rows: column 0 may be sample 0
+                    if not (_cruise_clean(x, v) if _cruising(veh, end_time) else _clean(x, v)):
+                        k = first_bad_sample(x, v)
+                        if k is not None:
+                            faults[i] = (self.start + k, x[k], v[k])
+                last[0][i], last[1][i] = end
+                rests.append(_rest(veh, times, v, end[1]))
+            front = tail
+        halt = self.halt
         if halt is None and not self.affected:
             halt = self.start + 1
-        elif halt is None:
-            onset = max(self.vehicles[i].onset for i in self.affected)
-            if times[-1] >= onset:
-                halting = times[1:] >= onset
-        for i, (x, v) in enumerate(rows):
-            veh = self.vehicles[i]
-            if len(x) == 1:  # standing still all block
-                tail, end = x[0], (x[0], _standing_speed(veh, v[0]))
-            else:
-                tail, end = x[1:], (x[-1], v[-1])
-                if not _clean(x, v):  # whole rows: column 0 may be sample 0
-                    k = first_bad_sample(x, v)
-                    if k is not None:
-                        faults[i] = (self.start + k, x[k], v[k])
-            if i:  # the pair of the car ahead, `front`, and this one
-                smallest = math.inf  # for a pair standing still
-                if not (self.still[i - 1] and self.still[i]):
-                    gap = front - tail
-                    smallest = gap.min()
-                    limit = veh.params.length - _EPS
-                    if (not smallest >= limit and veh.collision_time is None
-                            and _first(gap < limit) is not None):
-                        return False
-                gaps.append(float(smallest))
-            front = tail
-            if halting is not None and i >= self.affected.start:
-                if end[1] != 0.0:
-                    halting = None
-                elif not self.still[i]:
-                    halting &= v[1:] == 0.0
-            last[0][i], last[1][i] = end
-        if halting is not None:
-            halt = _first(halting, self.start + 1)
-        self.halt, self.last, self.facts = halt, last, (gaps, faults)
+        elif halt is None and None not in rests[self.affected.start:]:
+            halt = self.start + max(rests[self.affected.start:])
+        self.halt, self.last, self.facts = halt, last, (gaps, faults, rests)
         return True
 
     def _next_contact(self, x, after: int) -> Optional[int]:
@@ -765,6 +791,7 @@ class _Lane:
             if schedule != veh.restarts[-1][-3:]:
                 veh.restarts.append(_Restart(self.start + step, float(x[i, step]),
                                              float(v[i, step]), veh.params, *schedule))
+                self.schedules[i] = _schedule(veh)
                 _trajectory(veh, x[i], v[i], step, self.width, times, spans, self.speed_cap)
 
     def cut(self, last: int):
@@ -789,11 +816,50 @@ class _Lane:
     def record(self):
         """Keep the block's facts and carry its last sample over to the
         next block's start."""
-        gaps, faults = self.facts
+        gaps, faults, _ = self.facts
         self.min_gaps = [min(kept, gap) for kept, gap in zip(self.min_gaps, gaps)]
         for i, fault in faults.items():
             self.faults.setdefault(i, fault)
         self.first = self.last
+
+
+class _Taken:
+    """The lanes of one block that a ring pass took, as a trie of their
+    cars' keys (`_Lane.advance`), front to back. A node stands for the cars
+    on its path, and its owner, the lane that entered it, took their facts
+    in this block: any lane whose cars enter the block as they do has the
+    same facts for them."""
+
+    def __init__(self):
+        self.children = {}  # (node, car key): node
+        self.owners = [None]  # by node; node 0, the root, stands for no car
+
+    def find(self, keys):
+        """The length of the longest prefix of `keys` that is a path, and
+        the node it ends at."""
+        node = 0
+        for depth, key in enumerate(keys):
+            child = self.children.get((node, key))
+            if child is None:
+                return depth, node
+            node = child
+        return len(keys), node
+
+    def enter(self, keys, node: int, lane: "_Lane"):
+        """Extend the path at `node` by `keys`, owned by `lane`."""
+        for key in keys:
+            child = len(self.owners)
+            self.children[(node, key)] = node = child
+            self.owners.append(lane)
+
+
+def _schedule(veh):
+    """What of a car's key only a contact changes: its params, by identity,
+    and its schedule (cause, onset, collision_time), by bits, since ==
+    equates -0.0 and 0.0. The key adds the bits of its block-start sample:
+    all that `_trajectory` reads of it in a block."""
+    times = (veh.cause, veh.onset, veh.collision_time)
+    return (id(veh.params), *(None if t is None else _DOUBLE.pack(t) for t in times))
 
 
 def _run_bytes(largest_lane: int, horizon) -> float:
@@ -915,13 +981,14 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
 
     Deterministic for a fixed config and seed. The lanes are computed in
     step, a block of steps at a time, taking turns through one scratch
-    buffer: a lane's block is computed car by car through two rows, and
-    only a block with a contact is computed in full rows, one per car,
-    where its contacts are applied one at a time, each at the first step it
-    occurs. The run ends one step after every affected vehicle has passed
-    its brake onset and stands still. Blame is decided from the contacts
-    the run detected, and each trace is built with its responsibility flags
-    set. A run over MAX_VEHICLE_STEPS or MAX_RUN_BYTES
+    buffer: a lane's block is computed car by car through two rows, from
+    the car ahead of the first that no lane before it in the block shares
+    (`_Taken`), and only a block with a contact is computed in full rows,
+    one per car, where its contacts are applied one at a time, each at the
+    first step it occurs. The run ends one step after every affected
+    vehicle has passed its brake onset and stands still. Blame is decided
+    from the contacts the run detected, and each trace is built with its
+    responsibility flags set. A run over MAX_VEHICLE_STEPS or MAX_RUN_BYTES
     is refused before anything is allocated, and one with a sample that is
     not finite, or a negative speed, is refused once it ends, as Trace
     refuses such a column.
@@ -936,8 +1003,9 @@ def run_scenario(cfg: ScenarioConfig) -> Run:
     start = 0
     while True:
         end = min(start + width, horizon)
+        taken = _Taken()
         for run in runs:
-            run.advance(start, end, scratch)
+            run.advance(start, end, scratch, taken)
         halts = [run.halt for run in runs]
         done = None not in halts and max(halts) < end
         last = max(halts) + 1 if done else end  # one trailing step past the halt
@@ -1023,6 +1091,32 @@ def _clean(x, v) -> bool:
     overflow), which cost more per row than the reduction it saves."""
     return (-math.inf < x.min() and x.max() < math.inf
             and 0 <= v.min() and v.max() < math.inf)
+
+
+def _cruising(veh, end_time) -> bool:
+    """Whether `_trajectory` coasts the car through a whole block that ends
+    at end_time: not collided, and no cause (nor onset, which is never
+    before it) at or before end_time."""
+    return veh.collision_time is None and (veh.cause is None or veh.cause > end_time)
+
+
+def _cruise_clean(x, v) -> bool:
+    """`_clean` for rows that coast at v[0] from x[0]: the speeds repeat
+    v[0], and the positions are a left fold of v[0] * span >= 0 from x[0],
+    never decreasing and never NaN, so all are finite if x[0] and the last
+    are. x[0] and v[0] are checked, since column 0 may be sample 0."""
+    return -math.inf < x[0] and x[-1] < math.inf and 0 <= v[0] < math.inf
+
+
+def _rest(veh, times, v, speed) -> Optional[int]:
+    """A car's stand-still step (`_Lane._take`): the first column past 0,
+    at or past its onset, whose speed is 0.0, or None. `speed` is its speed
+    at the block's end, and a row of one column stands at it all block."""
+    onset = veh.onset
+    if onset is None or speed != 0.0 or times[-1] < onset:
+        return None
+    col = 1 if times[0] >= onset else int(np.searchsorted(times, onset))
+    return col if len(v) == 1 else _first(v[col:] == 0.0, col)
 
 
 def _first(flags: np.ndarray, offset: int = 0) -> Optional[int]:

@@ -3,6 +3,7 @@
 import csv
 import io
 import random
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -109,6 +110,58 @@ def scenarios(draw):
     return ScenarioConfig(
         road=RoadSpec(10.0, len(lanes), 100.0),
         lanes=tuple(lanes),
+        triggers=tuple(triggers),
+        mode=draw(st.sampled_from(("pbv", "cbv"))),
+        dev=DeviationSet(0.96, 1.03, 0.97, 0.95),
+        latency=LatencyModel.uniform(0.05, 0.15),
+        dt=dt,
+        rng_seed=draw(st.integers(0, 2**31)),
+        request_timeout=0.1,
+        speed_cap=draw(st.one_of(st.none(), st.floats(REFERENCE.speed, REFERENCE.speed + 3.0))),
+    )
+
+
+@st.composite
+def shared_lanes(draw):
+    """Roads of a base lane of 1-8 cars and 1-2 more lanes, each a copy, a
+    prefix or an extension of it by up to 3 cars, with one change at a
+    drawn car: its gap, its braking delay or a trigger (up to 200 steps
+    in, so in a later block of a small one), or none. A lane keeps the
+    base lane's triggers on the cars it has. PBV or CBV: in CBV each link
+    draws its own latency, so the lanes share only their lead."""
+    dt = draw(st.floats(0.001, 0.02))
+    gap = st.floats(0.6, 1.3).map(lambda factor: factor * D_SAFE)
+    delay = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+
+    def at_step():
+        steps = draw(st.integers(0, 200)) + draw(st.one_of(st.just(0.0), st.floats(0.01, 0.99)))
+        return steps * dt
+
+    def followers(count):
+        return [SpawnSpec(REFERENCE, draw(gap), draw(delay)) for _ in range(count)]
+
+    base = [SpawnSpec(REFERENCE, None, draw(delay)), *followers(draw(st.integers(0, 7)))]
+    base_triggers = {draw(st.integers(0, len(base) - 1)): at_step()
+                     for _ in range(draw(st.integers(1, 2)))}
+    lanes, triggers = [base], [BrakeTrigger(0, i, t) for i, t in base_triggers.items()]
+    for lane_idx in range(1, draw(st.integers(2, 3))):
+        size = draw(st.integers(1, len(base) + 3))
+        lane = base[:size] + followers(size - len(base))
+        lane_triggers = {i: t for i, t in base_triggers.items() if i < size}
+        change = draw(st.sampled_from(("none", "gap", "delay", "trigger")))
+        if change == "gap" and size > 1:
+            where = draw(st.integers(1, size - 1))
+            lane[where] = replace(lane[where], gap_to_predecessor=draw(gap))
+        elif change == "delay":
+            where = draw(st.integers(0, size - 1))
+            lane[where] = replace(lane[where], ber_delay=draw(delay))
+        elif change == "trigger":
+            lane_triggers[draw(st.integers(0, size - 1))] = at_step()
+        lanes.append(tuple(lane))
+        triggers += [BrakeTrigger(lane_idx, i, t) for i, t in lane_triggers.items()]
+    return ScenarioConfig(
+        road=RoadSpec(10.0, len(lanes), 100.0),
+        lanes=tuple(map(tuple, lanes)),
         triggers=tuple(triggers),
         mode=draw(st.sampled_from(("pbv", "cbv"))),
         dev=DeviationSet(0.96, 1.03, 0.97, 0.95),

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,6 +47,7 @@ from conftest import (
     reference_assign_responsibility,
     reference_run_scenario,
     scenarios,
+    shared_lanes,
     trace_from_states,
     traces_to_csv,
 )
@@ -410,6 +412,124 @@ def test_dense_chain_crashes_in_any_block_size_match_the_stepping_loop(cfg):
     assert_block_sizes_match_the_stepping_loop(cfg)
 
 
+def assert_shared_lanes_match_the_stepping_loop(cfg):
+    # A lane whose cars enter a block as an earlier lane's leading cars did
+    # takes their facts: in blocks of 1-3 steps the shared prefixes change
+    # from block to block, and the default block holds the whole run.
+    assert_block_sizes_match_the_stepping_loop(cfg)
+    reference, run = reference_run_scenario(cfg), run_scenario(cfg)
+    assert_bit_identical(run, reference)
+    assert run.contacts == reference.contacts
+    assert (scenario_summary(run, cfg)["min_gaps_m"]
+            == scenario_summary(reference, cfg)["min_gaps_m"])
+    assert traces_to_csv(run, run.info_sources) == traces_to_csv(reference,
+                                                                 reference.info_sources)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shared_lanes())
+def test_lanes_that_share_cars_match_the_stepping_loop(cfg):
+    assert_shared_lanes_match_the_stepping_loop(cfg)
+
+
+def lane_of(cars, gap=D_SAFE):
+    """A lane of `cars` REFERENCE cars `gap` apart."""
+    return (SpawnSpec(REFERENCE),) + (SpawnSpec(REFERENCE, gap),) * (cars - 1)
+
+
+def road_of(*lanes, triggers=None, dt=0.01):
+    """A PBV road of the given lanes, every lead braking at t = 0 unless
+    `triggers` are given: the headline road's shape."""
+    if triggers is None:
+        triggers = [(lane, 0, 0.0) for lane in range(len(lanes))]
+    return ScenarioConfig(road=RoadSpec(10.0, len(lanes), 100.0), lanes=lanes,
+                          triggers=tuple(BrakeTrigger(*t) for t in triggers), dt=dt)
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(road_of(lane_of(6), lane_of(6), triggers=[(0, 0, 0.0), (1, 0, -0.0)]),
+                 id="trigger-times-0.0-and-minus-0.0"),
+    pytest.param(road_of(lane_of(6, 0.5 * D_SAFE), lane_of(6, 0.5 * D_SAFE)),
+                 id="identical-lanes-that-collide-in-the-same-block"),
+    pytest.param(road_of(lane_of(8), lane_of(7)), id="n-and-n-1-cars"),
+    pytest.param(road_of(lane_of(7), lane_of(8)), id="n-1-and-n-cars"),
+    pytest.param(road_of(lane_of(8), lane_of(2)), id="short-lane-halts-blocks-before"),
+    pytest.param(road_of(lane_of(2), lane_of(8)), id="short-lane-first-halts-blocks-before"),
+])
+def test_shared_lane_examples_match_the_stepping_loop(cfg):
+    assert_shared_lanes_match_the_stepping_loop(cfg)
+
+
+def trajectory_calls(cfg, monkeypatch) -> Counter:
+    """The `_trajectory` calls of run_scenario(cfg), by (lane, index)."""
+    import sdcap.simulator
+
+    start_run, trajectory = sdcap.simulator._start_run, sdcap.simulator._trajectory
+    cars, calls = {}, Counter()
+
+    def started(cfg):
+        lanes, *rest = start_run(cfg)
+        cars.update({id(veh): (lane_idx, idx)
+                     for lane_idx, lane in enumerate(lanes) for idx, veh in enumerate(lane)})
+        return (lanes, *rest)
+
+    def counted(veh, *args):
+        calls[cars.get(id(veh), "replayed")] += 1
+        return trajectory(veh, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sdcap.simulator, "_start_run", started)
+        patch.setattr(sdcap.simulator, "_trajectory", counted)
+        run_scenario(cfg)
+    return calls
+
+
+def test_a_lane_that_enters_each_block_as_another_computes_no_row(monkeypatch):
+    # The second lane's cars enter each block as the first lane's leading
+    # cars do, so it takes their facts and fills no row: two identical
+    # 20-car lanes (the road_verify road), and lanes of 20 and 19 cars (the
+    # headline road's shape), cost what the first lane alone does. Lanes
+    # that differ only by a -0.0 trigger time differ in their keys' bits,
+    # and share nothing.
+    alone = trajectory_calls(road_of(lane_of(20), dt=1e-3), monkeypatch)
+    assert sum(alone.values()) > 40
+    for second in (20, 19):
+        calls = trajectory_calls(road_of(lane_of(20), lane_of(second), dt=1e-3), monkeypatch)
+        assert calls == alone
+    signed = road_of(lane_of(20), lane_of(20), triggers=[(0, 0, 0.0), (1, 0, -0.0)], dt=1e-3)
+    assert sum(trajectory_calls(signed, monkeypatch).values()) == 2 * sum(alone.values())
+
+
+@pytest.mark.parametrize("change", ["gap", "delay", "trigger", "longer"])
+def test_a_lane_changed_at_one_car_fills_rows_from_the_car_ahead_of_it_on(change, monkeypatch):
+    # Lane 1 is lane 0 changed at car j. Its cars before j enter each block
+    # as lane 0's do, so it fills only the rows of car j - 1 (the front of
+    # car j) and on, in each block where they move: the rows it fills alone.
+    # "longer" is lane 0 with a car added behind, in second place.
+    j, gap = 7, 1.5 * D_SAFE
+    base, changed, triggers = list(lane_of(12, gap)), list(lane_of(12, gap)), None
+    if change == "gap":
+        changed[j] = SpawnSpec(REFERENCE, 2.0 * D_SAFE)
+    elif change == "delay":
+        changed[j] = SpawnSpec(REFERENCE, gap, 0.2)
+    elif change == "trigger":
+        triggers = [(0, 0, 0.0), (1, 0, 0.0), (1, j, 1.0)]  # before its cause
+    else:
+        base, j = base[:-1], 11
+    road = road_of(tuple(base), tuple(changed), triggers=triggers, dt=1e-3)
+    calls = trajectory_calls(road, monkeypatch)
+    first = trajectory_calls(road_of(tuple(base), dt=1e-3), monkeypatch)
+    second = trajectory_calls(replace(road, road=RoadSpec(10.0, 1, 100.0), lanes=road.lanes[1:],
+                                      triggers=[replace(t, lane=0) for t in road.triggers
+                                                if t.lane == 1]), monkeypatch)
+    assert not run_scenario(road).contacts
+    assert {i: n for (lane, i), n in calls.items() if lane == 0} == {
+        i: n for (_, i), n in first.items()}
+    assert {i: n for (lane, i), n in calls.items() if lane == 1} == {
+        i: n for (_, i), n in second.items() if i >= j - 1}
+    assert all(second[(0, i)] for i in range(j - 1, 12))
+
+
 
 def test_cars_standing_from_step_0_are_searched_for_contacts_in_the_first_block():
     # Three parked cars braking at t = 0, the last one spawned one body
@@ -526,6 +646,48 @@ def test_the_fault_trigger_fires_on_every_row_with_a_refused_sample(rows):
 
     x, v = map(np.array, rows)
     assert bool(_clean(x, v)) is (first_bad_sample(x, v) is None)
+
+
+_HUGE = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1e300, -1e300])
+
+
+def cruise_row(x0, v0, dt, steps):
+    """A car's rows through a block of `steps` steps of dt that it coasts
+    through, from (x0, v0): `_trajectory` under a schedule that
+    `_cruising` admits."""
+    from sdcap.simulator import _VehicleRT, _cruising, _trajectory
+
+    times = np.arange(steps + 1) * dt
+    x, v = np.full(steps + 1, x0), np.full(steps + 1, v0)
+    vehicle = _VehicleRT(SpawnSpec(REFERENCE), None)
+    assert _cruising(vehicle, times[-1])
+    with np.errstate(all="ignore"):
+        _trajectory(vehicle, x, v, 0, steps, times, np.diff(times, prepend=0.0), None)
+    return x, v
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.floats(-1e3, 1e3), _HUGE, _ODD_SAMPLES, st.floats()),
+       st.one_of(st.floats(0.0, 1e3), _HUGE, _ODD_SAMPLES, st.floats()),
+       st.floats(1e-3, 1e3), st.integers(1, 40))
+@example(1.7e308, 1e306, 1.0, 40)  # the positions overflow partway through
+@example(1e308, 1e308, 10.0, 3)  # so does the first increment
+@example(0.0, -0.0, 1.0, 5)  # accepted
+@example(-math.inf, 1.0, 1.0, 5)  # a refused x0
+@example(math.nan, 1.0, 1.0, 5)
+@example(0.0, -5e-324, 1.0, 5)  # a refused v0
+@example(0.0, math.inf, 1.0, 5)
+@example(0.0, math.nan, 1.0, 5)
+def test_the_cruise_trigger_fires_on_every_cruise_row_with_a_refused_sample(x0, v0, dt, steps):
+    # A row its car coasts through all block is checked in O(1), from x0,
+    # v0 and the last position alone: the positions never decrease, so all
+    # are finite if those are. It must fire whenever the row holds a
+    # refused sample, without a warning, and pass every other row.
+    from sdcap.simulator import _cruise_clean
+
+    x, v = cruise_row(x0, v0, dt, steps)
+    assert bool(_cruise_clean(x, v)) is (first_bad_sample(x, v) is None)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
