@@ -7,13 +7,11 @@ reversing). The safe longitudinal distance is the smallest center-to-center
 gap for which the two bodies never overlap under this profile.
 
 Two independent routes to that distance live here: the closed form
-(`safe_longitudinal_distance`) and a brute-force bisection over a stepwise
-trajectory simulation (`min_safe_gap_oracle`).
+(`safe_longitudinal_distance`) and the worst gap of a stepwise trajectory
+simulation (`min_safe_gap_oracle`).
 """
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -21,6 +19,7 @@ from .errors import InvalidParameterError, OracleError
 from .params import (
     VehicleParams,
     require_closed_form,
+    require_equal_brakes,
     require_equal_lengths,
     require_finite,
     require_response_kept,
@@ -58,11 +57,14 @@ def safe_longitudinal_distance(
     contact distance (the displacement difference can go negative near the
     branch boundary).
 
-    Each car brakes at its own max_brake; with a homogeneous fleet both
-    values coincide. Parameters whose rounding loses the response-time
-    travel, or overflows the closed form, are refused.
+    Both cars brake at one max_brake, as the first branch needs: a front car
+    with a weaker brake can halt later and still be slower than the rear car
+    for a while, so the gap shrinks until the two speeds meet. Two brakes
+    are refused, like two lengths. Parameters whose rounding loses the
+    response-time travel, or overflows the closed form, are refused too.
     """
     length = require_equal_lengths(rear, front)
+    require_equal_brakes(rear, front)
     t_front = time_to_stop_front(front)
     t_rear = require_closed_form("rear stopping time", time_to_stop_rear(rear, tau))
     v_peak = max_speed_after_response(rear, tau)
@@ -74,88 +76,6 @@ def safe_longitudinal_distance(
     front_travel = 0.5 * front.speed * t_front
     distance = require_closed_form("safe distance", length + rear_travel - front_travel)
     return max(length, distance)
-
-
-@dataclass(frozen=True)
-class BrakingScenario:
-    """A sudden-brake episode between two same-length vehicles.
-
-    initial_gap is the center-to-center distance at brake onset;
-    response_time is the rear car's effective response time; speed_cap,
-    when set, bounds the rear car's speed during its response window.
-    """
-
-    rear: VehicleParams
-    front: VehicleParams
-    initial_gap: float
-    response_time: float
-    speed_cap: Optional[float] = None
-
-    def __post_init__(self):
-        require_equal_lengths(self.rear, self.front)
-        require_finite("initial_gap", self.initial_gap)
-        require_finite("response_time", self.response_time)
-        if self.initial_gap < self.rear.length:
-            raise InvalidParameterError(
-                f"initial_gap must be >= vehicle length {self.rear.length}, "
-                f"got {self.initial_gap}"
-            )
-        if self.response_time < 0:
-            raise InvalidParameterError("response_time must be >= 0")
-        if self.speed_cap is not None:
-            cap = require_finite("speed_cap", self.speed_cap)
-            if cap < self.rear.speed:
-                raise InvalidParameterError(
-                    "speed_cap below the rear car's current speed"
-                )
-
-
-def _front_displacement(front: VehicleParams, t: float) -> float:
-    t_stop = time_to_stop_front(front)
-    if t >= t_stop:
-        return 0.5 * front.speed * t_stop
-    return front.speed * t - 0.5 * front.max_brake * t * t
-
-
-def _rear_displacement(
-    rear: VehicleParams, tau: float, cap: Optional[float], t: float
-) -> float:
-    # Response window: accelerate (up to the cap, if any), then full brake.
-    v0 = rear.speed
-    accel = rear.max_accel
-    if cap is None or accel == 0 or cap >= v0 + accel * tau:
-        t_cap = tau
-    else:
-        t_cap = (cap - v0) / accel
-    v_end = v0 + accel * min(tau, t_cap)
-
-    if t <= t_cap:
-        return v0 * t + 0.5 * accel * t * t
-    d = v0 * t_cap + 0.5 * accel * t_cap * t_cap
-    if t <= tau:
-        return d + v_end * (t - t_cap)
-    d += v_end * (tau - t_cap)
-    brake_t = min(t - tau, v_end / rear.max_brake)
-    return d + v_end * brake_t - 0.5 * rear.max_brake * brake_t * brake_t
-
-
-def gap_at_time(scenario: BrakingScenario, t: float) -> float:
-    """Center-to-center gap at time t under the worst-case profile.
-
-    The front car applies full brake at t = 0; the rear car accelerates
-    through its response window and then applies full brake. Constant once
-    both cars halt.
-    """
-    t = require_finite("t", t)
-    if t < 0:
-        raise InvalidParameterError(f"t must be >= 0, got {t}")
-    return (
-        scenario.initial_gap
-        + _front_displacement(scenario.front, t)
-        - _rear_displacement(
-            scenario.rear, scenario.response_time, scenario.speed_cap, t
-        )
-    )
 
 
 def _integrate_ramp(
@@ -210,34 +130,16 @@ def min_safe_gap_oracle(
     front: VehicleParams,
     tau: float,
     dt: float = 1e-3,
-    tol: float = 1e-3,
 ) -> float:
-    """Bisection over the initial gap of a simulated braking episode.
-
-    Returns the smallest initial center-to-center gap for which the
-    simulated gap never drops below one body length. Independent check of
+    """The smallest initial center-to-center gap for which the simulated
+    gap never drops below one body length. Independent check of
     `safe_longitudinal_distance`: it never touches the closed-form algebra.
     """
     length = require_equal_lengths(rear, front)
     _, x_rear, x_front = simulate_displacements(rear, front, tau, dt)
-    # gap(t_k; d0) = d0 + x_front[k] - x_rear[k]; feasible iff min >= length
+    # gap(t_k; d0) = d0 + x_front[k] - x_rear[k] >= length for every k
+    # exactly when d0 >= length - worst.
     worst = float(np.min(x_front - x_rear))
-
-    def feasible(d0: float) -> bool:
-        return d0 + worst >= length
-
-    lo = length
-    if feasible(lo):
-        return lo
-    hi = length + float(x_rear[-1]) + 1.0
-    if not feasible(hi):
-        raise OracleError(
-            "bisection bracket failure: upper gap bound still collides"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if not math.isfinite(worst):
+        raise OracleError(f"simulated gap is {worst}: the parameters overflow the simulation")
+    return max(length, length - worst)

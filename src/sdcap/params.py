@@ -104,3 +104,13 @@ def require_equal_lengths(rear: VehicleParams, front: VehicleParams) -> float:
             f"({rear.length} vs {front.length})"
         )
     return rear.length
+
+
+def require_equal_brakes(rear: VehicleParams, front: VehicleParams):
+    """Refuse a rear and a front car of two max_brake values, like two
+    lengths: the closed form's stopping-time comparison assumes one brake."""
+    if rear.max_brake != front.max_brake:
+        raise InvalidParameterError(
+            "homogeneous fleet required: rear and front max_brake differ "
+            f"({rear.max_brake} vs {front.max_brake})"
+        )

@@ -2,8 +2,10 @@
 
 import csv
 import io
+import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +83,70 @@ def random_pair(rng: random.Random) -> tuple[VehicleParams, VehicleParams, float
         response_time=rear.response_time,
     )
     return rear, front, rng.uniform(0.0, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# Exact safe-distance oracle: the worst-case episode in rational arithmetic,
+# each float input taken exactly. Each car's acceleration is piecewise
+# constant, so the rear car's lead over the front car's travel is piecewise
+# quadratic in t, and its maximum lies at a phase edge (0, tau, a halt) or
+# where the two speeds meet inside a phase. Every one of those times is
+# rational, and the oracle evaluates them all: no closed-form algebra and no
+# sampling.
+
+
+def _phases(speed, legs):
+    """(start, position, speed, accel) of each phase of a car that starts at
+    0 with `speed` and holds each (duration, accel) leg in turn, then stands."""
+    start = position = Fraction(0)
+    phases = []
+    for span, accel in legs:
+        phases.append((start, position, speed, accel))
+        position += speed * span + accel * span * span / 2
+        speed += accel * span
+        start += span
+    return phases + [(start, position, speed, Fraction(0))]
+
+
+def _state(phases, t):
+    """(position, speed, accel) at time t, from the last phase started by t."""
+    start, position, speed, accel = [p for p in phases if p[0] <= t][-1]
+    span = t - start
+    return position + speed * span + accel * span * span / 2, speed + accel * span, accel
+
+
+def exact_safe_distance(rear, front, tau, dev=None) -> Fraction:
+    """The least initial center-to-center gap at which the bodies never
+    overlap: the front car brakes at t = 0, the rear car accelerates for tau
+    and then brakes. With a DeviationSet the front car's length, speed and
+    brake are its ratios times front's, the actual values of the corrected
+    distance; tau is then the effective response time."""
+    e_l, e_v, e_brake = (1, 1, 1) if dev is None else (dev.length, dev.front_speed, dev.brake)
+    v, a, b, tau = map(Fraction, (rear.speed, rear.max_accel, rear.max_brake, tau))
+    u = Fraction(e_v) * Fraction(front.speed)
+    c = Fraction(e_brake) * Fraction(front.max_brake)
+    contact = (Fraction(rear.length) + Fraction(e_l) * Fraction(front.length)) / 2
+    rear_phases = _phases(v, [(tau, a), ((v + a * tau) / b, -b)])
+    front_phases = _phases(u, [(u / c, -c)])
+    edges = sorted({p[0] for p in rear_phases + front_phases})
+    times = set(edges)
+    for lo, hi in zip(edges, edges[1:]):
+        _, v_rear, a_rear = _state(rear_phases, lo)
+        _, v_front, a_front = _state(front_phases, lo)
+        if a_rear != a_front:
+            meet = lo + (v_front - v_rear) / (a_rear - a_front)
+            if lo < meet < hi:
+                times.add(meet)
+    return contact + max(_state(rear_phases, t)[0] - _state(front_phases, t)[0] for t in times)
+
+
+def travel_ulp(rear, tau, exact) -> Fraction:
+    """One ulp of the travel scale max(d, v tau + v^2 / b, L) of an exact
+    distance d: near the branch boundary the displacement difference
+    cancels, so a closed form's rounding is measured against the travels it
+    sums, not against d."""
+    v = rear.speed
+    return Fraction(math.ulp(max(float(exact), v * tau + v * v / rear.max_brake, rear.length)))
 
 
 @st.composite

@@ -8,7 +8,6 @@ PUBLIC = [
     "And",
     "Atom",
     "BrakeTrigger",
-    "BrakingScenario",
     "CapacityBoundReport",
     "CapacityReport",
     "ConfigError",
@@ -47,7 +46,6 @@ PUBLIC = [
     "effective_response_time",
     "evaluate",
     "expected_safe_distance",
-    "gap_at_time",
     "max_speed_after_response",
     "min_safe_gap_oracle",
     "parse_formula",

@@ -2,9 +2,11 @@
 
 import gc
 import math
+import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +40,13 @@ from sdcap import (
 from sdcap.capacity import safe_distance
 from sdcap.ltl import first_bad_sample
 from sdcap.protocol import InfoSource
-from sdcap.simulator import Link, info_source_labels, link_resolutions
+from sdcap.simulator import _EPS, Link, info_source_labels, link_resolutions
 from conftest import (
     D_SAFE,
     REFERENCE,
     dense_chains,
+    exact_safe_distance,
+    random_pair,
     rear_end_pairs,
     reference_assign_responsibility,
     reference_run_scenario,
@@ -84,6 +88,27 @@ def test_two_vehicles_at_safe_distance_never_collide():
     assert summary["sdt"] == 2
     tolerance = max(1e-2, REFERENCE.speed * cfg.dt)
     assert abs(min_pair_gap(summary) - REFERENCE.length) <= tolerance
+
+
+def test_min_gaps_match_the_exact_oracle():
+    # A two-car PBV lane spawned at d0 >= D, the exact distance, whose lead
+    # brakes at t = 0: the pair's smallest gap is d0 - (D - L) to well within
+    # the contact test's epsilon, whatever the step. Each step is the exact
+    # constant-acceleration update, also when the rear car's brake onset
+    # falls inside it (5.5e-11 m was the worst of these).
+    rng = random.Random(30)
+    for _ in range(150):
+        params, _, _ = random_pair(rng)
+        exact = exact_safe_distance(params, params, params.response_time)
+        d0 = float(exact * Fraction(rng.uniform(1.0, 1.3)))
+        cfg = single_lane([d0], params=params, dt=rng.choice((0.001, 0.005, 0.01, 0.02)))
+        (gap,) = run_scenario(cfg).min_gaps.values()
+        assert abs(Fraction(gap) - (d0 - exact + Fraction(params.length))) < _EPS, cfg
+
+
+def test_spawn_that_overlaps_its_front_is_refused():
+    with pytest.raises(InvalidParameterError, match="must be >= vehicle length 5.0, got 4.0"):
+        SpawnSpec(REFERENCE, 4.0)
 
 
 def test_two_vehicles_below_safe_distance_collide_with_rear_blamed():
